@@ -7,7 +7,6 @@ METEOR and CIDEr over a code-aware tokenizer.
 """
 
 from .diffs import CommitRecord, ParsedDiff, count_loc, diff_line_count, parse_diff
-from .kernels import BACKEND as KERNEL_BACKEND
 from .metrics import MetricReport, build_idf, cider, evaluate_corpus, gleu, meteor, rouge_l
 from .retriever import DocHandle, ExamplePair, RetrievalIndex, ScoredCandidate, fuse
 from .tokenizer import base_tokenize, enhance, tokenize
@@ -18,7 +17,6 @@ __all__ = [
     "CommitRecord",
     "DocHandle",
     "ExamplePair",
-    "KERNEL_BACKEND",
     "MetricReport",
     "ParsedDiff",
     "RetrievalIndex",

@@ -37,6 +37,14 @@ class DimensionMismatch(CoracmgError):
     pass
 
 
+class CorruptIndex(CoracmgError):
+    """An index directory is missing its magic, or its files disagree in size or count."""
+
+
+class ConfigError(CoracmgError):
+    """An experiment configuration has an unknown or missing key, or an invalid value."""
+
+
 class EmptyScope(CoracmgError):
     """No admissible retrieval candidates remain in the scoped partition."""
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate
 from .diffs import CommitRecord, language_of, read_jsonl
-from .errors import CorpusTooSmall, ManifestMismatch
+from .errors import ConfigError, CorpusTooSmall, ManifestMismatch
 from .providers import (
     EmbeddingClient,
     GenerationClient,
@@ -57,19 +57,23 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.method not in ("direct", "rag"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
         if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}")
+            raise ConfigError(f"unknown generator {self.generator!r}")
         if self.method == "rag":
             if self.k is None or not 1 <= self.k <= 5:
-                raise ValueError("method 'rag' requires k between 1 and 5")
+                raise ConfigError("method 'rag' requires k between 1 and 5")
         elif self.k is not None:
-            raise ValueError("k is only meaningful for method 'rag'")
+            raise ConfigError("k is only meaningful for method 'rag'")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+            values = json.load(fh)
+        try:
+            return cls(**values)
+        except TypeError as exc:  # unknown or missing keys, values of the wrong type
+            raise ConfigError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
         return {

@@ -21,7 +21,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import kernels
 from .errors import EmptyCorpus
 from .tokenizer import tokenize
 
@@ -51,10 +50,21 @@ def gleu(hyp: list[str], ref: list[str], max_n: int = DEFAULT_MAX_N) -> float:
 
 
 def _lcs(hyp: list[str], ref: list[str]) -> int:
-    ids: dict[str, int] = {}
-    a = [ids.setdefault(t, len(ids)) for t in hyp]
-    b = [ids.setdefault(t, len(ids)) for t in ref]
-    return kernels.lcs_length(a, b)
+    """Length of the longest common subsequence, two rows of the DP table."""
+    m = len(ref)
+    prev = [0] * (m + 1)
+    cur = [0] * (m + 1)
+    for h in hyp:
+        for j in range(m):
+            if h == ref[j]:
+                cur[j + 1] = prev[j] + 1
+            else:
+                up = prev[j + 1]
+                left = cur[j]
+                # A conditional, not max(): about twice as fast on message pairs.
+                cur[j + 1] = up if up >= left else left
+        prev, cur = cur, prev
+    return prev[m]
 
 
 def rouge_l(hyp: list[str], ref: list[str]) -> float:

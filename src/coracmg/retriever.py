@@ -32,9 +32,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .diffs import CommitRecord
-from .errors import DimensionMismatch, EmptyCorpus, EmptyScope, UnknownDocument
+from .errors import (
+    CorruptIndex,
+    DimensionMismatch,
+    EmptyCorpus,
+    EmptyScope,
+    UnknownDocument,
+)
 from .tokenizer import tokenize
 
 log = logging.getLogger(__name__)
@@ -82,8 +87,7 @@ class _Partition:
     def __init__(self, repo: str, docs: list[_Doc], vectors: np.ndarray, k1: float, b: float):
         self.repo = repo
         self.docs = docs
-        self.vectors32 = vectors  # (n, dim) float32, unit rows
-        self.vectors = vectors.astype(np.float64)
+        self.vectors = vectors.astype(np.float64)  # (n, dim) unit rows, float32 values
         self.df: Counter = Counter()
         for doc in docs:
             self.df.update(doc.token_counts.keys())
@@ -245,22 +249,31 @@ class RetrievalIndex:
             fh.write(VECTORS_MAGIC)
             fh.write(struct.pack("<III", INDEX_VERSION, doc_count, self.dimension))
             for repo in repos:
-                fh.write(
-                    np.ascontiguousarray(self.partitions[repo].vectors32, dtype="<f4").tobytes()
-                )
+                # Exact: the stored values came from float32.
+                fh.write(self.partitions[repo].vectors.astype("<f4").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":
         root = Path(path)
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
         if manifest.get("magic") != "coracmg-index":
-            raise ValueError(f"{root} is not an index directory")
+            raise CorruptIndex(f"{root} is not an index directory")
         with open(root / "lexical.bin", "rb") as fh:
             lexical = pickle.load(fh)
         raw = (root / "vectors.bin").read_bytes()
-        if raw[:4] != VECTORS_MAGIC:
-            raise ValueError("vectors.bin has a bad magic number")
+        if len(raw) < 16 or raw[:4] != VECTORS_MAGIC:
+            raise CorruptIndex("vectors.bin has a bad magic number")
         version, count, dimension = struct.unpack("<III", raw[4:16])
+        if len(raw) != 16 + count * dimension * 4:
+            raise CorruptIndex(
+                f"vectors.bin has {len(raw)} bytes; a {count} x {dimension} float32 "
+                f"matrix needs {16 + count * dimension * 4}"
+            )
+        if count != manifest.get("doc_count"):
+            raise CorruptIndex(
+                f"vectors.bin holds {count} vectors, manifest.json "
+                f"counts {manifest.get('doc_count')} documents"
+            )
         matrix = np.frombuffer(raw[16:], dtype="<f4").reshape(count, dimension)
         partitions: dict[str, _Partition] = {}
         row = 0
@@ -280,9 +293,8 @@ class RetrievalIndex:
                         length=sum(token_counts.values()),
                     )
                 )
-            vectors = np.ascontiguousarray(matrix[row : row + len(docs)])
+            partitions[repo] = _Partition(repo, docs, matrix[row : row + len(docs)], k1, b)
             row += len(docs)
-            partitions[repo] = _Partition(repo, docs, vectors, k1, b)
         return cls(
             partitions,
             dimension,
@@ -338,7 +350,9 @@ class RetrievalIndex:
                 continue
             ids, tfs = entry
             weight = self._idf(part, term) * qtf
-            kernels.bm25_accumulate(ids, tfs, weight, k1p1, part.length_norm, scores)
+            # Fancy-index += is exact: each document adds one posting per term,
+            # so a term's ids are unique.
+            scores[ids] += weight * (tfs * k1p1) / (tfs + part.length_norm[ids])
         return scores
 
     def score_partition(

@@ -147,3 +147,36 @@ def test_cli_error_paths(tmp_path, capsys):
         "--since", "1970-01-01", "--out", str(tmp_path / "x.jsonl"),
     ]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"bogus": 1}, "bogus"),
+        ({"method": "rag"}, "requires k"),
+    ],
+)
+def test_experiment_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": "c.jsonl", "out_dir": str(tmp_path / "o"), **config}))
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_retrieve_truncated_index_is_an_error_not_a_traceback(tmp_path, capsys):
+    records = synthetic_corpus(1, 10, seed=7)
+    corpus = tmp_path / "filtered.jsonl"
+    write_jsonl(corpus, records)
+    index_dir = tmp_path / "index.dir"
+    assert main(["index", "--in", str(corpus), "--out", str(index_dir), "--dimension", "64"]) == 0
+    vectors = index_dir / "vectors.bin"
+    vectors.write_bytes(vectors.read_bytes()[:-100])
+    query_file = tmp_path / "query.diff"
+    query_file.write_text(records[0].diff + " ")
+    capsys.readouterr()
+    assert main([
+        "retrieve", "--index", str(index_dir), "--query-diff", str(query_file),
+        "--repo", records[0].repo_full_name, "-k", "3",
+    ]) == 1
+    assert capsys.readouterr().err.startswith("error: vectors.bin has")

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from coracmg.diffs import write_jsonl
-from coracmg.errors import CorpusTooSmall, ManifestMismatch
+from coracmg.errors import ConfigError, CorpusTooSmall, ManifestMismatch
 from coracmg.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -73,13 +73,13 @@ def test_sample_too_small():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExperimentConfig(corpus="c", out_dir="o", method="rag")  # k missing
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExperimentConfig(corpus="c", out_dir="o", method="direct", k=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExperimentConfig(corpus="c", out_dir="o", method="sideways")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExperimentConfig(corpus="c", out_dir="o", generator="gpt9000")
 
 

@@ -8,6 +8,7 @@ import pytest
 from coracmg.errors import EmptyCorpus
 from coracmg.metrics import (
     IdfTable,
+    _lcs,
     build_idf,
     cider,
     evaluate_corpus,
@@ -19,6 +20,7 @@ from oracles import (
     oracle_cider,
     oracle_gleu,
     oracle_idf,
+    oracle_lcs,
     oracle_meteor,
     oracle_rouge_l,
 )
@@ -46,6 +48,17 @@ def test_gleu_examples():
     assert gleu(["x"], []) == 0.0
     hyp, ref = ["fix", "null", "bug"], ["fix", "null", "pointer", "bug"]
     assert gleu(hyp, ref) == pytest.approx(oracle_gleu(hyp, ref), abs=1e-12)
+
+
+def test_lcs_against_oracle():
+    rng = random.Random(0)
+    for _ in range(200):
+        a = [rng.choice(ALPHABET[:6]) for _ in range(rng.randrange(0, 15))]
+        b = [rng.choice(ALPHABET[:6]) for _ in range(rng.randrange(0, 15))]
+        assert _lcs(a, b) == oracle_lcs(a, b)
+    assert _lcs([], []) == 0
+    assert _lcs([], ["fix"]) == 0
+    assert _lcs(["fix"], []) == 0
 
 
 def test_rouge_examples():

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from coracmg.errors import DimensionMismatch, EmptyScope, UnknownDocument
+from coracmg.errors import CorruptIndex, DimensionMismatch, EmptyScope, UnknownDocument
 from coracmg.providers import HashingEmbedder
 from coracmg.retriever import DocHandle, RetrievalIndex, fuse
 from coracmg.tokenizer import tokenize
@@ -242,14 +242,34 @@ def test_load_rejects_corrupt_files(tmp_path):
     index.save(tmp_path / "idx")
     vectors = tmp_path / "idx" / "vectors.bin"
     vectors.write_bytes(b"XXXX" + vectors.read_bytes()[4:])
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(CorruptIndex, match="magic"):
         RetrievalIndex.load(tmp_path / "idx")
 
     index.save(tmp_path / "idx2")
     manifest = tmp_path / "idx2" / "manifest.json"
     manifest.write_text('{"magic": "something-else"}')
-    with pytest.raises(ValueError, match="not an index"):
+    with pytest.raises(CorruptIndex, match="not an index"):
         RetrievalIndex.load(tmp_path / "idx2")
+
+    index.save(tmp_path / "idx")
+    good = vectors.read_bytes()
+    vectors.write_bytes(good[:10])  # shorter than the header
+    with pytest.raises(CorruptIndex, match="magic"):
+        RetrievalIndex.load(tmp_path / "idx")
+
+    vectors.write_bytes(good[:-4])  # one float missing
+    with pytest.raises(CorruptIndex, match="float32 matrix needs"):
+        RetrievalIndex.load(tmp_path / "idx")
+
+    vectors.write_bytes(good + good[-64 * 4 :])  # an extra row, header unchanged
+    with pytest.raises(CorruptIndex, match="float32 matrix needs"):
+        RetrievalIndex.load(tmp_path / "idx")
+
+    # A consistent file with one vector fewer than the manifest's doc_count.
+    count = struct.unpack("<I", good[8:12])[0]
+    vectors.write_bytes(good[:8] + struct.pack("<I", count - 1) + good[12 : -64 * 4])
+    with pytest.raises(CorruptIndex, match="manifest.json counts 3"):
+        RetrievalIndex.load(tmp_path / "idx")
 
 
 def test_k_must_be_positive():
@@ -281,9 +301,9 @@ def test_unknown_document_error():
 
 
 def test_batch_and_single_doc_bm25_are_bit_equal():
-    # retrieve() scores through the posting-list kernel; the bm25_score op
-    # walks one document at a time. Same expression, same term order, so
-    # the floats must match exactly, not just approximately.
+    # retrieve() scores a term's whole posting list in one numpy statement;
+    # bm25_score walks one document at a time. Same expression, same term
+    # order, so the floats must match exactly, not just approximately.
     records = synthetic_corpus(1, 40, seed=77)
     index = build_index(records)
     repo = records[0].repo_full_name
