@@ -38,7 +38,10 @@ class DimensionMismatch(CoracmgError):
 
 
 class CorruptIndex(CoracmgError):
-    """An index directory is missing its magic, or its files disagree in size or count."""
+    """An index directory is missing, unreadable, of another version, or inconsistent."""
+
+    def __init__(self, problem: str):
+        super().__init__(f"{problem}; rebuild the index with `coracmg index`")
 
 
 class ConfigError(CoracmgError):

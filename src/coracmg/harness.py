@@ -68,8 +68,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            values = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                values = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
         try:
             return cls(**values)
         except TypeError as exc:  # unknown or missing keys, values of the wrong type

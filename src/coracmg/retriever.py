@@ -7,10 +7,15 @@ unit-normalized embeddings, and the two are fused 1:1 after min-max
 normalization over the candidate set.  A leakage guard skips any candidate
 whose diff is byte-identical to the query, promoting the next-ranked pair.
 
-The index persists to a directory with three entries:
+The index persists to a directory with five entries; partitions are stored
+in sorted project order and documents in partition order:
 
 * ``manifest.json``: versioned description (counts, dimension, parameters)
-* ``lexical.bin``: pickled per-partition documents and term statistics
+* ``docs.jsonl``: one ``[repo, sha, date, message, diff]`` array per line
+* ``terms.json``: each project's vocabulary, in posting-row order
+* ``postings.npz``: per partition ``p``, the CSR arrays ``offsets_p``
+  (int64, one more than the vocabulary), ``ids_p`` (int32, ascending within
+  each term), ``tfs_p`` (float64) and ``lengths_p`` (int64, tokens per doc)
 * ``vectors.bin``: 16-byte header (magic ``CMGV``, version, count,
   dimension; little-endian uint32) followed by row-major float32 vectors
 
@@ -22,11 +27,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-import pickle
 import struct
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -45,9 +51,10 @@ from .tokenizer import tokenize
 log = logging.getLogger(__name__)
 
 VECTORS_MAGIC = b"CMGV"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
+_CSR_DTYPES = {"offsets": np.int64, "ids": np.int32, "tfs": np.float64, "lengths": np.int64}
 
 
 class DocHandle(NamedTuple):
@@ -73,47 +80,94 @@ class ExamplePair:
     hybrid_score: float
 
 
-@dataclass
-class _Doc:
+class _Doc(NamedTuple):
     sha: str
     date: str
     message: str
     diff: str
-    token_counts: dict[str, int]
-    length: int
 
 
 class _Partition:
-    def __init__(self, repo: str, docs: list[_Doc], vectors: np.ndarray, k1: float, b: float):
+    """One project's documents, unit vectors and BM25 postings.
+
+    The postings of term row ``t`` are ``ids[offsets[t]:offsets[t + 1]]``
+    with term frequencies ``tfs`` over the same slice; ``lengths`` holds
+    each document's token count.
+    """
+
+    def __init__(
+        self,
+        repo: str,
+        docs: list[_Doc],
+        vectors: np.ndarray,
+        terms: list[str],
+        csr: dict[str, np.ndarray],
+        k1: float,
+        b: float,
+    ):
         self.repo = repo
         self.docs = docs
         self.vectors = vectors.astype(np.float64)  # (n, dim) unit rows, float32 values
-        self.df: Counter = Counter()
-        for doc in docs:
-            self.df.update(doc.token_counts.keys())
-        total_len = sum(doc.length for doc in docs)
-        self.avgdl = total_len / len(docs) if docs else 0.0
+        self.terms = {term: t for t, term in enumerate(terms)}
+        self.offsets = csr["offsets"]
+        self.ids = csr["ids"]
+        self.tfs = csr["tfs"]
+        self.lengths = csr["lengths"]
+        self.sha_index = {doc.sha: i for i, doc in enumerate(docs)}
+        avgdl = int(self.lengths.sum()) / len(docs) if docs else 0.0
         # Precomputed k1 * (1 - b + b * dl / avgdl) per document.
-        self.length_norm = np.array(
-            [
-                k1 * (1.0 - b + b * (doc.length / self.avgdl)) if self.avgdl > 0 else k1
-                for doc in docs
-            ],
-            dtype=np.float64,
-        )
-        self.date_keys = [datetime.fromisoformat(doc.date).timestamp() for doc in docs]
-        postings: dict[str, list[tuple[int, float]]] = {}
-        for i, doc in enumerate(docs):
-            for term, tf in doc.token_counts.items():
-                postings.setdefault(term, []).append((i, float(tf)))
-        self.postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for term, entries in postings.items():
-            ids = np.array([e[0] for e in entries], dtype=np.int32)
-            tfs = np.array([e[1] for e in entries], dtype=np.float64)
-            self.postings[term] = (ids, tfs)
+        if avgdl > 0:
+            self.length_norm = k1 * (1.0 - b + b * (self.lengths / avgdl))
+        else:
+            self.length_norm = np.full(len(docs), k1, dtype=np.float64)
+        # Rank of each document under (date desc, sha asc): the tie-break
+        # after the hybrid score.
+        dates = [datetime.fromisoformat(doc.date).timestamp() for doc in docs]
+        order = sorted(range(len(docs)), key=lambda i: (-dates[i], docs[i].sha))
+        self.tiebreak = np.empty(len(docs), dtype=np.int64)
+        self.tiebreak[order] = np.arange(len(docs))
+
+    @classmethod
+    def from_tokens(
+        cls,
+        repo: str,
+        docs: list[_Doc],
+        vectors: np.ndarray,
+        tokens: list[list[str]],
+        k1: float,
+        b: float,
+    ) -> "_Partition":
+        """Build the postings from each document's token list."""
+        rows: dict[str, tuple[list[int], list[int]]] = {}
+        for i, doc_tokens in enumerate(tokens):
+            for term, tf in Counter(doc_tokens).items():
+                row = rows.get(term)
+                if row is None:
+                    row = rows[term] = ([], [])
+                row[0].append(i)
+                row[1].append(tf)
+        terms = list(rows)
+        offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum([len(rows[t][0]) for t in terms], out=offsets[1:])
+        nnz = int(offsets[-1])
+        csr = {
+            "offsets": offsets,
+            "ids": np.fromiter(chain.from_iterable(rows[t][0] for t in terms), np.int32, nnz),
+            "tfs": np.fromiter(chain.from_iterable(rows[t][1] for t in terms), np.float64, nnz),
+            "lengths": np.array([len(t) for t in tokens], dtype=np.int64),
+        }
+        return cls(repo, docs, vectors, terms, csr, k1, b)
 
     def __len__(self) -> int:
         return len(self.docs)
+
+    def posting(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """(ids, tfs) views of a term's postings, or None for an unseen term."""
+        t = self.terms.get(term)
+        if t is None:
+            return None
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        return self.ids[lo:hi], self.tfs[lo:hi]
 
 
 def _unique_terms(tokens: list[str]) -> list[tuple[str, int]]:
@@ -127,23 +181,95 @@ def _unique_terms(tokens: list[str]) -> list[tuple[str, int]]:
     return ordered
 
 
-def fuse(candidates: list[tuple[float, float]]) -> list[float]:
+def _minmax(values: np.ndarray) -> np.ndarray:
+    lo, hi = values.min(), values.max()
+    if hi == lo:
+        return np.full(len(values), 0.5)
+    return (values - lo) / (hi - lo)
+
+
+def _fuse_arrays(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
     """Min-max normalize each score family to [0, 1], then average 1:1.
 
     A constant family maps to 0.5 everywhere so it contributes neutrally.
     """
-    if not candidates:
+    if len(lexical) == 0:
         raise ValueError("cannot fuse an empty candidate list")
+    return 0.5 * _minmax(lexical) + 0.5 * _minmax(semantic)
 
-    def minmax(values: list[float]) -> list[float]:
-        lo, hi = min(values), max(values)
-        if hi == lo:
-            return [0.5] * len(values)
-        return [(v - lo) / (hi - lo) for v in values]
 
-    lex = minmax([c[0] for c in candidates])
-    sem = minmax([c[1] for c in candidates])
-    return [0.5 * a + 0.5 * b for a, b in zip(lex, sem)]
+def fuse(candidates: list[tuple[float, float]]) -> list[float]:
+    """Fuse (lexical, semantic) score pairs; see ``_fuse_arrays``."""
+    scores = np.array(candidates, dtype=np.float64).reshape(-1, 2)
+    return _fuse_arrays(scores[:, 0], scores[:, 1]).tolist()
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(_read_bytes(path))
+    except ValueError as exc:
+        raise CorruptIndex(f"{path} is not valid JSON: {exc}") from None
+
+
+def _read_docs(path: Path) -> list[list[str]]:
+    # One parse of all lines; ",\n" keeps the decoder's line numbers those of the file.
+    lines = _read_bytes(path).splitlines()
+    try:
+        rows = json.loads(b"[" + b",\n".join(lines) + b"]")
+    except ValueError as exc:
+        raise CorruptIndex(f"{path} is not valid JSON lines: {exc}") from None
+    for lineno, row in enumerate(rows, 1):
+        if not (isinstance(row, list) and len(row) == 5 and all(isinstance(f, str) for f in row)):
+            raise CorruptIndex(
+                f"{path} line {lineno} is not a [repo, sha, date, message, diff] row"
+            )
+    return rows
+
+
+def _read_postings(path: Path) -> dict[str, np.ndarray]:
+    try:
+        # np.load refuses object arrays by default, so reading runs no stored
+        # code; a bare .npy file loads as an array and fails the `with` (TypeError).
+        with np.load(path) as npz:
+            return {name: npz[name] for name in npz.files}
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise CorruptIndex(f"cannot read {path}: {exc}") from None
+
+
+def _check_csr(repo: str, n_docs: int, n_terms: int, csr: dict[str, np.ndarray]) -> None:
+    """Reject postings that would index out of range or double-count a document."""
+
+    def bad(problem: str) -> CorruptIndex:
+        return CorruptIndex(f"postings.npz: project {repo!r} {problem}")
+
+    for name, dtype in _CSR_DTYPES.items():
+        if csr[name].dtype != dtype or csr[name].ndim != 1:
+            raise bad(f"{name} must be a 1-d {np.dtype(dtype).name} array")
+    offsets, ids = csr["offsets"], csr["ids"]
+    if len(offsets) != n_terms + 1:
+        raise bad(f"has {len(offsets)} offsets for {n_terms} terms")
+    if offsets[0] != 0 or offsets[-1] != len(ids) or np.any(np.diff(offsets) < 0):
+        raise bad("offsets must rise from 0 to the number of postings")
+    if len(csr["tfs"]) != len(ids):
+        raise bad(f"has {len(csr['tfs'])} term frequencies for {len(ids)} postings")
+    if len(ids) and (ids.min() < 0 or ids.max() >= n_docs):
+        raise bad(f"has document ids outside [0, {n_docs})")
+    # Within a term ids ascend strictly: bm25_score binary-searches them and
+    # _batch_lexical's scatter-add counts each (term, document) once.
+    rising = np.diff(ids) > 0
+    starts = offsets[1:-1]
+    rising[starts[(starts > 0) & (starts < len(ids))] - 1] = True
+    if not rising.all():
+        raise bad("ids must ascend within each term")
+    if len(csr["lengths"]) != n_docs:
+        raise bad(f"has {len(csr['lengths'])} lengths for {n_docs} documents")
 
 
 class RetrievalIndex:
@@ -160,10 +286,6 @@ class RetrievalIndex:
         self.k1 = k1
         self.b = b
         self.embedder_id = embedder_id
-        self._by_handle: dict[DocHandle, tuple[str, int]] = {}
-        for repo, part in partitions.items():
-            for i, doc in enumerate(part.docs):
-                self._by_handle[DocHandle(doc.sha, repo)] = (repo, i)
 
     # -- construction -----------------------------------------------------
 
@@ -184,27 +306,18 @@ class RetrievalIndex:
         dimension = getattr(embedder, "dimension")
         partitions: dict[str, _Partition] = {}
         for repo in sorted(grouped):
-            docs = []
+            docs, tokens = [], []
             vectors = np.empty((len(grouped[repo]), dimension), dtype=np.float32)
             for i, rec in enumerate(grouped[repo]):
-                tokens = tokenize(rec.diff)
-                docs.append(
-                    _Doc(
-                        sha=rec.sha,
-                        date=rec.date,
-                        message=rec.message,
-                        diff=rec.diff,
-                        token_counts=dict(Counter(tokens)),
-                        length=len(tokens),
-                    )
-                )
+                docs.append(_Doc(rec.sha, rec.date, rec.message, rec.diff))
+                tokens.append(tokenize(rec.diff))
                 vec = embedder.embed(rec.diff)
                 if vec.shape[0] != dimension:
                     raise DimensionMismatch(
                         f"embedder returned dimension {vec.shape[0]}, index uses {dimension}"
                     )
                 vectors[i] = vec
-            partitions[repo] = _Partition(repo, docs, vectors, k1, b)
+            partitions[repo] = _Partition.from_tokens(repo, docs, vectors, tokens, k1, b)
         return cls(
             partitions,
             dimension,
@@ -233,18 +346,20 @@ class RetrievalIndex:
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
-        lexical = {
-            "version": INDEX_VERSION,
-            "partitions": {
-                repo: [
-                    (d.sha, d.date, d.message, d.diff, d.token_counts)
-                    for d in self.partitions[repo].docs
-                ]
-                for repo in repos
-            },
-        }
-        with open(out / "lexical.bin", "wb") as fh:
-            pickle.dump(lexical, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(out / "docs.jsonl", "w", encoding="utf-8") as fh:
+            for repo in repos:
+                for doc in self.partitions[repo].docs:
+                    fh.write(json.dumps([repo, *doc]) + "\n")
+        (out / "terms.json").write_text(
+            json.dumps({r: list(self.partitions[r].terms) for r in repos}), encoding="utf-8"
+        )
+        arrays = {}
+        for p, repo in enumerate(repos):
+            part = self.partitions[repo]
+            for name in _CSR_DTYPES:
+                arrays[f"{name}_{p}"] = getattr(part, name)
+        with open(out / "postings.npz", "wb") as fh:
+            np.savez(fh, **arrays)
         with open(out / "vectors.bin", "wb") as fh:
             fh.write(VECTORS_MAGIC)
             fh.write(struct.pack("<III", INDEX_VERSION, doc_count, self.dimension))
@@ -255,12 +370,23 @@ class RetrievalIndex:
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":
         root = Path(path)
-        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-        if manifest.get("magic") != "coracmg-index":
+        manifest = _read_json(root / "manifest.json")
+        if not isinstance(manifest, dict) or manifest.get("magic") != "coracmg-index":
             raise CorruptIndex(f"{root} is not an index directory")
-        with open(root / "lexical.bin", "rb") as fh:
-            lexical = pickle.load(fh)
-        raw = (root / "vectors.bin").read_bytes()
+        if manifest.get("version") != INDEX_VERSION:
+            raise CorruptIndex(
+                f"{root} holds a version {manifest.get('version')} index; "
+                f"this release reads version {INDEX_VERSION}"
+            )
+        try:
+            k1 = float(manifest["k1"])
+            b = float(manifest["b"])
+            doc_count = int(manifest["doc_count"])
+            projects = {str(r): int(n) for r, n in manifest["projects"].items()}
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CorruptIndex(f"manifest.json has a missing or invalid field: {exc}") from None
+
+        raw = _read_bytes(root / "vectors.bin")
         if len(raw) < 16 or raw[:4] != VECTORS_MAGIC:
             raise CorruptIndex("vectors.bin has a bad magic number")
         version, count, dimension = struct.unpack("<III", raw[4:16])
@@ -269,32 +395,51 @@ class RetrievalIndex:
                 f"vectors.bin has {len(raw)} bytes; a {count} x {dimension} float32 "
                 f"matrix needs {16 + count * dimension * 4}"
             )
-        if count != manifest.get("doc_count"):
+        if count != doc_count:
             raise CorruptIndex(
                 f"vectors.bin holds {count} vectors, manifest.json "
-                f"counts {manifest.get('doc_count')} documents"
+                f"counts {doc_count} documents"
             )
         matrix = np.frombuffer(raw[16:], dtype="<f4").reshape(count, dimension)
+
+        rows = _read_docs(root / "docs.jsonl")
+        if len(rows) != doc_count:
+            raise CorruptIndex(
+                f"docs.jsonl has {len(rows)} rows, manifest.json counts {doc_count} documents"
+            )
+        found = Counter(row[0] for row in rows)
+        if found != projects:
+            raise CorruptIndex(
+                f"docs.jsonl holds {dict(sorted(found.items()))} documents per project, "
+                f"manifest.json counts {dict(sorted(projects.items()))}"
+            )
+        vocab = _read_json(root / "terms.json")
+        if not isinstance(vocab, dict) or set(vocab) != set(projects):
+            raise CorruptIndex("terms.json does not hold one vocabulary per project")
+        arrays = _read_postings(root / "postings.npz")
+
         partitions: dict[str, _Partition] = {}
         row = 0
-        k1 = float(manifest["k1"])
-        b = float(manifest["b"])
-        for repo in sorted(lexical["partitions"]):
-            entries = lexical["partitions"][repo]
-            docs = []
-            for sha, date, message, diff, token_counts in entries:
-                docs.append(
-                    _Doc(
-                        sha=sha,
-                        date=date,
-                        message=message,
-                        diff=diff,
-                        token_counts=token_counts,
-                        length=sum(token_counts.values()),
-                    )
+        for p, repo in enumerate(sorted(projects)):
+            n = projects[repo]
+            if any(r[0] != repo for r in rows[row : row + n]):
+                raise CorruptIndex("docs.jsonl rows are not grouped in sorted project order")
+            terms = vocab[repo]
+            if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
+                raise CorruptIndex(f"terms.json vocabulary of {repo!r} is not a list of terms")
+            try:
+                csr = {name: arrays[f"{name}_{p}"] for name in _CSR_DTYPES}
+            except KeyError as exc:
+                raise CorruptIndex(f"postings.npz lacks array {exc}") from None
+            _check_csr(repo, n, len(terms), csr)
+            docs = [_Doc(*r[1:]) for r in rows[row : row + n]]
+            try:
+                partitions[repo] = _Partition(
+                    repo, docs, matrix[row : row + n], terms, csr, k1, b
                 )
-            partitions[repo] = _Partition(repo, docs, matrix[row : row + len(docs)], k1, b)
-            row += len(docs)
+            except ValueError as exc:  # an unparseable date
+                raise CorruptIndex(f"docs.jsonl rows of {repo!r}: {exc}") from None
+            row += n
         return cls(
             partitions,
             dimension,
@@ -305,55 +450,81 @@ class RetrievalIndex:
 
     # -- scoring ----------------------------------------------------------
 
-    def _locate(self, handle: DocHandle) -> tuple[str, int]:
-        try:
-            return self._by_handle[handle]
-        except KeyError:
-            raise UnknownDocument(f"no indexed document for {handle}") from None
+    def _locate(self, handle: DocHandle) -> tuple[_Partition, int]:
+        part = self.partitions.get(handle.repo_full_name)
+        idx = part.sha_index.get(handle.sha) if part is not None else None
+        if idx is None:
+            raise UnknownDocument(f"no indexed document for {handle}")
+        return part, idx
 
-    def _idf(self, part: _Partition, term: str) -> float:
-        df = part.df.get(term, 0)
+    def _idf(self, part: _Partition, df: int) -> float:
         n = len(part)
         return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
     def bm25_score(self, query_tokens: list[str], handle: DocHandle) -> float:
         """Okapi BM25 of one document against a tokenized query."""
-        repo, idx = self._locate(handle)
-        part = self.partitions[repo]
-        doc = part.docs[idx]
+        part, idx = self._locate(handle)
         norm_d = float(part.length_norm[idx])
         k1p1 = self.k1 + 1.0
         score = 0.0
         for term, qtf in _unique_terms(query_tokens):
-            tf = doc.token_counts.get(term)
-            if tf is None:
+            entry = part.posting(term)
+            if entry is None:
                 continue
-            weight = self._idf(part, term) * qtf
+            ids, tfs = entry
+            pos = int(np.searchsorted(ids, idx))
+            if pos == len(ids) or ids[pos] != idx:
+                continue
+            tf = float(tfs[pos])
+            weight = self._idf(part, len(ids)) * qtf
             score += weight * (tf * k1p1) / (tf + norm_d)
         return score
 
     def semantic_score(self, query_vec: np.ndarray, handle: DocHandle) -> float:
         """Dot product against a stored unit vector (cosine for unit inputs)."""
-        repo, idx = self._locate(handle)
+        part, idx = self._locate(handle)
         if query_vec.shape[0] != self.dimension:
             raise DimensionMismatch(
                 f"query vector has dimension {query_vec.shape[0]}, index uses {self.dimension}"
             )
-        return float(np.dot(self.partitions[repo].vectors[idx], query_vec.astype(np.float64)))
+        return float(np.dot(part.vectors[idx], query_vec.astype(np.float64)))
 
     def _batch_lexical(self, part: _Partition, query_tokens: list[str]) -> np.ndarray:
         scores = np.zeros(len(part), dtype=np.float64)
         k1p1 = self.k1 + 1.0
         for term, qtf in _unique_terms(query_tokens):
-            entry = part.postings.get(term)
+            entry = part.posting(term)
             if entry is None:
                 continue
             ids, tfs = entry
-            weight = self._idf(part, term) * qtf
+            weight = self._idf(part, len(ids)) * qtf
             # Fancy-index += is exact: each document adds one posting per term,
             # so a term's ids are unique.
             scores[ids] += weight * (tfs * k1p1) / (tfs + part.length_norm[ids])
         return scores
+
+    def _score(
+        self,
+        query_diff: str,
+        scope_repo: str,
+        query_vec: np.ndarray,
+        exclude_sha: str | None,
+    ) -> tuple[_Partition, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(partition, kept indices, lexical, semantic, hybrid) over the kept documents."""
+        part = self.partitions.get(scope_repo)
+        if part is None or len(part) == 0:
+            raise EmptyScope(f"no indexed documents for project {scope_repo!r}")
+        keep = np.arange(len(part))
+        excluded = part.sha_index.get(exclude_sha)
+        if excluded is not None:
+            keep = np.delete(keep, excluded)
+        if len(keep) == 0:
+            raise EmptyScope(
+                f"project {scope_repo!r} has no candidates besides the excluded commit"
+            )
+        lexical = self._batch_lexical(part, tokenize(query_diff))[keep]
+        semantic = (part.vectors @ query_vec.astype(np.float64))[keep]
+        return part, keep, lexical, semantic, _fuse_arrays(lexical, semantic)
 
     def score_partition(
         self,
@@ -363,27 +534,19 @@ class RetrievalIndex:
         exclude_sha: str | None = None,
     ) -> list[ScoredCandidate]:
         """Score every admissible document in a partition and fuse the scores."""
-        part = self.partitions.get(scope_repo)
-        if part is None or len(part) == 0:
-            raise EmptyScope(f"no indexed documents for project {scope_repo!r}")
-        keep = [i for i in range(len(part)) if part.docs[i].sha != exclude_sha]
-        if not keep:
-            raise EmptyScope(
-                f"project {scope_repo!r} has no candidates besides the excluded commit"
-            )
-        query_tokens = tokenize(query_diff)
-        lexical = self._batch_lexical(part, query_tokens)
-        semantic = part.vectors @ query_vec.astype(np.float64)
-        pairs = [(float(lexical[i]), float(semantic[i])) for i in keep]
-        hybrid = fuse(pairs)
+        part, keep, lexical, semantic, hybrid = self._score(
+            query_diff, scope_repo, query_vec, exclude_sha
+        )
         return [
             ScoredCandidate(
                 handle=DocHandle(part.docs[i].sha, scope_repo),
-                lexical_score=pairs[pos][0],
-                semantic_score=pairs[pos][1],
-                hybrid_score=hybrid[pos],
+                lexical_score=lex,
+                semantic_score=sem,
+                hybrid_score=hyb,
             )
-            for pos, i in enumerate(keep)
+            for i, lex, sem, hyb in zip(
+                keep.tolist(), lexical.tolist(), semantic.tolist(), hybrid.tolist()
+            )
         ]
 
     def retrieve(
@@ -404,23 +567,18 @@ class RetrievalIndex:
         if k < 1:
             raise ValueError("k must be at least 1")
         query_vec = embedder.embed(query_diff)
-        candidates = self.score_partition(query_diff, scope_repo, query_vec, exclude_sha)
-        part = self.partitions[scope_repo]
-        local = {c.handle.sha: self._by_handle[c.handle][1] for c in candidates}
-        candidates.sort(key=lambda c: c.handle.sha)
-        candidates.sort(key=lambda c: part.date_keys[local[c.handle.sha]], reverse=True)
-        candidates.sort(key=lambda c: c.hybrid_score, reverse=True)
+        part, keep, _, _, hybrid = self._score(query_diff, scope_repo, query_vec, exclude_sha)
         picked: list[ExamplePair] = []
-        for cand in candidates:
-            doc = part.docs[local[cand.handle.sha]]
+        for pos in np.lexsort((part.tiebreak[keep], -hybrid)).tolist():
+            doc = part.docs[keep[pos]]
             if doc.diff == query_diff:
                 continue  # leakage guard: identical diff, take the next one
             picked.append(
                 ExamplePair(
                     diff=doc.diff,
                     message=doc.message,
-                    handle=cand.handle,
-                    hybrid_score=cand.hybrid_score,
+                    handle=DocHandle(doc.sha, scope_repo),
+                    hybrid_score=float(hybrid[pos]),
                 )
             )
             if len(picked) == k:

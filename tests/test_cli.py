@@ -164,6 +164,13 @@ def test_experiment_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, con
     assert err.startswith("error: ") and message in err
 
 
+def test_experiment_unreadable_config_is_an_error_not_a_traceback(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"corpus": "c.jsonl", "out_dir": ')
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg} is not valid JSON")
+
+
 def test_retrieve_truncated_index_is_an_error_not_a_traceback(tmp_path, capsys):
     records = synthetic_corpus(1, 10, seed=7)
     corpus = tmp_path / "filtered.jsonl"
@@ -180,3 +187,32 @@ def test_retrieve_truncated_index_is_an_error_not_a_traceback(tmp_path, capsys):
         "--repo", records[0].repo_full_name, "-k", "3",
     ]) == 1
     assert capsys.readouterr().err.startswith("error: vectors.bin has")
+
+
+def _retrieve_from(index_dir, tmp_path):
+    query_file = tmp_path / "query.diff"
+    query_file.write_text("diff --git a/q b/q\n+query\n")
+    return main([
+        "retrieve", "--index", str(index_dir), "--query-diff", str(query_file),
+        "--repo", "acme/widgets", "-k", "3",
+    ])
+
+
+def test_retrieve_missing_index_is_an_error_not_a_traceback(tmp_path, capsys):
+    assert _retrieve_from(tmp_path / "no-such-index", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and "coracmg index" in err
+
+
+def test_retrieve_old_version_index_is_an_error_not_a_traceback(tmp_path, capsys):
+    records = synthetic_corpus(1, 10, seed=7)
+    corpus = tmp_path / "filtered.jsonl"
+    write_jsonl(corpus, records)
+    index_dir = tmp_path / "index.dir"
+    assert main(["index", "--in", str(corpus), "--out", str(index_dir), "--dimension", "64"]) == 0
+    manifest = index_dir / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "version": 1}))
+    capsys.readouterr()
+    assert _retrieve_from(index_dir, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "version 1 index" in err and "coracmg index" in err

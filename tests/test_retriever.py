@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import shutil
 import struct
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from coracmg.errors import CorruptIndex, DimensionMismatch, EmptyScope, UnknownDocument
 from coracmg.providers import HashingEmbedder
-from coracmg.retriever import DocHandle, RetrievalIndex, fuse
+from coracmg.retriever import DocHandle, RetrievalIndex, _fuse_arrays, fuse
 from coracmg.tokenizer import tokenize
 from helpers import make_record, synthetic_corpus, twin_corpus
 from oracles import oracle_bm25, oracle_minmax_fuse, oracle_rank
@@ -101,6 +104,35 @@ def test_fuse_matches_oracle():
     for _ in range(30):
         pairs = [(rng.uniform(-5, 5), rng.uniform(-1, 1)) for _ in range(rng.randrange(1, 9))]
         assert fuse(pairs) == pytest.approx(oracle_minmax_fuse(pairs), abs=1e-12)
+
+
+def _loop_fuse(pairs):
+    # The list-at-a-time min-max fusion that retrieve() used before it fused
+    # on arrays: the same IEEE operations in the same order.
+    def minmax(values):
+        lo, hi = min(values), max(values)
+        if hi == lo:
+            return [0.5] * len(values)
+        return [(v - lo) / (hi - lo) for v in values]
+
+    lex = minmax([p[0] for p in pairs])
+    sem = minmax([p[1] for p in pairs])
+    return [0.5 * a + 0.5 * b for a, b in zip(lex, sem)]
+
+
+def test_fuse_is_the_array_helper():
+    import random
+
+    rng = random.Random(8)
+    cases = [[(2.0, 0.1), (2.0, 0.3)]]  # a constant family
+    for size in (1, 2, 5, 40, 2500):
+        cases.append([(rng.uniform(-5, 40), rng.uniform(-1, 1)) for _ in range(size)])
+    for pairs in cases:
+        lex = np.array([p[0] for p in pairs])
+        sem = np.array([p[1] for p in pairs])
+        expected = _loop_fuse(pairs)
+        assert fuse(pairs) == expected  # exact, element for element
+        assert _fuse_arrays(lex, sem).tolist() == expected
 
 
 def _oracle_docs(index, repo):
@@ -222,6 +254,24 @@ def test_tie_break_on_identical_documents():
     assert shas.index(twin_b.sha) < shas.index(twin_a.sha)  # newer first
 
 
+def test_tie_break_on_equal_dates_prefers_lower_sha():
+    # Equal scores and equal dates: the lower sha ranks first, whatever the
+    # input order.
+    twin_low = make_record(0, added=["same body"])
+    twin_high = dataclasses.replace(make_record(5, added=["same body"]), date=twin_low.date)
+    assert twin_low.sha < twin_high.sha and twin_low.diff == twin_high.diff
+    filler = make_record(2, added=["totally different text here"])
+    for records in ([twin_low, twin_high, filler], [filler, twin_high, twin_low]):
+        index = build_index(records)
+        got = index.retrieve(
+            "diff --git a/q b/q\nquery text", 3, twin_low.repo_full_name, embedder=EMBEDDER
+        )
+        shas = [p.handle.sha for p in got]
+        low, high = shas.index(twin_low.sha), shas.index(twin_high.sha)
+        assert got[low].hybrid_score == got[high].hybrid_score
+        assert low < high
+
+
 def test_save_load_round_trip(tmp_path):
     records = synthetic_corpus(3, 12, seed=13)
     index = build_index(records)
@@ -233,7 +283,87 @@ def test_save_load_round_trip(tmp_path):
     a = index.retrieve(query.diff, 3, query.repo_full_name, exclude_sha=query.sha, embedder=EMBEDDER)
     b = loaded.retrieve(query.diff, 3, query.repo_full_name, exclude_sha=query.sha, embedder=EMBEDDER)
     assert [p.handle for p in a] == [p.handle for p in b]
-    assert [p.hybrid_score for p in a] == pytest.approx([p.hybrid_score for p in b], abs=1e-7)
+    assert [p.hybrid_score for p in a] == [p.hybrid_score for p in b]
+
+
+def _edit_manifest(root, **changes):
+    path = root / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+
+
+def _edit_docs(root, edit):
+    path = root / "docs.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(row) + "\n" for row in edit(rows)))
+
+
+def _edit_postings(root, edit):
+    path = root / "postings.npz"
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _swap_first_pair(values):
+    values[[1, 2]] = values[[2, 1]]
+
+
+def _unsort_first_shared_term(arrays):
+    offsets, ids = arrays["offsets_0"], arrays["ids_0"]
+    lo = next(int(offsets[t]) for t in range(len(offsets) - 1) if offsets[t + 1] - offsets[t] > 1)
+    ids[[lo, lo + 1]] = ids[[lo + 1, lo]]
+
+
+_CORRUPTIONS = {
+    "missing-directory": (lambda root: shutil.rmtree(root), "cannot read"),
+    "missing-file": (lambda root: (root / "postings.npz").unlink(), "cannot read"),
+    "manifest-not-json": (
+        lambda root: (root / "manifest.json").write_text('{"magic": "coracmg-index",'),
+        "not valid JSON",
+    ),
+    "version-1": (lambda root: _edit_manifest(root, version=1), "version 1 index"),
+    "version-99": (lambda root: _edit_manifest(root, version=99), "version 99 index"),
+    "docs-row-missing": (
+        lambda root: _edit_docs(root, lambda rows: rows[:-1]),
+        "docs.jsonl has 2 rows, manifest.json counts 3",
+    ),
+    "docs-project-counts": (
+        lambda root: _edit_docs(root, lambda rows: [["acme/other", *rows[0][1:]], *rows[1:]]),
+        "documents per project",
+    ),
+    "offsets-not-from-zero": (
+        lambda root: _edit_postings(root, lambda a: a.update(offsets_0=a["offsets_0"] + 1)),
+        "offsets must rise from 0",
+    ),
+    "offsets-decreasing": (
+        lambda root: _edit_postings(root, lambda a: _swap_first_pair(a["offsets_0"])),
+        "offsets must rise from 0",
+    ),
+    "offsets-end-before-ids": (
+        lambda root: _edit_postings(
+            root, lambda a: a.update(ids_0=np.append(a["ids_0"], np.int32(0)))
+        ),
+        "offsets must rise from 0",
+    ),
+    "ids-out-of-range": (
+        lambda root: _edit_postings(root, lambda a: a.update(ids_0=a["ids_0"] + np.int32(3))),
+        r"ids outside \[0, 3\)",
+    ),
+    "ids-not-ascending": (
+        lambda root: _edit_postings(root, _unsort_first_shared_term),
+        "ascend within each term",
+    ),
+    "object-array": (
+        lambda root: _edit_postings(root, lambda a: a.update(tfs_0=a["tfs_0"].astype(object))),
+        "cannot read .*postings.npz",
+    ),
+    "lengths-count": (
+        lambda root: _edit_postings(root, lambda a: a.update(lengths_0=a["lengths_0"][:-1])),
+        "2 lengths for 3 documents",
+    ),
+}
 
 
 def test_load_rejects_corrupt_files(tmp_path):
@@ -271,6 +401,14 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(CorruptIndex, match="manifest.json counts 3"):
         RetrievalIndex.load(tmp_path / "idx")
 
+    for name, (corrupt, message) in _CORRUPTIONS.items():
+        root = tmp_path / name
+        index.save(root)
+        corrupt(root)
+        with pytest.raises(CorruptIndex, match=message) as caught:
+            RetrievalIndex.load(root)
+        assert str(caught.value).endswith("rebuild the index with `coracmg index`"), name
+
 
 def test_k_must_be_positive():
     records = [make_record(0)]
@@ -286,12 +424,13 @@ def test_vectors_bin_layout(tmp_path):
     raw = (tmp_path / "idx" / "vectors.bin").read_bytes()
     assert raw[:4] == b"CMGV"
     version, count, dim = struct.unpack("<III", raw[4:16])
-    assert (version, count, dim) == (1, 8, 64)
+    assert (version, count, dim) == (2, 8, 64)
     assert len(raw) == 16 + count * dim * 4
     matrix = np.frombuffer(raw[16:], dtype="<f4").reshape(count, dim)
     assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, atol=1e-6)
     files = sorted(p.name for p in (tmp_path / "idx").iterdir())
-    assert files == ["lexical.bin", "manifest.json", "vectors.bin"]
+    assert files == ["docs.jsonl", "manifest.json", "postings.npz", "terms.json", "vectors.bin"]
+    assert json.loads((tmp_path / "idx" / "manifest.json").read_text())["version"] == 2
 
 
 def test_unknown_document_error():
