@@ -8,8 +8,8 @@ METEOR and CIDEr over a code-aware tokenizer.
 
 from .diffs import CommitRecord, ParsedDiff, count_loc, diff_line_count, parse_diff
 from .metrics import MetricReport, build_idf, cider, evaluate_corpus, gleu, meteor, rouge_l
-from .retriever import DocHandle, ExamplePair, RetrievalIndex, ScoredCandidate, fuse
-from .tokenizer import base_tokenize, enhance, tokenize
+from .retriever import DocHandle, ExamplePair, RetrievalIndex, fuse
+from .tokenizer import tokenize
 
 __version__ = "0.1.0"
 
@@ -20,14 +20,11 @@ __all__ = [
     "MetricReport",
     "ParsedDiff",
     "RetrievalIndex",
-    "ScoredCandidate",
     "__version__",
-    "base_tokenize",
     "build_idf",
     "cider",
     "count_loc",
     "diff_line_count",
-    "enhance",
     "evaluate_corpus",
     "fuse",
     "gleu",

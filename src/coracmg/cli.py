@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="token-length and change-size statistics")
     stats.add_argument("--in", dest="input", required=True)
 
-    tok = sub.add_parser("tokenize", help="print enhanced-tokenizer output")
+    tok = sub.add_parser("tokenize", help="print code-aware tokenizer output")
     tok.add_argument("--text", required=True)
     tok.add_argument("--drop-symbol-tokens", action="store_true")
 

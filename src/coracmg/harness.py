@@ -16,7 +16,7 @@ import json
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import metrics
@@ -31,7 +31,6 @@ from .providers import (
     ProviderConfig,
 )
 from .retriever import RetrievalIndex
-from .tokenizer import tokenize
 
 GENERATORS = ("provider", "echo-mock", "constant-mock", "retrieval-copy")
 
@@ -65,6 +64,8 @@ class ExperimentConfig:
                 raise ConfigError("method 'rag' requires k between 1 and 5")
         elif self.k is not None:
             raise ConfigError("k is only meaningful for method 'rag'")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be at least 1, not {self.workers}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -81,24 +82,7 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
-        return {
-            "corpus": self.corpus,
-            "out_dir": self.out_dir,
-            "method": self.method,
-            "k": self.k,
-            "subset_size": self.subset_size,
-            "seed": self.seed,
-            "generator": self.generator,
-            "generator_text": self.generator_text,
-            "index": self.index,
-            "embedder": self.embedder,
-            "embed_cache": self.embed_cache,
-            "template": self.template,
-            "max_prompt_chars": self.max_prompt_chars,
-            "provider_config": self.provider_config,
-            "cider_scale": self.cider_scale,
-            "workers": self.workers,
-        }
+        return asdict(self)
 
 
 def record_languages(record: CommitRecord) -> set[str]:
@@ -294,23 +278,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ok_rows = [r for r in rows if r["status"] == "ok"]
     report = metrics.MetricReport()
     if ok_rows:
-        tokenized = [
-            (tokenize(r["generated"]), tokenize(r["reference"])) for r in ok_rows
-        ]
-        idf = metrics.build_idf([ref for _, ref in tokenized])
-        samples = []
-        for row, (hyp, ref) in zip(ok_rows, tokenized):
-            scores = metrics.score_pair(hyp, ref, idf, cider_scale=config.cider_scale)
-            row["scores"] = scores.to_dict()
-            samples.append(scores)
-        count = len(samples)
-        report = metrics.MetricReport(
-            per_sample=samples,
-            bleu=sum(s.bleu for s in samples) / count,
-            rouge_l=sum(s.rouge_l for s in samples) / count,
-            meteor=sum(s.meteor for s in samples) / count,
-            cider=sum(s.cider for s in samples) / count,
+        report = metrics.evaluate_corpus(
+            [(r["generated"], r["reference"]) for r in ok_rows],
+            cider_scale=config.cider_scale,
         )
+        for row, scores in zip(ok_rows, report.per_sample):
+            row["scores"] = scores.to_dict()
 
     manifest = {
         "config": config.to_dict(),
@@ -378,10 +351,10 @@ def _single_run_report(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def _delta(direct: float, enhanced: float) -> str:
+def _delta(direct: float, augmented: float) -> str:
     if direct == 0:
         return "n/a"
-    pct = round(100 * (enhanced - direct) / direct)
+    pct = round(100 * (augmented - direct) / direct)
     arrow = "↑" if pct >= 0 else "↓"
     return f"{arrow}{abs(pct)}%"
 
@@ -412,7 +385,7 @@ def render_report(results: list[ExperimentResult]) -> str:
                 f"run {res.label} was made from a different subset than the others"
             )
     direct = [r for r in results if r.manifest["config"]["method"] == "direct"]
-    enhanced = [r for r in results if r.manifest["config"]["method"] != "direct"]
+    augmented = [r for r in results if r.manifest["config"]["method"] != "direct"]
     lines = ["# Experiment comparison", ""]
     header = "| Run | " + " | ".join(METRIC_TITLES[k] for k in METRIC_KEYS) + " |"
     lines += [header, "|" + "---|" * (len(METRIC_KEYS) + 1)]
@@ -421,7 +394,7 @@ def render_report(results: list[ExperimentResult]) -> str:
         cells = " | ".join(f"{m[k]:.2f}" for k in METRIC_KEYS)
         lines.append(f"| {res.label} | {cells} |")
     base = direct[0].manifest["metrics"] if direct else None
-    for res in sorted(enhanced, key=lambda r: (r.manifest["config"]["k"] or 0, r.label)):
+    for res in sorted(augmented, key=lambda r: (r.manifest["config"]["k"] or 0, r.label)):
         m = res.manifest["metrics"]
         if base:
             cells = " | ".join(
@@ -433,7 +406,7 @@ def render_report(results: list[ExperimentResult]) -> str:
     lines.append("")
 
     sweep = sorted(
-        (r for r in enhanced if r.manifest["config"]["k"] is not None),
+        (r for r in augmented if r.manifest["config"]["k"] is not None),
         key=lambda r: r.manifest["config"]["k"],
     )
     if len(sweep) >= 2:

@@ -1,4 +1,4 @@
-"""Sentence-level generation metrics over enhanced-tokenizer output.
+"""Sentence-level generation metrics over ``tokenize`` output.
 
 Four metrics, all implemented from scratch:
 

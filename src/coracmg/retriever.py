@@ -63,14 +63,6 @@ class DocHandle(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ScoredCandidate:
-    handle: DocHandle
-    lexical_score: float
-    semantic_score: float
-    hybrid_score: float
-
-
-@dataclass(frozen=True)
 class ExamplePair:
     """A retrieved (diff, message) pair used for prompt augmentation."""
 
@@ -168,17 +160,6 @@ class _Partition:
             return None
         lo, hi = self.offsets[t], self.offsets[t + 1]
         return self.ids[lo:hi], self.tfs[lo:hi]
-
-
-def _unique_terms(tokens: list[str]) -> list[tuple[str, int]]:
-    counts = Counter(tokens)
-    seen = set()
-    ordered = []
-    for tok in tokens:
-        if tok not in seen:
-            seen.add(tok)
-            ordered.append((tok, counts[tok]))
-    return ordered
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
@@ -467,7 +448,7 @@ class RetrievalIndex:
         norm_d = float(part.length_norm[idx])
         k1p1 = self.k1 + 1.0
         score = 0.0
-        for term, qtf in _unique_terms(query_tokens):
+        for term, qtf in Counter(query_tokens).items():
             entry = part.posting(term)
             if entry is None:
                 continue
@@ -480,19 +461,22 @@ class RetrievalIndex:
             score += weight * (tf * k1p1) / (tf + norm_d)
         return score
 
-    def semantic_score(self, query_vec: np.ndarray, handle: DocHandle) -> float:
-        """Dot product against a stored unit vector (cosine for unit inputs)."""
-        part, idx = self._locate(handle)
+    def _check_dimension(self, query_vec: np.ndarray) -> None:
         if query_vec.shape[0] != self.dimension:
             raise DimensionMismatch(
                 f"query vector has dimension {query_vec.shape[0]}, index uses {self.dimension}"
             )
+
+    def semantic_score(self, query_vec: np.ndarray, handle: DocHandle) -> float:
+        """Dot product against a stored unit vector (cosine for unit inputs)."""
+        part, idx = self._locate(handle)
+        self._check_dimension(query_vec)
         return float(np.dot(part.vectors[idx], query_vec.astype(np.float64)))
 
     def _batch_lexical(self, part: _Partition, query_tokens: list[str]) -> np.ndarray:
         scores = np.zeros(len(part), dtype=np.float64)
         k1p1 = self.k1 + 1.0
-        for term, qtf in _unique_terms(query_tokens):
+        for term, qtf in Counter(query_tokens).items():
             entry = part.posting(term)
             if entry is None:
                 continue
@@ -511,6 +495,7 @@ class RetrievalIndex:
         exclude_sha: str | None,
     ) -> tuple[_Partition, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(partition, kept indices, lexical, semantic, hybrid) over the kept documents."""
+        self._check_dimension(query_vec)
         part = self.partitions.get(scope_repo)
         if part is None or len(part) == 0:
             raise EmptyScope(f"no indexed documents for project {scope_repo!r}")
@@ -525,29 +510,6 @@ class RetrievalIndex:
         lexical = self._batch_lexical(part, tokenize(query_diff))[keep]
         semantic = (part.vectors @ query_vec.astype(np.float64))[keep]
         return part, keep, lexical, semantic, _fuse_arrays(lexical, semantic)
-
-    def score_partition(
-        self,
-        query_diff: str,
-        scope_repo: str,
-        query_vec: np.ndarray,
-        exclude_sha: str | None = None,
-    ) -> list[ScoredCandidate]:
-        """Score every admissible document in a partition and fuse the scores."""
-        part, keep, lexical, semantic, hybrid = self._score(
-            query_diff, scope_repo, query_vec, exclude_sha
-        )
-        return [
-            ScoredCandidate(
-                handle=DocHandle(part.docs[i].sha, scope_repo),
-                lexical_score=lex,
-                semantic_score=sem,
-                hybrid_score=hyb,
-            )
-            for i, lex, sem, hyb in zip(
-                keep.tolist(), lexical.tolist(), semantic.tolist(), hybrid.tolist()
-            )
-        ]
 
     def retrieve(
         self,

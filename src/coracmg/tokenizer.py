@@ -1,72 +1,42 @@
 """Tokenization used by every metric and by lexical retrieval.
 
-The pipeline is ``tokenize = enhance(base_tokenize(text))``:
+``tokenize`` makes one scan over the text.  Each match is either a run of
+Unicode alphanumerics or one non-whitespace symbol; whitespace separates
+tokens and is dropped.  Then:
 
-* ``base_tokenize`` performs 13a-style punctuation isolation: spaces are
-  inserted around punctuation that is not intra-word, then the text is split
-  on whitespace.  Case is preserved.
-* ``enhance`` then (1) splits every remaining token on non-alphanumeric
-  characters, keeping each symbol as its own token, (2) decomposes camelCase
-  runs, and (3) lowercases everything.
+* symbol segmentation: every symbol, underscore included, is its own token
+  ("bug-fix" -> ["bug", "-", "fix"]), unless ``drop_symbol_tokens`` is set;
+* camelCase decomposition: each alphanumeric run splits at case boundaries
+  ("XMLParser" -> ["XML", "Parser"]);
+* case folding: every piece is lowercased.
 
-Both stages are pure functions over strings and are safe to call
-concurrently.
+The function is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import re
 
-# Punctuation isolation, 13a style. The character class covers the ASCII
-# punctuation blocks; period, comma and dash are handled by the
-# digit-sensitive rules below so "1,234" and "3.14" survive this stage.
-_PUNCT = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
-_DOT_COMMA_LEAD = re.compile(r"([^0-9])([\.,])")
-_DOT_COMMA_TRAIL = re.compile(r"([\.,])([^0-9])")
-_DIGIT_DASH = re.compile(r"([0-9])(-)")
-
-# A "word" character here is any Unicode alphanumeric; underscore counts as
-# a symbol so identifiers like test_case split apart.
-_NON_ALNUM = re.compile(r"([^\W_]+)|(.)", re.UNICODE | re.DOTALL)
+# An alphanumeric run (underscore counts as a symbol so identifiers like
+# test_case split apart), or any other single non-whitespace character.
+_TOKEN = re.compile(r"([^\W_]+)|(\S)")
 
 # camelCase boundaries: lowercase->Uppercase, and the last capital of an
 # uppercase run when followed by lowercase (XMLParser -> XML | Parser).
 _CAMEL = re.compile(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
-def base_tokenize(text: str) -> list[str]:
-    """Split ``text`` into case-preserving tokens with punctuation isolated.
+def tokenize(text: str, drop_symbol_tokens: bool = False) -> list[str]:
+    """Split ``text`` into lowercased alphanumeric pieces and symbols.
 
-    >>> base_tokenize("fix bug.")
-    ['fix', 'bug', '.']
-    """
-    padded = f" {text} "
-    padded = _PUNCT.sub(r" \1 ", padded)
-    padded = _DOT_COMMA_LEAD.sub(r"\1 \2 ", padded)
-    padded = _DOT_COMMA_TRAIL.sub(r" \1 \2", padded)
-    padded = _DIGIT_DASH.sub(r"\1 - ", padded)
-    return padded.split()
-
-
-def enhance(tokens: list[str], drop_symbol_tokens: bool = False) -> list[str]:
-    """Apply symbol segmentation, camelCase decomposition and lowercasing.
-
-    Symbols survive as standalone tokens ("bug-fix" -> ["bug", "-", "fix"])
-    unless ``drop_symbol_tokens`` is set, in which case only the alphanumeric
-    pieces are kept.
+    >>> tokenize("Fix HttpClient bug-fix.")
+    ['fix', 'http', 'client', 'bug', '-', 'fix', '.']
     """
     out: list[str] = []
-    for token in tokens:
-        for match in _NON_ALNUM.finditer(token):
-            run, symbol = match.group(1), match.group(2)
-            if run is not None:
-                for piece in _CAMEL.split(run):
-                    out.append(piece.lower())
-            elif not drop_symbol_tokens:
-                out.append(symbol)
+    for run, symbol in _TOKEN.findall(text):
+        if run:
+            for piece in _CAMEL.split(run):
+                out.append(piece.lower())
+        elif not drop_symbol_tokens:
+            out.append(symbol)
     return out
-
-
-def tokenize(text: str, drop_symbol_tokens: bool = False) -> list[str]:
-    """Full enhanced tokenization: ``enhance(base_tokenize(text))``."""
-    return enhance(base_tokenize(text), drop_symbol_tokens=drop_symbol_tokens)

@@ -4,16 +4,61 @@ Every function here re-derives its answer from first principles with a
 different construction than the production code: list-consumption n-gram
 clipping, memoized recursion for LCS, exhaustive alignment enumeration for
 the unigram metric, dense full-vocabulary vectors for the consensus metric,
-and a from-scratch rescoring pipeline for hybrid retrieval.
+a from-scratch rescoring pipeline for hybrid retrieval, and a two-stage
+(13a punctuation isolation, then segmentation) tokenizer.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
+
+# Punctuation isolation, 13a style. The character class covers the ASCII
+# punctuation blocks; period, comma and dash are handled by the
+# digit-sensitive rules below so "1,234" and "3.14" survive this stage.
+_PUNCT = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
+_DOT_COMMA_LEAD = re.compile(r"([^0-9])([\.,])")
+_DOT_COMMA_TRAIL = re.compile(r"([\.,])([^0-9])")
+_DIGIT_DASH = re.compile(r"([0-9])(-)")
+
+# A "word" character here is any Unicode alphanumeric; underscore counts as
+# a symbol so identifiers like test_case split apart.
+_NON_ALNUM = re.compile(r"([^\W_]+)|(.)", re.UNICODE | re.DOTALL)
+
+# camelCase boundaries: lowercase->Uppercase, and the last capital of an
+# uppercase run when followed by lowercase (XMLParser -> XML | Parser).
+_CAMEL = re.compile(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+
+
+def _base_tokenize(text):
+    padded = f" {text} "
+    padded = _PUNCT.sub(r" \1 ", padded)
+    padded = _DOT_COMMA_LEAD.sub(r"\1 \2 ", padded)
+    padded = _DOT_COMMA_TRAIL.sub(r" \1 \2", padded)
+    padded = _DIGIT_DASH.sub(r"\1 - ", padded)
+    return padded.split()
+
+
+def _enhance(tokens, drop_symbol_tokens=False):
+    out = []
+    for token in tokens:
+        for match in _NON_ALNUM.finditer(token):
+            run, symbol = match.group(1), match.group(2)
+            if run is not None:
+                for piece in _CAMEL.split(run):
+                    out.append(piece.lower())
+            elif not drop_symbol_tokens:
+                out.append(symbol)
+    return out
+
+
+def oracle_tokenize(text, drop_symbol_tokens=False):
+    """Whitespace split after 13a punctuation isolation, then segmentation."""
+    return _enhance(_base_tokenize(text), drop_symbol_tokens=drop_symbol_tokens)
 
 
 def ngram_list(tokens, n):

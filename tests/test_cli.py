@@ -154,6 +154,7 @@ def test_cli_error_paths(tmp_path, capsys):
     [
         ({"bogus": 1}, "bogus"),
         ({"method": "rag"}, "requires k"),
+        ({"workers": 0}, "workers must be at least 1"),
     ],
 )
 def test_experiment_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, config, message):

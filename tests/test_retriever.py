@@ -78,6 +78,8 @@ def test_semantic_score_unit_vectors():
     assert index.semantic_score(vec, handle) == pytest.approx(naive, abs=1e-12)
     with pytest.raises(DimensionMismatch):
         index.semantic_score(np.ones(3), handle)
+    with pytest.raises(DimensionMismatch, match="dimension 32, index uses 64"):
+        index.retrieve("x", 1, records[0].repo_full_name, embedder=HashingEmbedder(32))
     with pytest.raises(UnknownDocument):
         index.semantic_score(vec, DocHandle("f" * 40, "acme/widgets"))
 

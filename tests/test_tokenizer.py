@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coracmg.tokenizer import base_tokenize, enhance, tokenize
+from coracmg.tokenizer import tokenize
+from helpers import synthetic_corpus
+from oracles import oracle_tokenize
 
 GOLDEN = Path(__file__).parent / "data" / "tokenizer_golden.jsonl"
 
@@ -22,20 +24,35 @@ def test_golden(case):
     assert tokenize(case["text"]) == case["tokens"]
 
 
-def test_base_examples():
-    assert base_tokenize("fix bug.") == ["fix", "bug", "."]
-    assert base_tokenize("") == []
-    assert base_tokenize("a,b") == ["a", ",", "b"]
-    # case preserved at this stage
-    assert base_tokenize("Fix Bug") == ["Fix", "Bug"]
-
-
 def test_enhance_examples():
-    assert enhance(["bug-fix"]) == ["bug", "-", "fix"]
-    assert enhance(["HttpClient"]) == ["http", "client"]
-    assert enhance(["test_case"]) == ["test", "_", "case"]
-    assert enhance(["handleRequest"]) == ["handle", "request"]
-    assert enhance(["FIX"]) == enhance(["fix"]) == ["fix"]
+    assert tokenize("bug-fix") == ["bug", "-", "fix"]
+    assert tokenize("HttpClient") == ["http", "client"]
+    assert tokenize("test_case") == ["test", "_", "case"]
+    assert tokenize("handleRequest") == ["handle", "request"]
+    assert tokenize("FIX") == tokenize("fix") == ["fix"]
+    assert tokenize("") == []
+    assert tokenize("a,b") == ["a", ",", "b"]
+
+
+def _assert_matches_oracle(text):
+    for drop in (False, True):
+        assert tokenize(text, drop) == oracle_tokenize(text, drop), (text, drop)
+
+
+def test_tokenize_matches_two_stage_oracle():
+    fixed = [case["text"] for case in golden_cases()]
+    for record in synthetic_corpus(2, 50):
+        fixed += [record.diff, record.message]
+    for text in fixed:
+        _assert_matches_oracle(text)
+
+    # Random full-Unicode strings: other whitespace, symbols, scripts and cases.
+    @settings(max_examples=500, derandomize=True)
+    @given(st.text())
+    def any_text(text):
+        _assert_matches_oracle(text)
+
+    any_text()
 
 
 def test_drop_symbol_tokens_flag():
