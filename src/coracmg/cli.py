@@ -18,7 +18,7 @@ from . import corpus as corpus_mod
 from . import harness, metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate, build_rag_prompt
 from .diffs import read_jsonl, write_jsonl
-from .errors import CoracmgError
+from .errors import ConfigError, CoracmgError
 from .providers import EmbeddingClient, GenerationClient, HashingEmbedder, ProviderConfig
 from .retriever import RetrievalIndex
 from .tokenizer import tokenize
@@ -181,7 +181,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_index(args) -> int:
     if args.embedder == "provider":
         if not args.embed_endpoint:
-            raise ValueError("--embed-endpoint is required with --embedder provider")
+            raise ConfigError("--embed-endpoint is required with --embedder provider")
         embedder = EmbeddingClient(
             args.embed_endpoint,
             args.dimension,
@@ -208,7 +208,7 @@ def _cmd_retrieve(args) -> int:
             pc.embed_endpoint, index.dimension, model=pc.embed_model, inflight=pc.inflight
         )
     else:
-        raise ValueError(
+        raise ConfigError(
             f"index was built with embedder {index.embedder_id!r}; pass --provider-config"
         )
     query = Path(args.query_diff).read_text(encoding="utf-8")

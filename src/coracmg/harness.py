@@ -33,6 +33,7 @@ from .providers import (
 from .retriever import RetrievalIndex
 
 GENERATORS = ("provider", "echo-mock", "constant-mock", "retrieval-copy")
+EMBEDDERS = ("hash", "provider")
 
 
 @dataclass
@@ -55,6 +56,21 @@ class ExperimentConfig:
     workers: int = 4
 
     def __post_init__(self):
+        for name in ("k", "subset_size", "seed", "workers", "max_prompt_chars"):
+            value = getattr(self, name)
+            if name == "k" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        if isinstance(self.cider_scale, bool) or not isinstance(self.cider_scale, (int, float)):
+            raise ConfigError(f"cider_scale must be a number, not {self.cider_scale!r}")
+        if self.subset_size < 0:
+            raise ConfigError(f"subset_size must be at least 0, not {self.subset_size}")
+        if self.embedder not in EMBEDDERS:
+            raise ConfigError(f"unknown embedder {self.embedder!r}")
+        for role in ("embedder", "generator"):
+            if getattr(self, role) == "provider" and not self.provider_config:
+                raise ConfigError(f"{role} 'provider' needs a provider_config file")
         if self.method not in ("direct", "rag"):
             raise ConfigError(f"unknown method {self.method!r}")
         if self.generator not in GENERATORS:
@@ -181,8 +197,6 @@ def _build_generator(config: ExperimentConfig):
     if config.generator == "constant-mock":
         return MockGenerator("constant", config.generator_text)
     if config.generator == "provider":
-        if not config.provider_config:
-            raise ValueError("generator 'provider' needs a provider_config file")
         pc = ProviderConfig.from_file(config.provider_config)
         return GenerationClient(pc.gen, inflight=pc.inflight)
     return None  # retrieval-copy needs no generator object
@@ -190,8 +204,6 @@ def _build_generator(config: ExperimentConfig):
 
 def _build_embedder(config: ExperimentConfig, index: RetrievalIndex | None):
     if config.embedder == "provider":
-        if not config.provider_config:
-            raise ValueError("embedder 'provider' needs a provider_config file")
         pc = ProviderConfig.from_file(config.provider_config)
         # Cache lives beside the corpus so repeated runs and k sweeps reuse it.
         cache = config.embed_cache or f"{config.corpus}.embed_cache"

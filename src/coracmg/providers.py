@@ -17,13 +17,15 @@ import os
 import tempfile
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import requests
 
-from .errors import DimensionMismatch, EmptyGeneration, ProviderUnavailable
+from .errors import ConfigError, DimensionMismatch, EmptyGeneration, ProviderUnavailable
 from .tokenizer import tokenize
 
 EMBED_KEY_ENV = "CORACMG_EMBED_KEY"
@@ -31,6 +33,8 @@ GEN_KEY_ENV = "CORACMG_GEN_KEY"
 
 DEFAULT_TIMEOUT = 60.0
 DEFAULT_INFLIGHT = 4
+# Client errors a retry can cure: request timeout and rate limiting.
+_RETRYABLE_4XX = (408, 429)
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,18 @@ class ProviderConfig:
 
     @classmethod
     def from_file(cls, path) -> "ProviderConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                values = json.load(fh)
+        except OSError as exc:
+            problem = exc.strerror or exc
+            raise ConfigError(f"cannot read provider config {path}: {problem}") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"provider config {path} is not valid JSON: {exc}") from None
+        try:
+            return cls.from_dict(values)
+        except (AttributeError, TypeError, ValueError) as exc:  # not objects, or bad numbers
+            raise ConfigError(f"provider config {path}: {exc}") from None
 
 
 def unit_normalize(values, dimension: int | None = None) -> np.ndarray:
@@ -98,6 +112,11 @@ def _retrying_post(url: str, payload: dict, headers: dict, attempts: int, backof
             resp = requests.post(url, json=payload, headers=headers, timeout=DEFAULT_TIMEOUT)
             if resp.status_code >= 500:
                 raise requests.RequestException(f"server error {resp.status_code}")
+            if 400 <= resp.status_code < 500 and resp.status_code not in _RETRYABLE_4XX:
+                raise ProviderUnavailable(
+                    f"request to {url} was refused with status {resp.status_code}; "
+                    "a retry cannot succeed"
+                )
             resp.raise_for_status()
             return resp.json()
         except (requests.RequestException, ValueError) as exc:
@@ -197,25 +216,44 @@ class HashingEmbedder:
     result is unit-normalized.  Similar texts land near each other, which is
     enough for the retrieval pipeline to behave realistically without any
     network access.
+
+    The embedding is a function of the token counts alone, so a caller that
+    has already counted a text's tokens passes the counts to
+    ``embed_counts``.  Each distinct token is hashed once per embedder and
+    remembered; the memo grows with the vocabulary, not the corpus.  Its
+    writes are idempotent, so concurrent callers need no lock.
     """
 
     def __init__(self, dimension: int = 256):
         self.dimension = dimension
+        self._features: dict[str, tuple[int, float]] = {}  # token -> (bucket, sign)
 
     @property
     def identifier(self) -> str:
         return f"hash-{self.dimension}"
 
+    def _feature(self, token: str) -> tuple[int, float]:
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:4], "little") % self.dimension
+        return bucket, 1.0 if digest[4] & 1 else -1.0
+
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in tokenize(text):
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "little") % self.dimension
-            sign = 1.0 if digest[4] & 1 else -1.0
-            vec[bucket] += sign
-        if not np.any(vec):
+        return self.embed_counts(Counter(tokenize(text)))
+
+    def embed_counts(self, counts: Mapping[str, int]) -> np.ndarray:
+        """Embed a text from its ``tokenize`` counts (token -> occurrences)."""
+        vec = [0.0] * self.dimension
+        for token, n in counts.items():
+            feature = self._features.get(token)
+            if feature is None:
+                feature = self._features[token] = self._feature(token)
+            bucket, sign = feature
+            # Every partial sum is an integer far below 2**53, so adding
+            # sign * n once equals adding sign n times, bit for bit.
+            vec[bucket] += sign * n
+        if not any(vec):
             vec[0] = 1.0  # degenerate all-symbol-free input
-        return unit_normalize(vec, self.dimension)
+        return unit_normalize(np.array(vec, dtype=np.float64), self.dimension)
 
 
 def postprocess_generation(raw: str) -> str:

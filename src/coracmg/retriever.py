@@ -119,37 +119,6 @@ class _Partition:
         self.tiebreak = np.empty(len(docs), dtype=np.int64)
         self.tiebreak[order] = np.arange(len(docs))
 
-    @classmethod
-    def from_tokens(
-        cls,
-        repo: str,
-        docs: list[_Doc],
-        vectors: np.ndarray,
-        tokens: list[list[str]],
-        k1: float,
-        b: float,
-    ) -> "_Partition":
-        """Build the postings from each document's token list."""
-        rows: dict[str, tuple[list[int], list[int]]] = {}
-        for i, doc_tokens in enumerate(tokens):
-            for term, tf in Counter(doc_tokens).items():
-                row = rows.get(term)
-                if row is None:
-                    row = rows[term] = ([], [])
-                row[0].append(i)
-                row[1].append(tf)
-        terms = list(rows)
-        offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-        np.cumsum([len(rows[t][0]) for t in terms], out=offsets[1:])
-        nnz = int(offsets[-1])
-        csr = {
-            "offsets": offsets,
-            "ids": np.fromiter(chain.from_iterable(rows[t][0] for t in terms), np.int32, nnz),
-            "tfs": np.fromiter(chain.from_iterable(rows[t][1] for t in terms), np.float64, nnz),
-            "lengths": np.array([len(t) for t in tokens], dtype=np.int64),
-        }
-        return cls(repo, docs, vectors, terms, csr, k1, b)
-
     def __len__(self) -> int:
         return len(self.docs)
 
@@ -160,6 +129,27 @@ class _Partition:
             return None
         lo, hi = self.offsets[t], self.offsets[t + 1]
         return self.ids[lo:hi], self.tfs[lo:hi]
+
+
+def _csr(
+    rows: dict[str, tuple[list[int], list[int]]], lengths: list[int]
+) -> dict[str, np.ndarray]:
+    """CSR arrays from per-term ``(ids, tfs)`` rows, in the rows' term order."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids, _ in rows.values()], out=offsets[1:])
+    nnz = int(offsets[-1])
+    return {
+        "offsets": offsets,
+        "ids": np.fromiter(chain.from_iterable(ids for ids, _ in rows.values()), np.int32, nnz),
+        "tfs": np.fromiter(chain.from_iterable(tfs for _, tfs in rows.values()), np.float64, nnz),
+        "lengths": np.array(lengths, dtype=np.int64),
+    }
+
+
+def _embed(embedder, text: str, counts: Counter) -> np.ndarray:
+    """Embed from the token counts when the embedder can, else from the text."""
+    embed_counts = getattr(embedder, "embed_counts", None)
+    return embed_counts(counts) if embed_counts is not None else embedder.embed(text)
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
@@ -287,18 +277,29 @@ class RetrievalIndex:
         dimension = getattr(embedder, "dimension")
         partitions: dict[str, _Partition] = {}
         for repo in sorted(grouped):
-            docs, tokens = [], []
-            vectors = np.empty((len(grouped[repo]), dimension), dtype=np.float32)
-            for i, rec in enumerate(grouped[repo]):
-                docs.append(_Doc(rec.sha, rec.date, rec.message, rec.diff))
-                tokens.append(tokenize(rec.diff))
-                vec = embedder.embed(rec.diff)
+            recs = grouped[repo]
+            vectors = np.empty((len(recs), dimension), dtype=np.float32)
+            lengths = []
+            rows: dict[str, tuple[list[int], list[int]]] = {}  # term -> (ids, tfs)
+            for i, rec in enumerate(recs):
+                counts = Counter(tokenize(rec.diff))
+                for term, tf in counts.items():
+                    row = rows.get(term)
+                    if row is None:
+                        row = rows[term] = ([], [])
+                    row[0].append(i)
+                    row[1].append(tf)
+                lengths.append(sum(counts.values()))
+                vec = _embed(embedder, rec.diff, counts)
                 if vec.shape[0] != dimension:
                     raise DimensionMismatch(
                         f"embedder returned dimension {vec.shape[0]}, index uses {dimension}"
                     )
                 vectors[i] = vec
-            partitions[repo] = _Partition.from_tokens(repo, docs, vectors, tokens, k1, b)
+            docs = [_Doc(rec.sha, rec.date, rec.message, rec.diff) for rec in recs]
+            partitions[repo] = _Partition(
+                repo, docs, vectors, list(rows), _csr(rows, lengths), k1, b
+            )
         return cls(
             partitions,
             dimension,
@@ -473,10 +474,10 @@ class RetrievalIndex:
         self._check_dimension(query_vec)
         return float(np.dot(part.vectors[idx], query_vec.astype(np.float64)))
 
-    def _batch_lexical(self, part: _Partition, query_tokens: list[str]) -> np.ndarray:
+    def _batch_lexical(self, part: _Partition, query_counts: Counter) -> np.ndarray:
         scores = np.zeros(len(part), dtype=np.float64)
         k1p1 = self.k1 + 1.0
-        for term, qtf in Counter(query_tokens).items():
+        for term, qtf in query_counts.items():
             entry = part.posting(term)
             if entry is None:
                 continue
@@ -489,7 +490,7 @@ class RetrievalIndex:
 
     def _score(
         self,
-        query_diff: str,
+        query_counts: Counter,
         scope_repo: str,
         query_vec: np.ndarray,
         exclude_sha: str | None,
@@ -507,7 +508,7 @@ class RetrievalIndex:
             raise EmptyScope(
                 f"project {scope_repo!r} has no candidates besides the excluded commit"
             )
-        lexical = self._batch_lexical(part, tokenize(query_diff))[keep]
+        lexical = self._batch_lexical(part, query_counts)[keep]
         semantic = (part.vectors @ query_vec.astype(np.float64))[keep]
         return part, keep, lexical, semantic, _fuse_arrays(lexical, semantic)
 
@@ -528,8 +529,9 @@ class RetrievalIndex:
         """
         if k < 1:
             raise ValueError("k must be at least 1")
-        query_vec = embedder.embed(query_diff)
-        part, keep, _, _, hybrid = self._score(query_diff, scope_repo, query_vec, exclude_sha)
+        counts = Counter(tokenize(query_diff))
+        query_vec = _embed(embedder, query_diff, counts)
+        part, keep, _, _, hybrid = self._score(counts, scope_repo, query_vec, exclude_sha)
         picked: list[ExamplePair] = []
         for pos in np.lexsort((part.tiebreak[keep], -hybrid)).tolist():
             doc = part.docs[keep[pos]]

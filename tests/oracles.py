@@ -4,12 +4,14 @@ Every function here re-derives its answer from first principles with a
 different construction than the production code: list-consumption n-gram
 clipping, memoized recursion for LCS, exhaustive alignment enumeration for
 the unigram metric, dense full-vocabulary vectors for the consensus metric,
-a from-scratch rescoring pipeline for hybrid retrieval, and a two-stage
-(13a punctuation isolation, then segmentation) tokenizer.
+a from-scratch rescoring pipeline for hybrid retrieval, a two-stage
+(13a punctuation isolation, then segmentation) tokenizer, and a feature-hashing
+embedder that hashes every token occurrence.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import re
@@ -59,6 +61,23 @@ def _enhance(tokens, drop_symbol_tokens=False):
 def oracle_tokenize(text, drop_symbol_tokens=False):
     """Whitespace split after 13a punctuation isolation, then segmentation."""
     return _enhance(_base_tokenize(text), drop_symbol_tokens=drop_symbol_tokens)
+
+
+def oracle_hash_embed(text, dimension):
+    """Feature-hashed bag of tokens, one sha256 and one addition per occurrence."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    for token in oracle_tokenize(text):
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:4], "little") % dimension
+        sign = 1.0 if digest[4] & 1 else -1.0
+        vec[bucket] += sign
+    if not np.any(vec):
+        vec[0] = 1.0  # degenerate all-symbol-free input
+    # Unit norm as the providers compute it: float32 values, a float64 norm,
+    # then one refinement pass.
+    vec = vec.astype(np.float32)
+    vec = vec / np.float32(float(np.linalg.norm(vec.astype(np.float64))))
+    return vec / np.linalg.norm(vec)
 
 
 def ngram_list(tokens, n):

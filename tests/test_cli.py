@@ -155,6 +155,19 @@ def test_cli_error_paths(tmp_path, capsys):
         ({"bogus": 1}, "bogus"),
         ({"method": "rag"}, "requires k"),
         ({"workers": 0}, "workers must be at least 1"),
+        ({"cider_scale": "x"}, "cider_scale must be a number, not 'x'"),
+        ({"method": "rag", "k": "2"}, "k must be an integer, not '2'"),
+        ({"subset_size": 2.5}, "subset_size must be an integer, not 2.5"),
+        ({"seed": True}, "seed must be an integer, not True"),
+        ({"workers": "4"}, "workers must be an integer, not '4'"),
+        ({"max_prompt_chars": None}, "max_prompt_chars must be an integer, not None"),
+        ({"subset_size": -3}, "subset_size must be at least 0, not -3"),
+        ({"embedder": "bogus"}, "unknown embedder 'bogus'"),
+        ({"generator": "provider"}, "generator 'provider' needs a provider_config file"),
+        (
+            {"method": "rag", "k": 1, "index": "i", "embedder": "provider"},
+            "embedder 'provider' needs a provider_config file",
+        ),
     ],
 )
 def test_experiment_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, config, message):
@@ -163,6 +176,44 @@ def test_experiment_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, con
     assert main(["experiment", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()  # rejected before the run
+
+
+@pytest.mark.parametrize(
+    "provider_text, message",
+    [(None, "cannot read provider config"), ("{not json", "is not valid JSON")],
+)
+def test_experiment_bad_provider_config_is_an_error_not_a_traceback(
+    tmp_path, capsys, provider_text, message
+):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, synthetic_corpus(1, 10, seed=7))
+    provider_cfg = tmp_path / "providers.json"
+    if provider_text is not None:
+        provider_cfg.write_text(provider_text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "corpus": str(corpus), "out_dir": str(tmp_path / "o"),
+        "generator": "provider", "provider_config": str(provider_cfg),
+    }))
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and str(provider_cfg) in err
+
+
+def test_retrieve_provider_index_needs_a_readable_provider_config(tmp_path, capsys):
+    records = synthetic_corpus(1, 10, seed=7)
+    corpus = tmp_path / "filtered.jsonl"
+    write_jsonl(corpus, records)
+    index_dir = tmp_path / "index.dir"
+    assert main(["index", "--in", str(corpus), "--out", str(index_dir), "--dimension", "64"]) == 0
+    manifest = index_dir / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "embedder": "emb-1"}))
+    capsys.readouterr()
+    assert _retrieve_from(index_dir, tmp_path) == 1
+    assert capsys.readouterr().err.startswith("error: index was built with embedder 'emb-1'")
+    assert _retrieve_from(index_dir, tmp_path, "--provider-config", str(tmp_path / "no.json")) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read provider config")
 
 
 def test_experiment_unreadable_config_is_an_error_not_a_traceback(tmp_path, capsys):
@@ -190,12 +241,12 @@ def test_retrieve_truncated_index_is_an_error_not_a_traceback(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: vectors.bin has")
 
 
-def _retrieve_from(index_dir, tmp_path):
+def _retrieve_from(index_dir, tmp_path, *extra):
     query_file = tmp_path / "query.diff"
     query_file.write_text("diff --git a/q b/q\n+query\n")
     return main([
         "retrieve", "--index", str(index_dir), "--query-diff", str(query_file),
-        "--repo", "acme/widgets", "-k", "3",
+        "--repo", "acme/widgets", "-k", "3", *extra,
     ])
 
 

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import threading
 import time
 
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coracmg.errors import DimensionMismatch, EmptyGeneration, ProviderUnavailable
+from coracmg.errors import ConfigError, DimensionMismatch, EmptyGeneration, ProviderUnavailable
 from coracmg.providers import (
     EmbeddingClient,
     GenerationClient,
@@ -19,6 +23,8 @@ from coracmg.providers import (
     unit_normalize,
 )
 from coracmg.retriever import DocHandle, ExamplePair
+from helpers import synthetic_corpus
+from oracles import oracle_hash_embed
 
 
 class FakeResponse:
@@ -96,6 +102,38 @@ def test_embed_gives_up_after_max_attempts(monkeypatch):
         client.embed("text")
 
 
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_client_errors_fail_at_once(monkeypatch, status):
+    calls, slept = [], []
+
+    def refusing_post(url, json=None, headers=None, timeout=None):
+        calls.append(1)
+        return FakeResponse({"error": "refused"}, status=status)
+
+    monkeypatch.setattr(requests, "post", refusing_post)
+    monkeypatch.setattr(time, "sleep", slept.append)
+    client = EmbeddingClient("https://embed.test/v1", 2, max_attempts=3)
+    with pytest.raises(ProviderUnavailable, match=f"status {status}"):
+        client.embed("text")
+    assert len(calls) == 1  # a retry cannot change the answer
+    assert slept == []
+
+
+@pytest.mark.parametrize("status", [408, 429])
+def test_timeout_and_rate_limit_are_retried(monkeypatch, status):
+    responses = [FakeResponse({}, status=status), FakeResponse({"text": "Fix the bug"})]
+    calls = []
+
+    def limited_post(url, json=None, headers=None, timeout=None):
+        calls.append(1)
+        return responses[len(calls) - 1]
+
+    monkeypatch.setattr(requests, "post", limited_post)
+    client = GenerationClient(GenerationConfig(endpoint="https://gen.test/v1"))
+    assert client.generate("p") == "Fix the bug"
+    assert len(calls) == 2
+
+
 def test_embed_dimension_mismatch(monkeypatch):
     monkeypatch.setattr(
         requests, "post", lambda *a, **k: FakeResponse({"embedding": [1.0, 2.0, 3.0]})
@@ -128,6 +166,39 @@ def test_hashing_embedder_is_deterministic_and_meaningful():
     near = emb.embed("fix null pointer in the parser")
     far = emb.embed("rotate the logging directory daily")
     assert float(a @ near) > float(a @ far)
+
+
+def _cancelling_words(dimension):
+    """Two one-token words that hash to one bucket with opposite signs."""
+    seen = {}
+    for i in itertools.count():
+        word = f"w{i}"
+        digest = hashlib.sha256(word.encode("utf-8")).digest()
+        bucket, sign = int.from_bytes(digest[:4], "little") % dimension, digest[4] & 1
+        if (bucket, 1 - sign) in seen:
+            return seen[(bucket, 1 - sign)], word
+        seen[(bucket, sign)] = word
+
+
+def test_hashing_embedder_matches_per_occurrence_oracle():
+    emb = HashingEmbedder(64)
+    a, b = _cancelling_words(64)
+    texts = [r.diff for r in synthetic_corpus(2, 50)] + ["", f"{a} {b}", f"{b} {a} {a} {b}"]
+    for text in texts:
+        assert emb.embed(text).tobytes() == oracle_hash_embed(text, 64).tobytes()
+    degenerate = np.zeros(64, dtype=np.float32)
+    degenerate[0] = 1.0
+    assert emb.embed("").tobytes() == degenerate.tobytes()
+    assert emb.embed(f"{a} {b}").tobytes() == degenerate.tobytes()
+
+
+_SMALL_EMBEDDER = HashingEmbedder(16)  # few buckets: collisions and cancellations are common
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.text())
+def test_hashing_embedder_matches_oracle_on_any_text(text):
+    assert _SMALL_EMBEDDER.embed(text).tobytes() == oracle_hash_embed(text, 16).tobytes()
 
 
 def test_postprocess_generation():
@@ -209,6 +280,20 @@ def test_provider_config_parsing(tmp_path):
     assert cfg.gen.model == "gen-1"
     assert cfg.gen.temperature == 0.0
     assert cfg.inflight == 2
+
+
+def test_provider_config_errors(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read provider config"):
+        ProviderConfig.from_file(tmp_path / "missing.json")
+    cfg_path = tmp_path / "providers.json"
+    for text, message in [
+        ('{"embed": ', "is not valid JSON"),
+        ('{"embed": {"dimension": "wide"}}', "invalid literal"),
+        ('{"gen": []}', "has no attribute"),
+    ]:
+        cfg_path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            ProviderConfig.from_file(cfg_path)
 
 
 def test_inflight_cap_bounds_concurrency(monkeypatch):

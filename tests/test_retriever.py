@@ -5,16 +5,18 @@ import json
 import math
 import shutil
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from coracmg import providers, retriever
 from coracmg.errors import CorruptIndex, DimensionMismatch, EmptyScope, UnknownDocument
 from coracmg.providers import HashingEmbedder
 from coracmg.retriever import DocHandle, RetrievalIndex, _fuse_arrays, fuse
 from coracmg.tokenizer import tokenize
 from helpers import make_record, synthetic_corpus, twin_corpus
-from oracles import oracle_bm25, oracle_minmax_fuse, oracle_rank
+from oracles import oracle_bm25, oracle_hash_embed, oracle_minmax_fuse, oracle_rank
 
 EMBEDDER = HashingEmbedder(64)
 
@@ -89,6 +91,51 @@ def test_index_vectors_are_unit_norm():
     for part in index.partitions.values():
         norms = np.linalg.norm(part.vectors, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-6)
+
+
+def test_index_rows_equal_per_occurrence_embeddings():
+    records = synthetic_corpus(2, 50)
+    index = build_index(records)
+    for repo, part in index.partitions.items():
+        diffs = [doc.diff for doc in part.docs]
+        expected = np.stack([oracle_hash_embed(diff, 64) for diff in diffs])
+        assert part.vectors.astype(np.float32).tobytes() == expected.tobytes()
+
+
+def _count_tokenize_calls(monkeypatch):
+    calls = []
+
+    def counting(text, *args, **kwargs):
+        calls.append(text)
+        return tokenize(text, *args, **kwargs)
+
+    # Each module calls its own binding of the name.
+    monkeypatch.setattr(retriever, "tokenize", counting)
+    monkeypatch.setattr(providers, "tokenize", counting)
+    return calls
+
+
+def test_each_text_is_tokenized_once(monkeypatch):
+    records = synthetic_corpus(2, 50)
+    calls = _count_tokenize_calls(monkeypatch)
+    index = RetrievalIndex.build(records, HashingEmbedder(64))
+    assert len(calls) == len(records)
+    for query in records[:5]:
+        calls.clear()
+        index.retrieve(
+            query.diff, 3, query.repo_full_name, exclude_sha=query.sha, embedder=EMBEDDER
+        )
+        assert calls == [query.diff]
+
+
+def test_warm_embedder_builds_the_same_index(tmp_path):
+    records = synthetic_corpus(2, 50)
+    RetrievalIndex.build(records, HashingEmbedder(64)).save(tmp_path / "fresh")
+    warm = HashingEmbedder(64)
+    RetrievalIndex.build(records[::-1], warm)  # fills the memo in another order
+    RetrievalIndex.build(records, warm).save(tmp_path / "warm")
+    for name in ("docs.jsonl", "manifest.json", "postings.npz", "terms.json", "vectors.bin"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
 
 def test_fuse_conventions():
@@ -450,7 +497,7 @@ def test_batch_and_single_doc_bm25_are_bit_equal():
     repo = records[0].repo_full_name
     part = index.partitions[repo]
     query_tokens = tokenize(records[7].diff)
-    batch = index._batch_lexical(part, query_tokens)
+    batch = index._batch_lexical(part, Counter(query_tokens))
     for i, doc in enumerate(part.docs):
         single = index.bm25_score(query_tokens, DocHandle(doc.sha, repo))
         assert batch[i] == single  # exact equality
