@@ -8,7 +8,7 @@ METEOR and CIDEr over a code-aware tokenizer.
 
 from .diffs import CommitRecord, ParsedDiff, count_loc, diff_line_count, parse_diff
 from .metrics import MetricReport, build_idf, cider, evaluate_corpus, gleu, meteor, rouge_l
-from .retriever import DocHandle, ExamplePair, RetrievalIndex, fuse
+from .retriever import DocHandle, ExamplePair, RetrievalIndex
 from .tokenizer import tokenize
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "count_loc",
     "diff_line_count",
     "evaluate_corpus",
-    "fuse",
     "gleu",
     "meteor",
     "parse_diff",

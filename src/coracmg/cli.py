@@ -18,7 +18,7 @@ from . import corpus as corpus_mod
 from . import harness, metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate, build_rag_prompt
 from .diffs import read_jsonl, write_jsonl
-from .errors import ConfigError, CoracmgError
+from .errors import ConfigError, CoracmgError, InvalidInput
 from .providers import EmbeddingClient, GenerationClient, HashingEmbedder, ProviderConfig
 from .retriever import RetrievalIndex
 from .tokenizer import tokenize
@@ -150,17 +150,22 @@ def _cmd_tokenize(args) -> int:
 def _read_messages(path: str, keys: tuple[str, ...]) -> list[str]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise InvalidInput(f"{path} line {lineno} is not JSON: {exc}") from None
             for key in keys:
-                if key in obj and obj[key] is not None:
+                if isinstance(obj, dict) and obj.get(key) is not None:
                     out.append(obj[key])
                     break
             else:
-                raise ValueError(f"line in {path} has none of the keys {keys}")
+                raise InvalidInput(
+                    f"{path} line {lineno} has none of the keys {', '.join(keys)}"
+                )
     return out
 
 
@@ -168,7 +173,9 @@ def _cmd_evaluate(args) -> int:
     hyps = _read_messages(args.hyp, ("message", "generated"))
     refs = _read_messages(args.ref, ("message", "reference"))
     if len(hyps) != len(refs):
-        raise ValueError(f"{len(hyps)} hypotheses vs {len(refs)} references")
+        raise InvalidInput(
+            f"{args.hyp} has {len(hyps)} hypotheses but {args.ref} has {len(refs)} references"
+        )
     report = metrics.evaluate_corpus(list(zip(hyps, refs)), cider_scale=args.cider_scale)
     Path(args.out).write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
     print(
@@ -288,7 +295,7 @@ def _cmd_report(args) -> int:
         {p.parent for p in Path(args.input).rglob("manifest.json")}
     )
     if not run_dirs:
-        raise ValueError(f"no experiment runs found under {args.input}")
+        raise InvalidInput(f"no experiment runs (manifest.json) found under {args.input}")
     results = [harness.ExperimentResult.load(d) for d in run_dirs]
     table = harness.render_report(results)
     Path(args.out).write_text(table, encoding="utf-8")

@@ -29,10 +29,6 @@ class CorpusTooSmall(CoracmgError):
     pass
 
 
-class UnknownDocument(CoracmgError):
-    pass
-
-
 class DimensionMismatch(CoracmgError):
     pass
 
@@ -42,6 +38,10 @@ class CorruptIndex(CoracmgError):
 
     def __init__(self, problem: str):
         super().__init__(f"{problem}; rebuild the index with `coracmg index`")
+
+
+class InvalidInput(CoracmgError):
+    """An input file or directory lacks what the command reads from it."""
 
 
 class ConfigError(CoracmgError):

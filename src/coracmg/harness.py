@@ -7,6 +7,10 @@ recorded in the result rows rather than aborting the run.  Result files are
 ``results.jsonl`` (rows sorted by sha), ``manifest.json`` and ``report.md``;
 identical configurations and seeds reproduce ``results.jsonl`` byte for
 byte.
+
+Commits run one at a time unless a model provider is called: then up to the
+provider config's ``concurrency.inflight`` commits run at once, since only
+provider requests wait on I/O.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ class ExperimentConfig:
     max_prompt_chars: int = DEFAULT_MAX_PROMPT_CHARS
     provider_config: str | None = None
     cider_scale: float = 100.0
+    # Read by nothing: accepted so older config files still load.  Concurrency
+    # comes from the provider config's ``concurrency.inflight``.
     workers: int = 4
 
     def __post_init__(self):
@@ -82,6 +88,15 @@ class ExperimentConfig:
             raise ConfigError("k is only meaningful for method 'rag'")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, not {self.workers}")
+        if self.needs_retrieval and not self.index:
+            raise ConfigError(
+                f"method {self.method!r} with generator {self.generator!r} "
+                "retrieves examples, so it needs an index directory"
+            )
+
+    @property
+    def needs_retrieval(self) -> bool:
+        return self.method == "rag" or self.generator in ("echo-mock", "retrieval-copy")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -135,18 +150,6 @@ def sample_subset(records: list[CommitRecord], n: int, seed: int) -> list[Commit
     return [records[i] for i in sorted(chosen)]
 
 
-def retrieval_copy_generate(
-    query_diff: str,
-    repo: str,
-    index: RetrievalIndex,
-    embedder,
-    exclude_sha: str | None = None,
-) -> str:
-    """The offline baseline: the top-1 retrieved pair's message, verbatim."""
-    pairs = index.retrieve(query_diff, 1, repo, exclude_sha=exclude_sha, embedder=embedder)
-    return pairs[0].message
-
-
 @dataclass
 class ExperimentResult:
     manifest: dict
@@ -191,20 +194,18 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _build_generator(config: ExperimentConfig):
+def _build_generator(config: ExperimentConfig, pc: ProviderConfig | None):
     if config.generator == "echo-mock":
         return MockGenerator("echo", config.generator_text)
     if config.generator == "constant-mock":
         return MockGenerator("constant", config.generator_text)
     if config.generator == "provider":
-        pc = ProviderConfig.from_file(config.provider_config)
         return GenerationClient(pc.gen, inflight=pc.inflight)
     return None  # retrieval-copy needs no generator object
 
 
-def _build_embedder(config: ExperimentConfig, index: RetrievalIndex | None):
+def _build_embedder(config: ExperimentConfig, pc: ProviderConfig | None, index: RetrievalIndex):
     if config.embedder == "provider":
-        pc = ProviderConfig.from_file(config.provider_config)
         # Cache lives beside the corpus so repeated runs and k sweeps reuse it.
         cache = config.embed_cache or f"{config.corpus}.embed_cache"
         return EmbeddingClient(
@@ -214,7 +215,7 @@ def _build_embedder(config: ExperimentConfig, index: RetrievalIndex | None):
             cache_dir=cache,
             inflight=pc.inflight,
         )
-    return HashingEmbedder(index.dimension if index is not None else 256)
+    return HashingEmbedder(index.dimension)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -223,17 +224,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     n = config.subset_size or len(records)
     subset = sample_subset(records, n, config.seed)
 
-    needs_retrieval = config.method == "rag" or config.generator in (
-        "echo-mock",
-        "retrieval-copy",
+    needs_retrieval = config.needs_retrieval
+    calls_provider = config.generator == "provider" or (
+        needs_retrieval and config.embedder == "provider"
     )
-    index = None
-    if needs_retrieval:
-        if not config.index:
-            raise ValueError("this configuration needs an index directory")
-        index = RetrievalIndex.load(config.index)
-    embedder = _build_embedder(config, index) if needs_retrieval else None
-    generator = _build_generator(config)
+    pc = ProviderConfig.from_file(config.provider_config) if calls_provider else None
+    index = RetrievalIndex.load(config.index) if needs_retrieval else None
+    try:
+        embedder = _build_embedder(config, pc, index) if needs_retrieval else None
+        generator = _build_generator(config, pc)
+    except ConfigError as exc:  # a role the run uses has no endpoint
+        raise ConfigError(f"provider config {config.provider_config}: {exc}") from None
     template = (
         PromptTemplate.from_file(config.template)
         if config.template
@@ -283,7 +284,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         return row
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    # Retrieval, rendering and mocks are CPU-bound under the GIL, so threads
+    # pay only where a provider request waits on the network.
+    with ThreadPoolExecutor(max_workers=pc.inflight if pc else 1) as pool:
         rows = list(pool.map(process, subset))
     rows.sort(key=lambda r: r["sha"])
 

@@ -60,6 +60,9 @@ class ProviderConfig:
         embed = obj.get("embed", {})
         gen = obj.get("gen", {})
         conc = obj.get("concurrency", {})
+        inflight = int(conc.get("inflight", DEFAULT_INFLIGHT))
+        if inflight < 1:
+            raise ValueError(f"concurrency.inflight must be at least 1, not {inflight}")
         return cls(
             embed_endpoint=embed.get("endpoint", ""),
             embed_model=embed.get("model", ""),
@@ -70,7 +73,7 @@ class ProviderConfig:
                 temperature=float(gen.get("temperature", 0.0)),
                 max_tokens=int(gen.get("max_tokens", 128)),
             ),
-            inflight=int(conc.get("inflight", DEFAULT_INFLIGHT)),
+            inflight=inflight,
         )
 
     @classmethod
@@ -145,7 +148,7 @@ class EmbeddingClient:
         inflight: int = DEFAULT_INFLIGHT,
     ):
         if not endpoint:
-            raise ValueError("embedding endpoint is not configured")
+            raise ConfigError("embedding endpoint (embed.endpoint) is not configured")
         self.endpoint = endpoint
         self.dimension = dimension
         self.model = model
@@ -276,7 +279,7 @@ class GenerationClient:
 
     def __init__(self, config: GenerationConfig, inflight: int = DEFAULT_INFLIGHT):
         if not config.endpoint:
-            raise ValueError("generation endpoint is not configured")
+            raise ConfigError("generation endpoint (gen.endpoint) is not configured")
         self.config = config
         self._inflight = threading.Semaphore(inflight)
 

@@ -39,13 +39,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .diffs import CommitRecord
-from .errors import (
-    CorruptIndex,
-    DimensionMismatch,
-    EmptyCorpus,
-    EmptyScope,
-    UnknownDocument,
-)
+from .errors import CorruptIndex, DimensionMismatch, EmptyCorpus, EmptyScope
 from .tokenizer import tokenize
 
 log = logging.getLogger(__name__)
@@ -169,12 +163,6 @@ def _fuse_arrays(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
     return 0.5 * _minmax(lexical) + 0.5 * _minmax(semantic)
 
 
-def fuse(candidates: list[tuple[float, float]]) -> list[float]:
-    """Fuse (lexical, semantic) score pairs; see ``_fuse_arrays``."""
-    scores = np.array(candidates, dtype=np.float64).reshape(-1, 2)
-    return _fuse_arrays(scores[:, 0], scores[:, 1]).tolist()
-
-
 def _read_bytes(path: Path) -> bytes:
     try:
         return path.read_bytes()
@@ -232,8 +220,8 @@ def _check_csr(repo: str, n_docs: int, n_terms: int, csr: dict[str, np.ndarray])
         raise bad(f"has {len(csr['tfs'])} term frequencies for {len(ids)} postings")
     if len(ids) and (ids.min() < 0 or ids.max() >= n_docs):
         raise bad(f"has document ids outside [0, {n_docs})")
-    # Within a term ids ascend strictly: bm25_score binary-searches them and
-    # _batch_lexical's scatter-add counts each (term, document) once.
+    # Within a term ids ascend strictly, so _batch_lexical's scatter-add
+    # counts each (term, document) once.
     rising = np.diff(ids) > 0
     starts = offsets[1:-1]
     rising[starts[(starts > 0) & (starts < len(ids))] - 1] = True
@@ -432,47 +420,9 @@ class RetrievalIndex:
 
     # -- scoring ----------------------------------------------------------
 
-    def _locate(self, handle: DocHandle) -> tuple[_Partition, int]:
-        part = self.partitions.get(handle.repo_full_name)
-        idx = part.sha_index.get(handle.sha) if part is not None else None
-        if idx is None:
-            raise UnknownDocument(f"no indexed document for {handle}")
-        return part, idx
-
     def _idf(self, part: _Partition, df: int) -> float:
         n = len(part)
         return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-
-    def bm25_score(self, query_tokens: list[str], handle: DocHandle) -> float:
-        """Okapi BM25 of one document against a tokenized query."""
-        part, idx = self._locate(handle)
-        norm_d = float(part.length_norm[idx])
-        k1p1 = self.k1 + 1.0
-        score = 0.0
-        for term, qtf in Counter(query_tokens).items():
-            entry = part.posting(term)
-            if entry is None:
-                continue
-            ids, tfs = entry
-            pos = int(np.searchsorted(ids, idx))
-            if pos == len(ids) or ids[pos] != idx:
-                continue
-            tf = float(tfs[pos])
-            weight = self._idf(part, len(ids)) * qtf
-            score += weight * (tf * k1p1) / (tf + norm_d)
-        return score
-
-    def _check_dimension(self, query_vec: np.ndarray) -> None:
-        if query_vec.shape[0] != self.dimension:
-            raise DimensionMismatch(
-                f"query vector has dimension {query_vec.shape[0]}, index uses {self.dimension}"
-            )
-
-    def semantic_score(self, query_vec: np.ndarray, handle: DocHandle) -> float:
-        """Dot product against a stored unit vector (cosine for unit inputs)."""
-        part, idx = self._locate(handle)
-        self._check_dimension(query_vec)
-        return float(np.dot(part.vectors[idx], query_vec.astype(np.float64)))
 
     def _batch_lexical(self, part: _Partition, query_counts: Counter) -> np.ndarray:
         scores = np.zeros(len(part), dtype=np.float64)
@@ -494,9 +444,12 @@ class RetrievalIndex:
         scope_repo: str,
         query_vec: np.ndarray,
         exclude_sha: str | None,
-    ) -> tuple[_Partition, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(partition, kept indices, lexical, semantic, hybrid) over the kept documents."""
-        self._check_dimension(query_vec)
+    ) -> tuple[_Partition, np.ndarray, np.ndarray]:
+        """(partition, kept indices, hybrid scores of the kept documents)."""
+        if query_vec.shape[0] != self.dimension:
+            raise DimensionMismatch(
+                f"query vector has dimension {query_vec.shape[0]}, index uses {self.dimension}"
+            )
         part = self.partitions.get(scope_repo)
         if part is None or len(part) == 0:
             raise EmptyScope(f"no indexed documents for project {scope_repo!r}")
@@ -510,7 +463,7 @@ class RetrievalIndex:
             )
         lexical = self._batch_lexical(part, query_counts)[keep]
         semantic = (part.vectors @ query_vec.astype(np.float64))[keep]
-        return part, keep, lexical, semantic, _fuse_arrays(lexical, semantic)
+        return part, keep, _fuse_arrays(lexical, semantic)
 
     def retrieve(
         self,
@@ -531,7 +484,7 @@ class RetrievalIndex:
             raise ValueError("k must be at least 1")
         counts = Counter(tokenize(query_diff))
         query_vec = _embed(embedder, query_diff, counts)
-        part, keep, _, _, hybrid = self._score(counts, scope_repo, query_vec, exclude_sha)
+        part, keep, hybrid = self._score(counts, scope_repo, query_vec, exclude_sha)
         picked: list[ExamplePair] = []
         for pos in np.lexsort((part.tiebreak[keep], -hybrid)).tolist():
             doc = part.docs[keep[pos]]

@@ -34,7 +34,9 @@ def tokenize(text: str, drop_symbol_tokens: bool = False) -> list[str]:
     """
     out: list[str] = []
     for run, symbol in _TOKEN.findall(text):
-        if run:
+        if run.islower():
+            out.append(run)  # no capital, so nothing to split or fold
+        elif run:
             for piece in _CAMEL.split(run):
                 out.append(piece.lower())
         elif not drop_symbol_tokens:

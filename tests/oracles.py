@@ -6,7 +6,9 @@ clipping, memoized recursion for LCS, exhaustive alignment enumeration for
 the unigram metric, dense full-vocabulary vectors for the consensus metric,
 a from-scratch rescoring pipeline for hybrid retrieval, a two-stage
 (13a punctuation isolation, then segmentation) tokenizer, and a feature-hashing
-embedder that hashes every token occurrence.
+embedder that hashes every token occurrence.  ``index_bm25_one_doc`` is the
+exception: it walks an index's own postings one document at a time, as the
+bit-exact reference for the batched scorer.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import itertools
 import math
 import re
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -229,6 +232,31 @@ def oracle_bm25(query_tokens, doc_tokens, all_doc_tokens, k1=1.2, b=0.75):
         df = sum(1 for d in all_doc_tokens if term in d)
         idf = math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
         score += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * len(doc_tokens) / avgdl))
+    return score
+
+
+def index_bm25_one_doc(index, query_tokens, repo, sha):
+    """Okapi BM25 of one indexed document, binary-searching each term's postings.
+
+    The same expression in the same term order as ``RetrievalIndex._batch_lexical``,
+    so the two agree bit for bit, not just approximately.
+    """
+    part = index.partitions[repo]
+    idx = part.sha_index[sha]
+    norm_d = float(part.length_norm[idx])
+    k1p1 = index.k1 + 1.0
+    score = 0.0
+    for term, qtf in Counter(query_tokens).items():
+        entry = part.posting(term)
+        if entry is None:
+            continue
+        ids, tfs = entry
+        pos = int(np.searchsorted(ids, idx))
+        if pos == len(ids) or ids[pos] != idx:
+            continue
+        tf = float(tfs[pos])
+        weight = index._idf(part, len(ids)) * qtf
+        score += weight * (tf * k1p1) / (tf + norm_d)
     return score
 
 

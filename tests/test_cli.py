@@ -168,6 +168,7 @@ def test_cli_error_paths(tmp_path, capsys):
             {"method": "rag", "k": 1, "index": "i", "embedder": "provider"},
             "embedder 'provider' needs a provider_config file",
         ),
+        ({"method": "rag", "k": 1}, "index"),
     ],
 )
 def test_experiment_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, config, message):
@@ -181,7 +182,11 @@ def test_experiment_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, con
 
 @pytest.mark.parametrize(
     "provider_text, message",
-    [(None, "cannot read provider config"), ("{not json", "is not valid JSON")],
+    [
+        (None, "cannot read provider config"),
+        ("{not json", "is not valid JSON"),
+        ("{}", "endpoint"),
+    ],
 )
 def test_experiment_bad_provider_config_is_an_error_not_a_traceback(
     tmp_path, capsys, provider_text, message
@@ -199,6 +204,41 @@ def test_experiment_bad_provider_config_is_an_error_not_a_traceback(
     assert main(["experiment", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and str(provider_cfg) in err
+
+
+def test_report_without_runs_is_an_error_not_a_traceback(tmp_path, capsys):
+    assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "t.md")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no experiment runs") and str(tmp_path) in err
+
+
+def _evaluate(tmp_path, hyp_lines, ref_lines):
+    hyp = tmp_path / "hyps.jsonl"
+    ref = tmp_path / "refs.jsonl"
+    hyp.write_text("".join(json.dumps(obj) + "\n" for obj in hyp_lines))
+    ref.write_text("".join(json.dumps(obj) + "\n" for obj in ref_lines))
+    return main(["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--out", str(tmp_path / "o")])
+
+
+def test_evaluate_unequal_counts_is_an_error_not_a_traceback(tmp_path, capsys):
+    two = [{"message": "fix parser"}, {"message": "add cache"}]
+    assert _evaluate(tmp_path, two, two[:1]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "has 2 hypotheses" in err and "has 1 references" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_line_without_keys_is_an_error_not_a_traceback(tmp_path, capsys):
+    refs = [{"message": "fix parser"}, {"message": "add cache"}]
+    assert _evaluate(tmp_path, [{"message": "fix parser"}, {"text": "add cache"}], refs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "hyps.jsonl line 2 has none of the keys" in err
+    (tmp_path / "hyps.jsonl").write_text('{"message": "fix parser"}\n{"message": \n')
+    assert main([
+        "evaluate", "--hyp", str(tmp_path / "hyps.jsonl"), "--ref", str(tmp_path / "refs.jsonl"),
+        "--out", str(tmp_path / "o"),
+    ]) == 1
+    assert "hyps.jsonl line 2 is not JSON" in capsys.readouterr().err
 
 
 def test_retrieve_provider_index_needs_a_readable_provider_config(tmp_path, capsys):

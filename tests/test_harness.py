@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
+import threading
+import time
 
 import pytest
 
@@ -11,7 +14,6 @@ from coracmg.harness import (
     ExperimentConfig,
     ExperimentResult,
     render_report,
-    retrieval_copy_generate,
     run_experiment,
     run_k_sweep,
     sample_subset,
@@ -81,6 +83,8 @@ def test_config_validation():
         ExperimentConfig(corpus="c", out_dir="o", method="sideways")
     with pytest.raises(ConfigError):
         ExperimentConfig(corpus="c", out_dir="o", generator="gpt9000")
+    with pytest.raises(ConfigError, match="needs an index directory"):
+        ExperimentConfig(corpus="c", out_dir="o", generator="echo-mock")
 
 
 def test_direct_constant_mock_smoke(tmp_path):
@@ -147,7 +151,7 @@ def test_retrieval_copy_generate_matches_bruteforce(tmp_path):
         for i, d in enumerate(part.docs)
     ]
     query = records[30]
-    got = retrieval_copy_generate(query.diff, repo, index, embedder, exclude_sha=query.sha)
+    got = index.retrieve(query.diff, 1, repo, exclude_sha=query.sha, embedder=embedder)[0].message
     qvec = [float(v) for v in embedder.embed(query.diff)]
     from coracmg.tokenizer import tokenize as tok
 
@@ -165,7 +169,7 @@ def test_retrieval_copy_skips_identical_top_candidate():
     index = RetrievalIndex.build([twin_b, other], embedder)
     # query is byte-identical to twin_b's diff: its pair is skipped and the
     # second-ranked candidate supplies the message
-    got = retrieval_copy_generate(twin_a.diff, twin_a.repo_full_name, index, embedder)
+    got = index.retrieve(twin_a.diff, 1, twin_a.repo_full_name, embedder=embedder)[0].message
     assert got == other.message
 
 
@@ -300,23 +304,24 @@ def test_custom_template_flows_through(tmp_path):
     assert result.manifest["template_sha256"] != template_hash(PromptTemplate.default())
 
 
+class FakeResponse:
+    def __init__(self, payload):
+        self.payload = payload
+        self.status_code = 200
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.payload
+
+
 def test_provider_backed_experiment(tmp_path, monkeypatch):
     import requests as requests_mod
 
     import numpy as np
 
     calls = {"embed": 0, "gen": 0}
-
-    class FakeResponse:
-        def __init__(self, payload):
-            self.payload = payload
-            self.status_code = 200
-
-        def raise_for_status(self):
-            pass
-
-        def json(self):
-            return self.payload
 
     def fake_post(url, json=None, headers=None, timeout=None):
         if url.endswith("/embed"):
@@ -368,6 +373,101 @@ def test_provider_backed_experiment(tmp_path, monkeypatch):
     assert calls["embed"] == embeds_after_build
     assert result.manifest["generator_id"] == "g"
     assert result.manifest["embedder_id"] == "e"
+
+
+# -- concurrency -----------------------------------------------------------------
+
+
+def test_offline_experiment_retrieves_on_one_thread(tmp_path, monkeypatch):
+    records = synthetic_corpus(2, 10, seed=41)
+    corpus_path, index_dir = _materialize(tmp_path, records)
+    threads = []
+    retrieve = RetrievalIndex.retrieve
+
+    def recording(self, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return retrieve(self, *args, **kwargs)
+
+    monkeypatch.setattr(RetrievalIndex, "retrieve", recording)
+    result = run_experiment(
+        ExperimentConfig(
+            corpus=str(corpus_path),
+            out_dir=str(tmp_path / "run"),
+            method="rag",
+            k=2,
+            generator="echo-mock",
+            index=str(index_dir),
+            seed=3,
+        )
+    )
+    assert len(threads) == len(result.rows) == 20
+    assert len(set(threads)) == 1
+
+
+def test_provider_requests_in_flight_follow_the_provider_config(tmp_path, monkeypatch):
+    import requests as requests_mod
+
+    records = synthetic_corpus(2, 6, seed=101)
+    corpus_path, index_dir = _materialize(tmp_path, records)
+    lock = threading.Lock()
+    active, peak = [0], [0]
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        with lock:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+        time.sleep(0.005)  # hold the request open so others can overlap it
+        with lock:
+            active[0] -= 1
+        prompt = json["messages"][0]["content"]
+        digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:12]
+        return FakeResponse({"choices": [{"message": {"content": f"apply fix {digest}"}}]})
+
+    monkeypatch.setattr(requests_mod, "post", fake_post)
+    results = {}
+    for inflight in (1, 2):
+        provider_cfg = tmp_path / f"providers{inflight}.json"
+        provider_cfg.write_text(json.dumps({
+            "gen": {"endpoint": "https://models.test/gen", "model": "g"},
+            "concurrency": {"inflight": inflight},
+        }))
+        peak[0] = 0
+        out = tmp_path / f"run{inflight}"
+        result = run_experiment(
+            ExperimentConfig(
+                corpus=str(corpus_path),
+                out_dir=str(out),
+                method="rag",
+                k=2,
+                generator="provider",
+                index=str(index_dir),
+                provider_config=str(provider_cfg),
+                seed=6,
+            )
+        )
+        assert all(r["status"] == "ok" for r in result.rows)
+        assert peak[0] == inflight
+        results[inflight] = (out / "results.jsonl").read_bytes()
+    assert results[1] == results[2]
+
+
+def test_workers_key_is_accepted_and_ignored(tmp_path):
+    records = synthetic_corpus(2, 10, seed=41)
+    corpus_path, index_dir = _materialize(tmp_path, records)
+    base = {
+        "corpus": str(corpus_path),
+        "method": "rag",
+        "k": 2,
+        "generator": "echo-mock",
+        "index": str(index_dir),
+        "seed": 7,
+    }
+    for name, extra in (("plain", {}), ("workers", {"workers": 8})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, "out_dir": str(tmp_path / name), **extra}))
+        run_experiment(ExperimentConfig.from_file(path))
+    plain = (tmp_path / "plain" / "results.jsonl").read_bytes()
+    assert plain == (tmp_path / "workers" / "results.jsonl").read_bytes()
 
 
 # -- reporting -----------------------------------------------------------------

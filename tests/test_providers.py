@@ -151,9 +151,9 @@ def test_empty_inputs_rejected(monkeypatch):
     gen = GenerationClient(GenerationConfig(endpoint="https://gen.test/v1"))
     with pytest.raises(ValueError):
         gen.generate("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="embed.endpoint"):
         EmbeddingClient("", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="gen.endpoint"):
         GenerationClient(GenerationConfig(endpoint=""))
 
 
@@ -290,6 +290,7 @@ def test_provider_config_errors(tmp_path):
         ('{"embed": ', "is not valid JSON"),
         ('{"embed": {"dimension": "wide"}}', "invalid literal"),
         ('{"gen": []}', "has no attribute"),
+        ('{"concurrency": {"inflight": 0}}', "inflight must be at least 1, not 0"),
     ]:
         cfg_path.write_text(text)
         with pytest.raises(ConfigError, match=message):

@@ -11,12 +11,18 @@ import numpy as np
 import pytest
 
 from coracmg import providers, retriever
-from coracmg.errors import CorruptIndex, DimensionMismatch, EmptyScope, UnknownDocument
+from coracmg.errors import CorruptIndex, DimensionMismatch, EmptyScope
 from coracmg.providers import HashingEmbedder
-from coracmg.retriever import DocHandle, RetrievalIndex, _fuse_arrays, fuse
+from coracmg.retriever import RetrievalIndex, _fuse_arrays
 from coracmg.tokenizer import tokenize
 from helpers import make_record, synthetic_corpus, twin_corpus
-from oracles import oracle_bm25, oracle_hash_embed, oracle_minmax_fuse, oracle_rank
+from oracles import (
+    index_bm25_one_doc,
+    oracle_bm25,
+    oracle_hash_embed,
+    oracle_minmax_fuse,
+    oracle_rank,
+)
 
 EMBEDDER = HashingEmbedder(64)
 
@@ -25,21 +31,25 @@ def build_index(records):
     return RetrievalIndex.build(records, EMBEDDER)
 
 
+def bm25(index, query_tokens, record):
+    """The batched BM25 score of one indexed record."""
+    part = index.partitions[record.repo_full_name]
+    return index._batch_lexical(part, Counter(query_tokens))[part.sha_index[record.sha]]
+
+
 def test_bm25_no_shared_terms_scores_zero():
     records = [make_record(0, message="m one two three four", added=["alpha beta gamma"])]
     index = build_index(records)
-    handle = DocHandle(records[0].sha, records[0].repo_full_name)
-    assert index.bm25_score(["zeta", "omega"], handle) == 0.0
+    assert bm25(index, ["zeta", "omega"], records[0]) == 0.0
 
 
 def test_bm25_single_doc_matches_hand_formula():
     records = [make_record(0, added=["alpha beta", "alpha gamma"])]
     index = build_index(records)
-    handle = DocHandle(records[0].sha, records[0].repo_full_name)
     query = ["alpha", "beta"]
     doc_tokens = tokenize(records[0].diff)
     expected = oracle_bm25(query, doc_tokens, [doc_tokens])
-    assert index.bm25_score(query, handle) == pytest.approx(expected, abs=1e-9)
+    assert bm25(index, query, records[0]) == pytest.approx(expected, abs=1e-9)
 
     # fully explicit evaluation for one term: N=1, df=1, idf=ln(1/1.5 + 1)
     tf = doc_tokens.count("alpha")
@@ -47,7 +57,7 @@ def test_bm25_single_doc_matches_hand_formula():
     idf = math.log((1 - 1 + 0.5) / (1 + 0.5) + 1)
     norm = 1.2 * (1 - 0.75 + 0.75 * dl / dl)
     one_term = idf * tf * 2.2 / (tf + norm)
-    assert index.bm25_score(["alpha"], handle) == pytest.approx(one_term, abs=1e-12)
+    assert bm25(index, ["alpha"], records[0]) == pytest.approx(one_term, abs=1e-12)
 
 
 def test_bm25_shorter_doc_scores_higher():
@@ -56,34 +66,36 @@ def test_bm25_shorter_doc_scores_higher():
         1, added=["target term"], context=[f"pad filler {i}" for i in range(30)]
     )
     index = build_index([short, long])
-    s = index.bm25_score(["target"], DocHandle(short.sha, short.repo_full_name))
-    l = index.bm25_score(["target"], DocHandle(long.sha, long.repo_full_name))
-    assert s > l
+    assert bm25(index, ["target"], short) > bm25(index, ["target"], long)
 
 
 def test_semantic_score_unit_vectors():
     records = [make_record(0)]
     index = build_index(records)
-    handle = DocHandle(records[0].sha, records[0].repo_full_name)
-    stored = index.partitions[records[0].repo_full_name].vectors[0]
-    assert index.semantic_score(stored.astype(np.float32), handle) == pytest.approx(1.0, abs=1e-6)
+    repo = records[0].repo_full_name
+    part = index.partitions[repo]
+    stored = part.vectors[0]
+
+    def semantic(query_vec):
+        # The dense half of retrieve(): stored unit rows times the query.
+        return float((part.vectors @ query_vec.astype(np.float64))[0])
+
+    assert semantic(stored.astype(np.float32)) == pytest.approx(1.0, abs=1e-6)
     orthogonal = np.zeros(64)
     axis = int(np.argmin(np.abs(stored)))
     orthogonal[axis] = 1.0
     orthogonal -= float(stored[axis]) * stored  # project out the stored direction
     orthogonal /= np.linalg.norm(orthogonal)
-    assert index.semantic_score(orthogonal, handle) == pytest.approx(0.0, abs=1e-6)
+    assert semantic(orthogonal) == pytest.approx(0.0, abs=1e-6)
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(64)
     vec = vec / np.linalg.norm(vec)
     naive = sum(float(a) * float(b) for a, b in zip(stored, vec))
-    assert index.semantic_score(vec, handle) == pytest.approx(naive, abs=1e-12)
+    assert semantic(vec) == pytest.approx(naive, abs=1e-12)
     with pytest.raises(DimensionMismatch):
-        index.semantic_score(np.ones(3), handle)
+        index._score(Counter(), repo, np.ones(3), None)
     with pytest.raises(DimensionMismatch, match="dimension 32, index uses 64"):
-        index.retrieve("x", 1, records[0].repo_full_name, embedder=HashingEmbedder(32))
-    with pytest.raises(UnknownDocument):
-        index.semantic_score(vec, DocHandle("f" * 40, "acme/widgets"))
+        index.retrieve("x", 1, repo, embedder=HashingEmbedder(32))
 
 
 def test_index_vectors_are_unit_norm():
@@ -136,6 +148,12 @@ def test_warm_embedder_builds_the_same_index(tmp_path):
     RetrievalIndex.build(records, warm).save(tmp_path / "warm")
     for name in ("docs.jsonl", "manifest.json", "postings.npz", "terms.json", "vectors.bin"):
         assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
+def fuse(pairs):
+    """Fuse (lexical, semantic) pairs through column views of one array."""
+    scores = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    return _fuse_arrays(scores[:, 0], scores[:, 1]).tolist()
 
 
 def test_fuse_conventions():
@@ -482,15 +500,9 @@ def test_vectors_bin_layout(tmp_path):
     assert json.loads((tmp_path / "idx" / "manifest.json").read_text())["version"] == 2
 
 
-def test_unknown_document_error():
-    index = build_index([make_record(0)])
-    with pytest.raises(UnknownDocument):
-        index.bm25_score(["x"], DocHandle("9" * 40, "acme/widgets"))
-
-
 def test_batch_and_single_doc_bm25_are_bit_equal():
     # retrieve() scores a term's whole posting list in one numpy statement;
-    # bm25_score walks one document at a time. Same expression, same term
+    # the oracle walks one document at a time. Same expression, same term
     # order, so the floats must match exactly, not just approximately.
     records = synthetic_corpus(1, 40, seed=77)
     index = build_index(records)
@@ -499,7 +511,7 @@ def test_batch_and_single_doc_bm25_are_bit_equal():
     query_tokens = tokenize(records[7].diff)
     batch = index._batch_lexical(part, Counter(query_tokens))
     for i, doc in enumerate(part.docs):
-        single = index.bm25_score(query_tokens, DocHandle(doc.sha, repo))
+        single = index_bm25_one_doc(index, query_tokens, repo, doc.sha)
         assert batch[i] == single  # exact equality
 
 

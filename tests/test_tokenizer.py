@@ -41,6 +41,8 @@ def _assert_matches_oracle(text):
 
 def test_tokenize_matches_two_stage_oracle():
     fixed = [case["text"] for case in golden_cases()]
+    # Non-ASCII capitals never split; digit-only runs have no case at all.
+    fixed += ["ÄpfelÖl straßeÜber ÉCOLEParser", "2024 0x1F 3.14 v2 x2Y"]
     for record in synthetic_corpus(2, 50):
         fixed += [record.diff, record.message]
     for text in fixed:
