@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import EmptyQuery, TooManyExamples
+from .errors import ConfigError, EmptyQuery, TooManyExamples
 from .retriever import ExamplePair
 
 MAX_EXAMPLES = 5
@@ -43,12 +43,12 @@ class PromptTemplate:
         try:
             open_at = lines.index(_SECTION_OPEN)
             close_at = lines.index(_SECTION_CLOSE)
-        except ValueError as exc:
-            raise ValueError(
+        except ValueError:
+            raise ConfigError(
                 f"template must contain {_SECTION_OPEN} and {_SECTION_CLOSE} marker lines"
-            ) from exc
+            ) from None
         if close_at < open_at:
-            raise ValueError("examples section markers are out of order")
+            raise ConfigError("examples section markers are out of order")
         # Marker lines splice out whole; preamble and block keep their
         # trailing newline so repeated blocks join cleanly.
         preamble = "\n".join(lines[:open_at] + [""])
@@ -56,14 +56,17 @@ class PromptTemplate:
         tail = "\n".join(lines[close_at + 1 :])
         for slot in ("retrieved_diff", "retrieved_msg"):
             if block.count(f"{{{{{slot}}}}}") != 1:
-                raise ValueError(f"example block must contain {{{{{slot}}}}} exactly once")
+                raise ConfigError(f"example block must contain {{{{{slot}}}}} exactly once")
         if len(_QUERY_SLOT.findall(tail)) != 1:
-            raise ValueError("template tail must contain {{query_diff}} exactly once")
+            raise ConfigError("template tail must contain {{query_diff}} exactly once")
         return cls(preamble=preamble, example_block=block, tail=tail)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PromptTemplate":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        try:
+            return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError, ConfigError) as exc:  # unreadable, not UTF-8, or invalid
+            raise ConfigError(f"template {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
     @classmethod
     def default(cls) -> "PromptTemplate":

@@ -19,7 +19,7 @@ from . import harness, metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate, build_rag_prompt
 from .diffs import read_jsonl, write_jsonl
 from .errors import ConfigError, CoracmgError, InvalidInput
-from .providers import EmbeddingClient, GenerationClient, HashingEmbedder, ProviderConfig
+from .providers import GenerationClient, HashingEmbedder, ProviderConfig, query_embedder
 from .retriever import RetrievalIndex
 from .tokenizer import tokenize
 
@@ -63,10 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     idx = sub.add_parser("index", help="build the hybrid retrieval index")
     idx.add_argument("--in", dest="input", required=True)
     idx.add_argument("--out", required=True)
-    idx.add_argument("--embedder", choices=["hash", "provider"], default="hash")
-    idx.add_argument("--embed-endpoint", default="")
-    idx.add_argument("--embed-model", default="")
-    idx.add_argument("--dimension", type=int, default=256)
+    idx.add_argument("--provider-config", default=None, help="embed with this provider")
+    idx.add_argument("--dimension", type=int, help="hashing embedder size (default 256)")
     idx.add_argument("--cache-dir", default=None)
 
     ret = sub.add_parser("retrieve", help="query the index for example pairs")
@@ -142,31 +140,29 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _read_query(path: str, k: int) -> str:
+    """The query diff of ``retrieve`` or ``suggest``, read once ``-k`` is known to be valid."""
+    if k < 1:
+        raise ConfigError(f"-k must be at least 1, not {k}")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # missing, unreadable, or not UTF-8
+        raise InvalidInput(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _cmd_tokenize(args) -> int:
     print(" ".join(tokenize(args.text, drop_symbol_tokens=args.drop_symbol_tokens)))
     return 0
 
 
 def _read_messages(path: str, keys: tuple[str, ...]) -> list[str]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                raise InvalidInput(f"{path} line {lineno} is not JSON: {exc}") from None
-            for key in keys:
-                if isinstance(obj, dict) and obj.get(key) is not None:
-                    out.append(obj[key])
-                    break
-            else:
-                raise InvalidInput(
-                    f"{path} line {lineno} has none of the keys {', '.join(keys)}"
-                )
-    return out
+    def message(obj) -> str:
+        for key in keys:
+            if isinstance(obj, dict) and obj.get(key) is not None:
+                return obj[key]
+        raise ValueError(f"has none of the keys {', '.join(keys)}")
+
+    return list(read_jsonl(path, message))
 
 
 def _cmd_evaluate(args) -> int:
@@ -186,17 +182,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    if args.embedder == "provider":
-        if not args.embed_endpoint:
-            raise ConfigError("--embed-endpoint is required with --embedder provider")
-        embedder = EmbeddingClient(
-            args.embed_endpoint,
-            args.dimension,
-            model=args.embed_model,
-            cache_dir=args.cache_dir,
-        )
+    if args.provider_config:
+        if args.dimension is not None:
+            raise ConfigError("--dimension sizes the hashing embedder, not a provider's")
+        embedder = ProviderConfig.from_file(args.provider_config).embedder(args.cache_dir)
     else:
-        embedder = HashingEmbedder(args.dimension)
+        embedder = HashingEmbedder(256 if args.dimension is None else args.dimension)
     index = RetrievalIndex.build(read_jsonl(args.input), embedder)
     index.save(args.out)
     total = sum(len(p) for p in index.partitions.values())
@@ -205,20 +196,10 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
+    query = _read_query(args.query_diff, args.k)
     index = RetrievalIndex.load(args.index)
-    # The query must be embedded the same way the index was built.
-    if index.embedder_id.startswith("hash-"):
-        embedder = HashingEmbedder(index.dimension)
-    elif args.provider_config:
-        pc = ProviderConfig.from_file(args.provider_config)
-        embedder = EmbeddingClient(
-            pc.embed_endpoint, index.dimension, model=pc.embed_model, inflight=pc.inflight
-        )
-    else:
-        raise ConfigError(
-            f"index was built with embedder {index.embedder_id!r}; pass --provider-config"
-        )
-    query = Path(args.query_diff).read_text(encoding="utf-8")
+    pc = ProviderConfig.from_file(args.provider_config) if args.provider_config else None
+    embedder = query_embedder(index.embedder_id, index.dimension, pc)
     pairs = index.retrieve(
         query, args.k, args.repo, exclude_sha=args.exclude_sha, embedder=embedder
     )
@@ -240,7 +221,10 @@ def _cmd_retrieve(args) -> int:
 def _cmd_experiment(args) -> int:
     config = harness.ExperimentConfig.from_file(args.config)
     if args.sweep_k:
-        ks = [int(v) for v in args.sweep_k.split(",")]
+        try:
+            ks = [int(v) for v in args.sweep_k.split(",")]
+        except ValueError:
+            raise ConfigError(f"--sweep-k {args.sweep_k!r} is not a list of integers") from None
         results = harness.run_k_sweep(config, ks)
         table = harness.render_report(results)
         out = Path(config.out_dir) / "report.md"
@@ -258,6 +242,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_suggest(args) -> int:
+    query = _read_query(args.diff, args.k)
+    template = PromptTemplate.from_file(args.template) if args.template else None
     raw = [
         replace(rec, message=corpus_mod.preprocess_message(rec.message))
         for rec in corpus_mod.ingest_repo(args.repo, args.branch, args.since)
@@ -268,7 +254,6 @@ def _cmd_suggest(args) -> int:
         return 1
     embedder = HashingEmbedder(256)
     index = RetrievalIndex.build(retained, embedder)
-    query = Path(args.diff).read_text(encoding="utf-8")
     repo_name = retained[0].repo_full_name
     pairs = index.retrieve(query, args.k, repo_name, embedder=embedder)
     if args.verbose:
@@ -277,9 +262,6 @@ def _cmd_suggest(args) -> int:
     if args.provider_config:
         pc = ProviderConfig.from_file(args.provider_config)
         client = GenerationClient(pc.gen, inflight=pc.inflight)
-        template = (
-            PromptTemplate.from_file(args.template) if args.template else None
-        )
         prompt = build_rag_prompt(
             query, pairs, template=template, max_chars=args.max_prompt_chars
         )

@@ -16,9 +16,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
-from .errors import MalformedDiff
+from .errors import InvalidInput, MalformedDiff
 
 SHA_RE = re.compile(r"^[0-9a-f]{40}$")
 
@@ -124,6 +124,10 @@ class ParsedDiff:
         return [fc.path for fc in self.file_changes]
 
 
+_RECORD_FIELDS = ("diff", "message", "repo_full_name", "sha", "author_name", "files", "date", "loc")
+_RECORD_KINDS = (str, str, str, str, str, list, str, int)  # exact, so true/false is no loc
+
+
 @dataclass(frozen=True)
 class CommitRecord:
     """One mined commit: the unit stored in corpus JSON Lines files."""
@@ -154,17 +158,22 @@ class CommitRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "CommitRecord":
-        obj = json.loads(line)
-        return cls(
-            diff=obj["diff"],
-            message=obj["message"],
-            repo_full_name=obj["repo_full_name"],
-            sha=obj["sha"],
-            author_name=obj["author_name"],
-            files=list(obj["files"]),
-            date=obj["date"],
-            loc=int(obj["loc"]),
-        )
+        return cls.from_dict(json.loads(line))
+
+    @classmethod
+    def from_dict(cls, obj) -> "CommitRecord":
+        """Record from one parsed corpus line; a missing or mistyped field is a ValueError."""
+        if type(obj) is not dict:
+            raise ValueError(f"holds a JSON {type(obj).__name__}, not an object")
+        values = [obj.get(name) for name in _RECORD_FIELDS]
+        if tuple(map(type, values)) != _RECORD_KINDS:  # one C-level check on the common path
+            for name, kind, value in zip(_RECORD_FIELDS, _RECORD_KINDS, values):
+                if type(value) is not kind:
+                    found = type(value).__name__ if name in obj else "nothing"
+                    raise ValueError(f"field {name!r} holds {found}, not {kind.__name__}")
+        if not {str}.issuperset(map(type, obj["files"])):
+            raise ValueError("field 'files' holds a non-string path")
+        return cls(*values)
 
     def validate(self) -> None:
         """Check the record invariants; raises ValueError on the first violation."""
@@ -183,12 +192,28 @@ class CommitRecord:
         datetime.fromisoformat(self.date)
 
 
-def read_jsonl(path) -> Iterable[CommitRecord]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield CommitRecord.from_json(line)
+def read_jsonl(path, parse: Callable = CommitRecord.from_dict) -> Iterator:
+    """``parse`` of each non-blank line's JSON value, a ``CommitRecord`` by default.
+
+    A missing file, a non-JSON line or a ``ValueError`` from ``parse`` is an ``InvalidInput``.
+    """
+    try:
+        fh = open(path, "rb")  # decoded per line, so a bad byte names its line
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from None
+    with fh:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw.decode("utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise InvalidInput(f"{path} line {lineno} is not JSON: {exc}") from None
+            try:
+                value = parse(obj)
+            except ValueError as exc:
+                raise InvalidInput(f"{path} line {lineno} {exc}") from None
+            yield value
 
 
 def write_jsonl(path, records: Iterable[CommitRecord]) -> int:
@@ -285,48 +310,12 @@ def parse_diff(raw: str) -> ParsedDiff:
     n = len(lines)
 
     def parse_one_file(start: int) -> int:
-        nonlocal changes
-        header = lines[start]
-        old_from_git, new_from_git = _git_header_paths(header)
-        old_path: str | None = old_from_git
-        new_path: str | None = new_from_git
-        is_binary = False
-        deleted_file = False
-        new_file = False
+        old_path, new_path = _git_header_paths(lines[start])
+        is_binary = deleted_file = new_file = False
         hunks: list[Hunk] = []
         j = start + 1
-        while j < n:
+        while j < n and not lines[j].startswith("diff --git "):
             line = lines[j]
-            if line.startswith("diff --git "):
-                break
-            if _BINARY.match(line):
-                is_binary = True
-                j += 1
-                continue
-            if line.startswith("deleted file mode"):
-                deleted_file = True
-                j += 1
-                continue
-            if line.startswith("new file mode"):
-                new_file = True
-                j += 1
-                continue
-            if line.startswith("rename from "):
-                old_path = _unquote_git_path(line[len("rename from ") :])
-                j += 1
-                continue
-            if line.startswith("rename to "):
-                new_path = _unquote_git_path(line[len("rename to ") :])
-                j += 1
-                continue
-            if line.startswith("--- "):
-                old_path = _strip_prefix(line[4:].split("\t")[0])
-                j += 1
-                continue
-            if line.startswith("+++ "):
-                new_path = _strip_prefix(line[4:].split("\t")[0])
-                j += 1
-                continue
             if line.startswith("@@"):
                 m = _HUNK_HEADER.match(line)
                 if not m:
@@ -370,7 +359,21 @@ def parse_diff(raw: str) -> ParsedDiff:
                     j += 1
                 hunks.append(Hunk(old_start, old_len, new_start, new_len, tuple(body)))
                 continue
-            # index lines, mode lines, similarity scores, etc.
+            if _BINARY.match(line):
+                is_binary = True
+            elif line.startswith("deleted file mode"):
+                deleted_file = True
+            elif line.startswith("new file mode"):
+                new_file = True
+            elif line.startswith("rename from "):
+                old_path = _unquote_git_path(line[len("rename from ") :])
+            elif line.startswith("rename to "):
+                new_path = _unquote_git_path(line[len("rename to ") :])
+            elif line.startswith("--- "):
+                old_path = _strip_prefix(line[4:].split("\t")[0])
+            elif line.startswith("+++ "):
+                new_path = _strip_prefix(line[4:].split("\t")[0])
+            # Index lines, mode lines, similarity scores, etc. carry nothing needed.
             j += 1
         if new_file:
             old_path = None

@@ -45,7 +45,7 @@ class InvalidInput(CoracmgError):
 
 
 class ConfigError(CoracmgError):
-    """An experiment configuration has an unknown or missing key, or an invalid value."""
+    """A config file, template or command-line option is unreadable, incomplete or invalid."""
 
 
 class EmptyScope(CoracmgError):

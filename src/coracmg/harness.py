@@ -8,6 +8,11 @@ recorded in the result rows rather than aborting the run.  Result files are
 identical configurations and seeds reproduce ``results.jsonl`` byte for
 byte.
 
+Queries are embedded by the embedder the index was built with, which a
+``provider_config`` must describe exactly (``providers.query_embedder``).
+The index, provider config and template are checked before the corpus is
+read, so a mismatch stops the run before any row and before ``out_dir``.
+
 Commits run one at a time unless a model provider is called: then up to the
 provider config's ``concurrency.inflight`` commits run at once, since only
 provider requests wait on I/O.
@@ -28,16 +33,15 @@ from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate
 from .diffs import CommitRecord, language_of, read_jsonl
 from .errors import ConfigError, CorpusTooSmall, ManifestMismatch
 from .providers import (
-    EmbeddingClient,
     GenerationClient,
     HashingEmbedder,
     MockGenerator,
     ProviderConfig,
+    query_embedder,
 )
 from .retriever import RetrievalIndex
 
 GENERATORS = ("provider", "echo-mock", "constant-mock", "retrieval-copy")
-EMBEDDERS = ("hash", "provider")
 
 
 @dataclass
@@ -51,7 +55,6 @@ class ExperimentConfig:
     generator: str = "constant-mock"
     generator_text: str = "update code"
     index: str | None = None
-    embedder: str = "hash"  # "hash" | "provider"
     embed_cache: str | None = None  # default: "<corpus>.embed_cache"
     template: str | None = None
     max_prompt_chars: int = DEFAULT_MAX_PROMPT_CHARS
@@ -72,11 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"cider_scale must be a number, not {self.cider_scale!r}")
         if self.subset_size < 0:
             raise ConfigError(f"subset_size must be at least 0, not {self.subset_size}")
-        if self.embedder not in EMBEDDERS:
-            raise ConfigError(f"unknown embedder {self.embedder!r}")
-        for role in ("embedder", "generator"):
-            if getattr(self, role) == "provider" and not self.provider_config:
-                raise ConfigError(f"{role} 'provider' needs a provider_config file")
+        if self.generator == "provider" and not self.provider_config:
+            raise ConfigError("generator 'provider' needs a provider_config file")
         if self.method not in ("direct", "rag"):
             raise ConfigError(f"unknown method {self.method!r}")
         if self.generator not in GENERATORS:
@@ -204,42 +204,29 @@ def _build_generator(config: ExperimentConfig, pc: ProviderConfig | None):
     return None  # retrieval-copy needs no generator object
 
 
-def _build_embedder(config: ExperimentConfig, pc: ProviderConfig | None, index: RetrievalIndex):
-    if config.embedder == "provider":
-        # Cache lives beside the corpus so repeated runs and k sweeps reuse it.
-        cache = config.embed_cache or f"{config.corpus}.embed_cache"
-        return EmbeddingClient(
-            pc.embed_endpoint,
-            pc.embed_dimension,
-            model=pc.embed_model,
-            cache_dir=cache,
-            inflight=pc.inflight,
-        )
-    return HashingEmbedder(index.dimension)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     started = time.time()
-    records = list(read_jsonl(config.corpus))
-    n = config.subset_size or len(records)
-    subset = sample_subset(records, n, config.seed)
-
-    needs_retrieval = config.needs_retrieval
-    calls_provider = config.generator == "provider" or (
-        needs_retrieval and config.embedder == "provider"
-    )
-    pc = ProviderConfig.from_file(config.provider_config) if calls_provider else None
-    index = RetrievalIndex.load(config.index) if needs_retrieval else None
+    index = RetrievalIndex.load(config.index) if config.needs_retrieval else None
+    hashed = index is None or index.embedder_id == HashingEmbedder(index.dimension).identifier
+    pc = None
+    if config.provider_config and (config.generator == "provider" or not hashed):
+        pc = ProviderConfig.from_file(config.provider_config)
+    # The embed cache lives beside the corpus so reruns and k sweeps reuse it.
+    cache = config.embed_cache or f"{config.corpus}.embed_cache"
     try:
-        embedder = _build_embedder(config, pc, index) if needs_retrieval else None
+        embedder = query_embedder(index.embedder_id, index.dimension, pc, cache) if index else None
         generator = _build_generator(config, pc)
-    except ConfigError as exc:  # a role the run uses has no endpoint
-        raise ConfigError(f"provider config {config.provider_config}: {exc}") from None
+    except ConfigError as exc:  # no endpoint for a role the run uses, or another model
+        source = f"provider config {config.provider_config}: " if pc else ""
+        raise ConfigError(f"{source}{exc}") from None
     template = (
         PromptTemplate.from_file(config.template)
         if config.template
         else PromptTemplate.default()
     )
+    records = list(read_jsonl(config.corpus))
+    n = config.subset_size or len(records)
+    subset = sample_subset(records, n, config.seed)
 
     def process(record: CommitRecord) -> dict:
         row = {
@@ -253,7 +240,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         }
         try:
             examples = []
-            if needs_retrieval:
+            if index is not None:
                 k = config.k if config.method == "rag" else 1
                 examples = index.retrieve(
                     record.diff,
@@ -308,8 +295,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             (template.preamble + template.example_block + template.tail).encode("utf-8")
         ).hexdigest(),
         "generator_id": getattr(generator, "identifier", config.generator),
-        "embedder_id": getattr(embedder, "identifier", None)
-        or (index.embedder_id if index else None),
+        "embedder_id": index.embedder_id if index else None,
         "subset_size": len(subset),
         "ok_count": len(ok_rows),
         "failed_count": len(rows) - len(ok_rows),

@@ -76,6 +76,12 @@ class ProviderConfig:
             inflight=inflight,
         )
 
+    def embedder(self, cache_dir: str | Path | None = None) -> "EmbeddingClient":
+        return EmbeddingClient(
+            self.embed_endpoint, self.embed_dimension, self.embed_model, cache_dir,
+            inflight=self.inflight,
+        )
+
     @classmethod
     def from_file(cls, path) -> "ProviderConfig":
         try:
@@ -153,8 +159,6 @@ class EmbeddingClient:
         self.dimension = dimension
         self.model = model
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        if self.cache_dir:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self._memory: dict[str, np.ndarray] = {}
@@ -169,9 +173,6 @@ class EmbeddingClient:
         payload = f"{self.model}\x00{self.dimension}\x00{text}".encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
-    def _cache_path(self, key: str) -> Path | None:
-        return self.cache_dir / f"{key}.npy" if self.cache_dir else None
-
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
@@ -179,7 +180,7 @@ class EmbeddingClient:
         cached = self._memory.get(key)
         if cached is not None:
             return cached
-        path = self._cache_path(key)
+        path = self.cache_dir / f"{key}.npy" if self.cache_dir else None
         if path is not None and path.exists():
             vec = np.load(path)
             self._memory[key] = vec
@@ -197,6 +198,7 @@ class EmbeddingClient:
         with self._write_lock:
             self._memory[key] = vec
             if path is not None:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".npy")
                 os.close(fd)
                 np.save(tmp, vec)
@@ -257,6 +259,23 @@ class HashingEmbedder:
         if not any(vec):
             vec[0] = 1.0  # degenerate all-symbol-free input
         return unit_normalize(np.array(vec, dtype=np.float64), self.dimension)
+
+
+def query_embedder(embedder_id: str, dimension: int, pc: ProviderConfig | None, cache_dir=None):
+    """The embedder that made an index's vectors; any other scores queries in another space."""
+    hashing = HashingEmbedder(dimension)
+    if embedder_id == hashing.identifier:
+        return hashing
+    built_with = f"index was built with embedder {embedder_id!r} of dimension {dimension}"
+    if pc is None:
+        raise ConfigError(f"{built_with}, but no provider config was given")
+    client = pc.embedder(cache_dir)
+    if (client.identifier, client.dimension) != (embedder_id, dimension):
+        raise ConfigError(
+            f"{built_with}, but the provider config describes "
+            f"{client.identifier!r} of dimension {client.dimension}"
+        )
+    return client
 
 
 def postprocess_generation(raw: str) -> str:

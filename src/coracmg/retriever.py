@@ -355,6 +355,9 @@ class RetrievalIndex:
             projects = {str(r): int(n) for r, n in manifest["projects"].items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptIndex(f"manifest.json has a missing or invalid field: {exc}") from None
+        embedder_id = manifest.get("embedder")  # the only valid query embedder
+        if not (isinstance(embedder_id, str) and embedder_id):
+            raise CorruptIndex(f"manifest.json names no embedder: {embedder_id!r}")
 
         raw = _read_bytes(root / "vectors.bin")
         if len(raw) < 16 or raw[:4] != VECTORS_MAGIC:
@@ -415,7 +418,7 @@ class RetrievalIndex:
             dimension,
             k1=k1,
             b=b,
-            embedder_id=manifest.get("embedder", ""),
+            embedder_id=embedder_id,
         )
 
     # -- scoring ----------------------------------------------------------

@@ -7,7 +7,7 @@ from coracmg.augmenter import (
     build_direct_prompt,
     build_rag_prompt,
 )
-from coracmg.errors import EmptyQuery, TooManyExamples
+from coracmg.errors import ConfigError, EmptyQuery, TooManyExamples
 from coracmg.retriever import DocHandle, ExamplePair
 
 
@@ -99,13 +99,13 @@ def test_template_round_trip_and_validation(tmp_path):
     assert rendered == "Preamble line.\nD: XDIFF\nM: XMSG\nQ: QDIFF\n"
     assert template.render("QDIFF", []) == "Preamble line.\nQ: QDIFF\n"
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PromptTemplate.from_text("no markers {{query_diff}}")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PromptTemplate.from_text(
             "{{#examples}}\n{{retrieved_diff}}\n{{/examples}}\nno query slot\n"
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PromptTemplate.from_text(
             "{{#examples}}\n{{retrieved_diff}} {{retrieved_msg}} {{retrieved_msg}}\n"
             "{{/examples}}\n{{query_diff}}\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -162,12 +163,8 @@ def test_cli_error_paths(tmp_path, capsys):
         ({"workers": "4"}, "workers must be an integer, not '4'"),
         ({"max_prompt_chars": None}, "max_prompt_chars must be an integer, not None"),
         ({"subset_size": -3}, "subset_size must be at least 0, not -3"),
-        ({"embedder": "bogus"}, "unknown embedder 'bogus'"),
+        ({"embedder": "bogus"}, "unexpected keyword argument 'embedder'"),
         ({"generator": "provider"}, "generator 'provider' needs a provider_config file"),
-        (
-            {"method": "rag", "k": 1, "index": "i", "embedder": "provider"},
-            "embedder 'provider' needs a provider_config file",
-        ),
         ({"method": "rag", "k": 1}, "index"),
     ],
 )
@@ -281,12 +278,12 @@ def test_retrieve_truncated_index_is_an_error_not_a_traceback(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: vectors.bin has")
 
 
-def _retrieve_from(index_dir, tmp_path, *extra):
+def _retrieve_from(index_dir, tmp_path, *extra, repo="acme/widgets"):
     query_file = tmp_path / "query.diff"
     query_file.write_text("diff --git a/q b/q\n+query\n")
     return main([
         "retrieve", "--index", str(index_dir), "--query-diff", str(query_file),
-        "--repo", "acme/widgets", "-k", "3", *extra,
+        "--repo", repo, "-k", "3", *extra,
     ])
 
 
@@ -308,3 +305,260 @@ def test_retrieve_old_version_index_is_an_error_not_a_traceback(tmp_path, capsys
     assert _retrieve_from(index_dir, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "version 1 index" in err and "coracmg index" in err
+
+
+# -- named errors for corpus files and arguments ----------------------------------
+
+
+def _corpus_line(drop=None, **changes):
+    obj = {**json.loads(synthetic_corpus(1, 1, seed=3)[0].to_json()), **changes}
+    obj.pop(drop, None)
+    return json.dumps(obj) + "\n"
+
+
+# Line 1 of each faulty corpus is a good record; line 2 has the fault.
+_CORPUS_FAULTS = {
+    "missing-file": (None, "cannot read"),
+    "non-json-line": (_corpus_line() + '{"diff": \n', "line 2 is not JSON"),
+    "missing-key": (
+        _corpus_line() + _corpus_line(drop="repo_full_name"),
+        "line 2 field 'repo_full_name' holds nothing, not str",
+    ),
+    "wrong-type": (_corpus_line() + _corpus_line(loc="3"), "line 2 field 'loc' holds str"),
+}
+
+
+def _corpus_command(command, corpus, tmp_path):
+    if command == "filter":
+        return ["filter", "--in", corpus, "--out", str(tmp_path / "f.jsonl"),
+                "--report", str(tmp_path / "r.json")]
+    if command == "stats":
+        return ["stats", "--in", corpus]
+    if command == "index":
+        return ["index", "--in", corpus, "--out", str(tmp_path / "index.dir")]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": corpus, "out_dir": str(tmp_path / "o")}))
+    return ["experiment", "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("fault", sorted(_CORPUS_FAULTS))
+@pytest.mark.parametrize("command", ["filter", "stats", "index", "experiment"])
+def test_bad_corpus_file_is_an_error_not_a_traceback(tmp_path, capsys, command, fault):
+    text, message = _CORPUS_FAULTS[fault]
+    corpus = tmp_path / "corpus.jsonl"
+    if text is not None:
+        corpus.write_text(text)
+    assert main(_corpus_command(command, str(corpus), tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and str(corpus) in err
+
+
+def _argument_case(case, tmp_path, repo):
+    """argv for one bad-argument case, over a 10-record corpus and its index."""
+    records = synthetic_corpus(1, 10, seed=7)
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, records)
+    index_dir = tmp_path / "index.dir"
+    assert main(["index", "--in", str(corpus), "--out", str(index_dir), "--dimension", "64"]) == 0
+    diff = tmp_path / "q.diff"
+    diff.write_text(records[0].diff)
+    template = tmp_path / "template.txt"
+    template.write_text("Write a message for {{query_diff}}\n")  # no examples markers
+    retrieve = ["retrieve", "--index", str(index_dir), "--repo", records[0].repo_full_name]
+    suggest = ["suggest", "--repo", str(repo)]
+
+    def experiment(*extra, **config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "corpus": str(corpus), "out_dir": str(tmp_path / "o"), "method": "rag", "k": 1,
+            "generator": "echo-mock", "index": str(index_dir), **config,
+        }))
+        return ["experiment", "--config", str(cfg), *extra]
+
+    cases = {
+        "retrieve -k 0": lambda: [*retrieve, "--query-diff", str(diff), "-k", "0"],
+        "suggest -k 0": lambda: [*suggest, "--diff", str(diff), "-k", "0"],
+        "sweep-k 1,x": lambda: experiment("--sweep-k", "1,x"),
+        "missing query diff": lambda: [*retrieve, "--query-diff", str(tmp_path / "none.diff")],
+        "missing suggest diff": lambda: [*suggest, "--diff", str(tmp_path / "none.diff")],
+        "suggest template": lambda: [*suggest, "--diff", str(diff), "--template", str(template)],
+        "experiment template": lambda: experiment(template=str(template)),
+        "missing template": lambda: experiment(template=str(tmp_path / "none.txt")),
+        "index dimension with provider": lambda: [
+            "index", "--in", str(corpus), "--out", str(tmp_path / "p.dir"),
+            "--provider-config", str(tmp_path / "providers.json"), "--dimension", "32",
+        ],
+    }
+    return cases[case]()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("retrieve -k 0", "-k must be at least 1, not 0"),
+        ("suggest -k 0", "-k must be at least 1, not 0"),
+        ("sweep-k 1,x", "--sweep-k '1,x' is not a list of integers"),
+        ("missing query diff", "cannot read"),
+        ("missing suggest diff", "cannot read"),
+        ("suggest template", "marker lines"),
+        ("experiment template", "marker lines"),
+        ("missing template", "No such file or directory"),
+        ("index dimension with provider", "--dimension sizes the hashing embedder, not"),
+    ],
+)
+def test_bad_argument_is_an_error_not_a_traceback(
+    fixture_repo, tmp_path, capsys, case, message
+):
+    argv = _argument_case(case, tmp_path, fixture_repo)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+# -- provider-built indexes through the CLI ---------------------------------------
+
+
+class _FakeProvider:
+    """Stands in for ``requests.post``: 32-d embeddings and a fixed message."""
+
+    def __init__(self):
+        self.embeds = 0
+        self.generations = 0
+
+    def __call__(self, url, json=None, headers=None, timeout=None):
+        import numpy as np
+
+        if url.endswith("/embed"):
+            self.embeds += 1
+            seed = hashlib.sha256(json["input"].encode("utf-8")).digest()
+            vector = np.random.default_rng(list(seed)).standard_normal(32)
+            return _FakeResponse({"embedding": vector.tolist()})
+        self.generations += 1
+        return _FakeResponse({"choices": [{"message": {"content": "apply the provider fix"}}]})
+
+
+class _FakeResponse:
+    status_code = 200
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.payload
+
+
+def _provider_config(tmp_path, name="providers.json", model="e", dimension=32):
+    path = tmp_path / name
+    path.write_text(json.dumps({
+        "embed": {"endpoint": "https://models.test/embed", "model": model,
+                  "dimension": dimension},
+        "gen": {"endpoint": "https://models.test/gen", "model": "g"},
+    }))
+    return path
+
+
+@pytest.fixture
+def fake_provider(monkeypatch):
+    import requests
+
+    fake = _FakeProvider()
+    monkeypatch.setattr(requests, "post", fake)
+    return fake
+
+
+def _experiment_over(tmp_path, corpus, index_dir, **extra):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "corpus": str(corpus), "out_dir": str(tmp_path / "run"), "method": "rag", "k": 2,
+        "generator": "echo-mock", "index": str(index_dir), "seed": 4, **extra,
+    }))
+    return main(["experiment", "--config", str(cfg)])
+
+
+def test_provider_index_through_retrieve_and_experiment(tmp_path, capsys, fake_provider):
+    records = synthetic_corpus(2, 6, seed=11)
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, records)
+    providers = _provider_config(tmp_path)
+    cache = tmp_path / "embed_cache"
+    index_dir = tmp_path / "index.dir"
+    assert main([
+        "index", "--in", str(corpus), "--out", str(index_dir),
+        "--provider-config", str(providers), "--cache-dir", str(cache),
+    ]) == 0
+    assert fake_provider.embeds == len(records)
+    manifest = json.loads((index_dir / "manifest.json").read_text())
+    assert (manifest["embedder"], manifest["dimension"]) == ("e", 32)
+
+    capsys.readouterr()
+    extra = ("--provider-config", str(providers))
+    assert _retrieve_from(index_dir, tmp_path, *extra, repo="acme/project0") == 0
+    assert len(json.loads(capsys.readouterr().out)) == 3
+    assert fake_provider.embeds == len(records) + 1  # the new query text only
+
+    # Every query of the experiment is a corpus diff, already in the shared cache.
+    before = fake_provider.embeds
+    assert _experiment_over(
+        tmp_path, corpus, index_dir, provider_config=str(providers), embed_cache=str(cache)
+    ) == 0
+    assert fake_provider.embeds == before
+    run = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert run["embedder_id"] == "e" and run["failed_count"] == 0
+
+
+@pytest.mark.parametrize(
+    "provider, message",
+    [
+        ({"model": "f"}, "but the provider config describes 'f' of dimension 32"),
+        ({"dimension": 64}, "but the provider config describes 'e' of dimension 64"),
+        (None, "but no provider config was given"),
+    ],
+)
+def test_provider_index_rejects_another_query_embedder(
+    tmp_path, capsys, fake_provider, provider, message
+):
+    records = synthetic_corpus(2, 6, seed=11)
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, records)
+    index_dir = tmp_path / "index.dir"
+    assert main([
+        "index", "--in", str(corpus), "--out", str(index_dir),
+        "--provider-config", str(_provider_config(tmp_path)),
+    ]) == 0
+    built = fake_provider.embeds
+    extra = ()
+    config = {}
+    if provider is not None:
+        other = _provider_config(tmp_path, "other.json", **provider)
+        extra = ("--provider-config", str(other))
+        config = {"provider_config": str(other)}
+    capsys.readouterr()
+    assert _experiment_over(tmp_path, corpus, index_dir, **config) == 1
+    assert _retrieve_from(index_dir, tmp_path, *extra) == 1
+    errors = capsys.readouterr().err.splitlines()
+    for err in errors:
+        assert err.startswith("error: ") and message in err
+        assert "index was built with embedder 'e' of dimension 32" in err
+    assert len(errors) == 2
+    assert not (tmp_path / "run").exists()  # rejected before any row ran
+    assert fake_provider.embeds == built
+
+
+def test_hash_index_ignores_a_provider_config(tmp_path, capsys, fake_provider):
+    records = synthetic_corpus(2, 6, seed=11)
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, records)
+    index_dir = tmp_path / "index.dir"
+    assert main(["index", "--in", str(corpus), "--out", str(index_dir), "--dimension", "64"]) == 0
+    providers = _provider_config(tmp_path)
+    extra = ("--provider-config", str(providers))
+    assert _retrieve_from(index_dir, tmp_path, *extra, repo="acme/project0") == 0
+    assert _experiment_over(tmp_path, corpus, index_dir, provider_config=str(providers)) == 0
+    assert (fake_provider.embeds, fake_provider.generations) == (0, 0)
+    run = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert run["embedder_id"] == "hash-64" and run["failed_count"] == 0

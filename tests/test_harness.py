@@ -360,7 +360,6 @@ def test_provider_backed_experiment(tmp_path, monkeypatch):
         method="rag",
         k=2,
         generator="provider",
-        embedder="provider",
         index=str(index_dir),
         provider_config=str(provider_cfg),
         seed=6,

@@ -358,6 +358,13 @@ def _edit_manifest(root, **changes):
     path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
 
 
+def _drop_from_manifest(root, key):
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+
+
 def _edit_docs(root, edit):
     path = root / "docs.jsonl"
     rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -392,6 +399,13 @@ _CORRUPTIONS = {
     ),
     "version-1": (lambda root: _edit_manifest(root, version=1), "version 1 index"),
     "version-99": (lambda root: _edit_manifest(root, version=99), "version 99 index"),
+    "embedder-missing": (
+        lambda root: _drop_from_manifest(root, "embedder"), "names no embedder"
+    ),
+    "embedder-not-a-string": (
+        lambda root: _edit_manifest(root, embedder=64), "names no embedder"
+    ),
+    "embedder-empty": (lambda root: _edit_manifest(root, embedder=""), "names no embedder"),
     "docs-row-missing": (
         lambda root: _edit_docs(root, lambda rows: rows[:-1]),
         "docs.jsonl has 2 rows, manifest.json counts 3",
