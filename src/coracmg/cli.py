@@ -17,7 +17,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import harness, metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate, build_rag_prompt
-from .diffs import read_jsonl, write_jsonl
+from .diffs import read_corpus, read_jsonl, write_jsonl
 from .errors import ConfigError, CoracmgError, InvalidInput
 from .providers import GenerationClient, HashingEmbedder, ProviderConfig, query_embedder
 from .retriever import RetrievalIndex
@@ -135,7 +135,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    stats = corpus_mod.compute_stats(read_jsonl(args.input))
+    stats = corpus_mod.compute_stats(read_corpus(args.input))
     print(json.dumps(stats.to_dict(), indent=2))
     return 0
 
@@ -159,6 +159,8 @@ def _read_messages(path: str, keys: tuple[str, ...]) -> list[str]:
     def message(obj) -> str:
         for key in keys:
             if isinstance(obj, dict) and obj.get(key) is not None:
+                if type(obj[key]) is not str:
+                    raise ValueError(f"key {key!r} holds {type(obj[key]).__name__}, not str")
                 return obj[key]
         raise ValueError(f"has none of the keys {', '.join(keys)}")
 
@@ -186,9 +188,11 @@ def _cmd_index(args) -> int:
         if args.dimension is not None:
             raise ConfigError("--dimension sizes the hashing embedder, not a provider's")
         embedder = ProviderConfig.from_file(args.provider_config).embedder(args.cache_dir)
+    elif args.dimension is not None and args.dimension < 1:
+        raise ConfigError(f"--dimension must be at least 1, not {args.dimension}")
     else:
         embedder = HashingEmbedder(256 if args.dimension is None else args.dimension)
-    index = RetrievalIndex.build(read_jsonl(args.input), embedder)
+    index = RetrievalIndex.build(read_corpus(args.input), embedder)
     index.save(args.out)
     total = sum(len(p) for p in index.partitions.values())
     print(f"indexed {total} documents across {len(index.partitions)} projects into {args.out}")

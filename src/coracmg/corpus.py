@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .diffs import (
-    DEFAULT_LANGUAGES,
     CommitRecord,
     changed_line_count,
     count_loc,
@@ -55,7 +54,7 @@ def preprocess_message(raw: str) -> str:
 
 @dataclass
 class FilterReport:
-    """Per-rule rejection accounting; counters merge associatively."""
+    """Per-rule rejection accounting."""
 
     input_count: int = 0
     rejections: dict[str, int] = field(default_factory=lambda: {r: 0 for r in RULES})
@@ -63,14 +62,6 @@ class FilterReport:
 
     def reconciles(self) -> bool:
         return self.retained_count + sum(self.rejections.values()) == self.input_count
-
-    def merge(self, other: "FilterReport") -> "FilterReport":
-        merged = FilterReport(
-            input_count=self.input_count + other.input_count,
-            rejections={r: self.rejections[r] + other.rejections[r] for r in RULES},
-            retained_count=self.retained_count + other.retained_count,
-        )
-        return merged
 
     def to_dict(self) -> dict:
         out: dict = {"input": self.input_count}
@@ -81,10 +72,7 @@ class FilterReport:
 
 
 def failing_rule(
-    record: CommitRecord,
-    languages: dict[str, str] | None = None,
-    max_diff_lines: int = 300,
-    line_mode: str = "raw",
+    record: CommitRecord, max_diff_lines: int = 300, line_mode: str = "raw"
 ) -> str | None:
     """First rule the record violates, or None if it passes all five."""
     words = len(record.message.split())
@@ -93,8 +81,7 @@ def failing_rule(
     counter = diff_line_count if line_mode == "raw" else changed_line_count
     if counter(record.diff) > max_diff_lines:
         return "R2"
-    table = DEFAULT_LANGUAGES if languages is None else languages
-    if not any(language_of(path, table) != "other" for path in record.files):
+    if not any(language_of(path) != "other" for path in record.files):
         return "R3"
     if "[bot]" in record.author_name.lower():
         return "R4"
@@ -106,7 +93,6 @@ def failing_rule(
 
 def apply_filters(
     records: Iterable[CommitRecord],
-    languages: dict[str, str] | None = None,
     max_diff_lines: int = 300,
     line_mode: str = "raw",
 ) -> tuple[list[CommitRecord], FilterReport]:
@@ -115,7 +101,7 @@ def apply_filters(
     retained: list[CommitRecord] = []
     for record in records:
         report.input_count += 1
-        rule = failing_rule(record, languages, max_diff_lines, line_mode)
+        rule = failing_rule(record, max_diff_lines, line_mode)
         if rule is None:
             retained.append(record)
             report.retained_count += 1

@@ -2,9 +2,10 @@
 
 A commit record carries eight fields (diff, message, repo_full_name, sha,
 author_name, files, date, loc) and serializes to one JSON object per line.
-``parse_diff`` turns raw ``diff --git`` text into a structured view of file
-changes, hunks, and tagged lines; ``count_loc`` and ``diff_line_count`` are
-the two line counters used by the corpus filters.
+``parse_diff`` reads raw ``diff --git`` text into the path and the added and
+deleted line counts of each changed file, checking every hunk against its
+header; ``count_loc`` and ``diff_line_count`` are the two line counters used
+by the corpus filters.
 
 All types are immutable after construction and the parse operations are
 pure, so everything here is safe to use from concurrent workers.
@@ -18,21 +19,12 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Iterator
 
-from .errors import InvalidInput, MalformedDiff
+from .errors import EmptyCorpus, InvalidInput, MalformedDiff
 
 SHA_RE = re.compile(r"^[0-9a-f]{40}$")
 
-# Tags for lines inside a hunk.  META covers "\ No newline at end of file"
-# markers, which must be preserved for byte-exact round-trips but do not
-# count toward hunk lengths.
-ADDED = "added"
-DELETED = "deleted"
-CONTEXT = "context"
-META = "meta"
-
-# Extension -> language for the mainstream-language file filter and per-file
-# language tags.  Callers may pass their own table where a different notion
-# of "source code" is needed.
+# Extension -> language for the mainstream-language file filter (R3) and
+# the language coverage of experiment subsets.
 DEFAULT_LANGUAGES: dict[str, str] = {
     ".java": "java",
     ".cpp": "cpp",
@@ -56,63 +48,24 @@ DEFAULT_LANGUAGES: dict[str, str] = {
 }
 
 
-def language_of(path: str, table: dict[str, str] | None = None) -> str:
-    table = DEFAULT_LANGUAGES if table is None else table
+def language_of(path: str) -> str:
     dot = path.rfind(".")
     if dot == -1:
         return "other"
-    return table.get(path[dot:].lower(), "other")
-
-
-@dataclass(frozen=True)
-class DiffLine:
-    tag: str  # ADDED | DELETED | CONTEXT | META
-    content: str  # line text without the leading marker character
-    # Empty context lines appear both as " " (git) and "" (whitespace-stripped
-    # diffs); the flag keeps round-trips byte-exact.
-    bare: bool = False
-
-
-@dataclass(frozen=True)
-class Hunk:
-    old_start: int
-    old_len: int
-    new_start: int
-    new_len: int
-    lines: tuple[DiffLine, ...]
-
-    @property
-    def added(self) -> int:
-        return sum(1 for ln in self.lines if ln.tag == ADDED)
-
-    @property
-    def deleted(self) -> int:
-        return sum(1 for ln in self.lines if ln.tag == DELETED)
+    return DEFAULT_LANGUAGES.get(path[dot:].lower(), "other")
 
 
 @dataclass(frozen=True)
 class FileChange:
     old_path: str | None  # None for newly added files
     new_path: str | None  # None for deleted files
-    hunks: tuple[Hunk, ...]
-    is_binary: bool = False
+    added: int
+    deleted: int
 
     @property
     def path(self) -> str:
         """The path this change is filed under (new side, old side for deletions)."""
         return self.new_path if self.new_path is not None else (self.old_path or "")
-
-    @property
-    def language(self) -> str:
-        return language_of(self.path)
-
-    @property
-    def added(self) -> int:
-        return sum(h.added for h in self.hunks)
-
-    @property
-    def deleted(self) -> int:
-        return sum(h.deleted for h in self.hunks)
 
 
 @dataclass(frozen=True)
@@ -216,6 +169,14 @@ def read_jsonl(path, parse: Callable = CommitRecord.from_dict) -> Iterator:
             yield value
 
 
+def read_corpus(path) -> list[CommitRecord]:
+    """Every record of a corpus file; a file that holds none is an ``EmptyCorpus``."""
+    records = list(read_jsonl(path))
+    if not records:
+        raise EmptyCorpus(f"{path} holds no commit records")
+    return records
+
+
 def write_jsonl(path, records: Iterable[CommitRecord]) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
@@ -230,8 +191,7 @@ def utc_isoformat(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat()
 
 
-_HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
-_BINARY = re.compile(r"^Binary files .* differ$|^GIT binary patch$")
+_HUNK_HEADER = re.compile(r"^@@ -\d+(?:,(\d+))? \+\d+(?:,(\d+))? @@")
 
 
 _C_ESCAPES = {"n": 10, "t": 9, "r": 13, "a": 7, "b": 8, "f": 12, "v": 11, "\\": 92, '"': 34}
@@ -287,80 +247,63 @@ def _git_header_paths(line: str) -> tuple[str, str]:
     return body, body
 
 
+def _malformed(message: str, lines: list[str], j: int) -> MalformedDiff:
+    """The error for ``lines[j]``, placed at that line's UTF-8 byte offset."""
+    return MalformedDiff(message, sum(len(ln.encode("utf-8")) + 1 for ln in lines[:j]))
+
+
 def parse_diff(raw: str) -> ParsedDiff:
-    """Parse a git unified diff (possibly spanning many files) into structure.
+    """Paths and added/deleted line counts of each file in a git unified diff.
 
-    Empty input yields an empty change list.  A hunk header that cannot be
-    parsed raises :class:`MalformedDiff` naming the byte offset.  Binary file
-    sections and pure renames become file changes with zero hunks.
+    Empty input yields an empty change list.  A hunk whose header cannot be
+    parsed, that holds a line of no known kind, or that ends before its
+    header's line counts raises :class:`MalformedDiff` naming the byte offset.
+    Binary file sections and pure renames count zero lines.
     """
-    if not raw:
-        return ParsedDiff(file_changes=())
-
     changes: list[FileChange] = []
     lines = raw.split("\n")
-    # Byte offset of the start of each line, for error reporting.
-    offsets: list[int] = []
-    pos = 0
-    for ln in lines:
-        offsets.append(pos)
-        pos += len(ln.encode("utf-8")) + 1
-
-    i = 0
     n = len(lines)
-
-    def parse_one_file(start: int) -> int:
-        old_path, new_path = _git_header_paths(lines[start])
-        is_binary = deleted_file = new_file = False
-        hunks: list[Hunk] = []
-        j = start + 1
-        while j < n and not lines[j].startswith("diff --git "):
-            line = lines[j]
+    i = 0
+    while i < n:
+        if not lines[i].startswith("diff --git "):
+            i += 1
+            continue
+        old_path, new_path = _git_header_paths(lines[i])
+        added = deleted = 0
+        new_file = deleted_file = False
+        i += 1
+        while i < n and not lines[i].startswith("diff --git "):
+            line = lines[i]
+            i += 1
             if line.startswith("@@"):
                 m = _HUNK_HEADER.match(line)
                 if not m:
-                    raise MalformedDiff(f"unparseable hunk header {line!r}", offsets[j])
-                old_start = int(m.group(1))
-                old_len = int(m.group(2)) if m.group(2) is not None else 1
-                new_start = int(m.group(3))
-                new_len = int(m.group(4)) if m.group(4) is not None else 1
-                j += 1
-                body: list[DiffLine] = []
-                seen_old = 0
-                seen_new = 0
-                while j < n and (seen_old < old_len or seen_new < new_len):
-                    bl = lines[j]
-                    if bl.startswith("+"):
-                        body.append(DiffLine(ADDED, bl[1:]))
-                        seen_new += 1
-                    elif bl.startswith("-"):
-                        body.append(DiffLine(DELETED, bl[1:]))
-                        seen_old += 1
-                    elif bl.startswith("\\"):
-                        body.append(DiffLine(META, bl[1:]))
-                    elif bl.startswith(" ") or bl == "":
-                        body.append(DiffLine(CONTEXT, bl[1:], bare=(bl == "")))
-                        seen_old += 1
-                        seen_new += 1
-                    else:
-                        raise MalformedDiff(
-                            f"unexpected line inside hunk: {bl!r}", offsets[j]
-                        )
-                    j += 1
-                if seen_old != old_len or seen_new != new_len:
-                    raise MalformedDiff(
+                    raise _malformed(f"unparseable hunk header {line!r}", lines, i - 1)
+                old_len = 1 if m[1] is None else int(m[1])
+                new_len = 1 if m[2] is None else int(m[2])
+                old_left, new_left = old_len, new_len
+                # "\ No newline at end of file" markers count on neither side.
+                while i < n and (old_left > 0 or new_left > 0):
+                    mark = lines[i][:1]
+                    if mark == "+":
+                        added += 1
+                        new_left -= 1
+                    elif mark == "-":
+                        deleted += 1
+                        old_left -= 1
+                    elif mark == " " or not mark:  # whitespace-stripped diffs drop the " "
+                        old_left -= 1
+                        new_left -= 1
+                    elif mark != "\\":
+                        raise _malformed(f"unexpected line inside hunk: {lines[i]!r}", lines, i)
+                    i += 1
+                if old_left or new_left:
+                    raise _malformed(
                         "truncated hunk: header promised "
                         f"-{old_len}/+{new_len} but body ended early",
-                        offsets[min(j, n - 1)],
+                        lines,
+                        min(i, n - 1),
                     )
-                # Trailing "\ No newline" marker belongs to this hunk.
-                if j < n and lines[j].startswith("\\"):
-                    body.append(DiffLine(META, lines[j][1:]))
-                    j += 1
-                hunks.append(Hunk(old_start, old_len, new_start, new_len, tuple(body)))
-                continue
-            if _BINARY.match(line):
-                is_binary = True
             elif line.startswith("deleted file mode"):
                 deleted_file = True
             elif line.startswith("new file mode"):
@@ -373,27 +316,12 @@ def parse_diff(raw: str) -> ParsedDiff:
                 old_path = _strip_prefix(line[4:].split("\t")[0])
             elif line.startswith("+++ "):
                 new_path = _strip_prefix(line[4:].split("\t")[0])
-            # Index lines, mode lines, similarity scores, etc. carry nothing needed.
-            j += 1
-        if new_file:
-            old_path = None
-        if deleted_file:
-            new_path = None
+            # Index lines, mode lines, similarity scores, binary notes etc. carry nothing needed.
         changes.append(
             FileChange(
-                old_path=old_path,
-                new_path=new_path,
-                hunks=tuple(hunks),
-                is_binary=is_binary,
+                None if new_file else old_path, None if deleted_file else new_path, added, deleted
             )
         )
-        return j
-
-    while i < n:
-        if lines[i].startswith("diff --git "):
-            i = parse_one_file(i)
-        else:
-            i += 1
     return ParsedDiff(file_changes=tuple(changes))
 
 
@@ -415,15 +343,3 @@ def diff_line_count(raw: str) -> int:
 def changed_line_count(raw: str) -> int:
     """Added plus deleted lines of the raw diff; the alternative R2 counter."""
     return count_loc(parse_diff(raw))
-
-
-def render_hunk_body(hunk: Hunk) -> str:
-    """Serialize a hunk's tagged lines back to unified-diff body text."""
-    marker = {ADDED: "+", DELETED: "-", CONTEXT: " ", META: "\\"}
-    out = []
-    for ln in hunk.lines:
-        if ln.bare:
-            out.append("")
-        else:
-            out.append(marker[ln.tag] + ln.content)
-    return "\n".join(out)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate
-from .diffs import CommitRecord, language_of, read_jsonl
+from .diffs import CommitRecord, language_of, read_corpus
 from .errors import ConfigError, CorpusTooSmall, ManifestMismatch
 from .providers import (
     GenerationClient,
@@ -224,7 +224,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.template
         else PromptTemplate.default()
     )
-    records = list(read_jsonl(config.corpus))
+    records = read_corpus(config.corpus)
     n = config.subset_size or len(records)
     subset = sample_subset(records, n, config.seed)
 

@@ -236,6 +236,10 @@ def test_evaluate_line_without_keys_is_an_error_not_a_traceback(tmp_path, capsys
         "--out", str(tmp_path / "o"),
     ]) == 1
     assert "hyps.jsonl line 2 is not JSON" in capsys.readouterr().err
+    assert _evaluate(tmp_path, [{"message": "fix parser"}, {"message": 5}], refs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "hyps.jsonl line 2 key 'message' holds int, not str" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_retrieve_provider_index_needs_a_readable_provider_config(tmp_path, capsys):
@@ -319,6 +323,7 @@ def _corpus_line(drop=None, **changes):
 # Line 1 of each faulty corpus is a good record; line 2 has the fault.
 _CORPUS_FAULTS = {
     "missing-file": (None, "cannot read"),
+    "empty-file": ("", "holds no commit records"),
     "non-json-line": (_corpus_line() + '{"diff": \n', "line 2 is not JSON"),
     "missing-key": (
         _corpus_line() + _corpus_line(drop="repo_full_name"),
@@ -341,8 +346,15 @@ def _corpus_command(command, corpus, tmp_path):
     return ["experiment", "--config", str(cfg)]
 
 
-@pytest.mark.parametrize("fault", sorted(_CORPUS_FAULTS))
-@pytest.mark.parametrize("command", ["filter", "stats", "index", "experiment"])
+@pytest.mark.parametrize(
+    "command, fault",
+    [
+        pytest.param(command, fault, id=f"{command}-{fault}")
+        for command in ["experiment", "filter", "index", "stats"]
+        for fault in sorted(_CORPUS_FAULTS)
+        if (command, fault) != ("filter", "empty-file")  # an empty filter result is valid
+    ],
+)
 def test_bad_corpus_file_is_an_error_not_a_traceback(tmp_path, capsys, command, fault):
     text, message = _CORPUS_FAULTS[fault]
     corpus = tmp_path / "corpus.jsonl"
@@ -351,6 +363,7 @@ def test_bad_corpus_file_is_an_error_not_a_traceback(tmp_path, capsys, command, 
     assert main(_corpus_command(command, str(corpus), tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and str(corpus) in err
+    assert not (tmp_path / "o").exists()
 
 
 def _argument_case(case, tmp_path, repo):
@@ -388,6 +401,12 @@ def _argument_case(case, tmp_path, repo):
             "index", "--in", str(corpus), "--out", str(tmp_path / "p.dir"),
             "--provider-config", str(tmp_path / "providers.json"), "--dimension", "32",
         ],
+        "index dimension 0": lambda: [
+            "index", "--in", str(corpus), "--out", str(tmp_path / "z.dir"), "--dimension", "0",
+        ],
+        "index dimension -3": lambda: [
+            "index", "--in", str(corpus), "--out", str(tmp_path / "z.dir"), "--dimension", "-3",
+        ],
     }
     return cases[case]()
 
@@ -404,6 +423,8 @@ def _argument_case(case, tmp_path, repo):
         ("experiment template", "marker lines"),
         ("missing template", "No such file or directory"),
         ("index dimension with provider", "--dimension sizes the hashing embedder, not"),
+        ("index dimension 0", "--dimension must be at least 1, not 0"),
+        ("index dimension -3", "--dimension must be at least 1, not -3"),
     ],
 )
 def test_bad_argument_is_an_error_not_a_traceback(

@@ -155,15 +155,6 @@ def test_filter_idempotence():
     assert sum(report.rejections.values()) == 0
 
 
-def test_report_merge_is_associative():
-    records = _violator_corpus()
-    _, whole = apply_filters(records)
-    _, left = apply_filters(records[:20])
-    _, right = apply_filters(records[20:])
-    merged = left.merge(right)
-    assert merged.to_dict() == whole.to_dict()
-
-
 # -- stats -------------------------------------------------------------------
 
 

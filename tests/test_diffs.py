@@ -11,7 +11,6 @@ from coracmg.diffs import (
     diff_line_count,
     language_of,
     parse_diff,
-    render_hunk_body,
 )
 from coracmg.errors import MalformedDiff
 from helpers import git, make_diff
@@ -33,19 +32,32 @@ def test_fixture_counts():
     parsed = parse_diff(FIXTURE_DIFF)
     assert len(parsed.file_changes) == 1
     change = parsed.file_changes[0]
-    assert len(change.hunks) == 1
-    assert change.added == 2
-    assert change.deleted == 1
+    assert (change.old_path, change.new_path) == ("src/main.py", "src/main.py")
+    assert (change.added, change.deleted) == (2, 1)
     assert count_loc(parsed) == 3
     assert parsed.files == ["src/main.py"]
 
 
-def test_malformed_hunk_header_names_offset():
-    bad = FIXTURE_DIFF.replace("@@ -1,2 +1,3 @@", "@@ -1,2 +1,3")
+# fault -> (text of FIXTURE_DIFF, its faulty replacement, error message)
+_HUNK_FAULTS = {
+    "bad-header": ("@@ -1,2 +1,3 @@\n", "@@ -1,2 +1,3\n", "unparseable hunk header"),
+    "unexpected-line": ("+new line one\n", "?new line one\n", "unexpected line inside hunk"),
+    "truncated-hunk": (
+        "+new line one\n+new line two\n", "", "truncated hunk: header promised -2/+3"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_HUNK_FAULTS))
+def test_malformed_hunk_header_names_offset(fault):
+    good, bad, message = _HUNK_FAULTS[fault]
+    # A non-ASCII line precedes the fault, so its byte and character offsets differ.
+    diff = make_diff(path="a.py", added=["café = 1"]) + FIXTURE_DIFF.replace(good, bad)
+    at = diff.find(bad) if bad else len(diff)  # a truncated hunk faults at the end
     with pytest.raises(MalformedDiff) as err:
-        parse_diff(bad)
-    assert err.value.offset == bad.encode().find(b"@@ -1,2")
-    assert "byte offset" in str(err.value)
+        parse_diff(diff)
+    assert message in str(err.value) and "byte offset" in str(err.value)
+    assert err.value.offset == len(diff[:at].encode("utf-8")) == at + 1
 
 
 def test_truncated_hunk_is_malformed():
@@ -70,9 +82,11 @@ def test_binary_section_has_zero_hunks():
         "Binary files a/logo.png and b/logo.png differ\n"
     )
     parsed = parse_diff(diff)
-    assert len(parsed.file_changes) == 1
-    assert parsed.file_changes[0].is_binary
-    assert parsed.file_changes[0].hunks == ()
+    assert parsed.files == ["logo.png"]
+    change = parsed.file_changes[0]
+    assert (change.old_path, change.new_path, change.added, change.deleted) == (
+        "logo.png", "logo.png", 0, 0,
+    )
     assert count_loc(parsed) == 0
 
 
@@ -87,8 +101,8 @@ def test_pure_rename_has_zero_hunks():
     change = parsed.file_changes[0]
     assert change.old_path == "old.py"
     assert change.new_path == "new.py"
-    assert change.hunks == ()
-    assert count_loc(parsed) == 0
+    assert parsed.files == ["new.py"]
+    assert (change.added, change.deleted) == (0, 0)
 
 
 def test_new_and_deleted_files():
@@ -129,13 +143,6 @@ def test_diff_line_count_conventions():
     assert diff_line_count("one\ntwo\nthree\n") == 3
 
 
-def test_round_trip_hunk_bodies():
-    parsed = parse_diff(FIXTURE_DIFF)
-    hunk = parsed.file_changes[0].hunks[0]
-    body_lines = FIXTURE_DIFF.split("\n")[5:-1]
-    assert render_hunk_body(hunk) == "\n".join(body_lines)
-
-
 def test_quoted_and_spaced_paths(tmp_path):
     from datetime import datetime, timezone
 
@@ -153,11 +160,10 @@ def test_quoted_and_spaced_paths(tmp_path):
     assert '"a/caf' in diff  # git really did quote the non-ascii path
     parsed = parse_diff(diff)
     assert sorted(parsed.files) == ["café.py", "with space.java"]
-    assert {fc.path: (fc.added, fc.deleted) for fc in parsed.file_changes} == {
-        "café.py": (1, 1),
-        "with space.java": (1, 1),
+    assert {fc.path: (fc.old_path, fc.added, fc.deleted) for fc in parsed.file_changes} == {
+        "café.py": ("café.py", 1, 1),
+        "with space.java": ("with space.java", 1, 1),
     }
-    assert parsed.file_changes[0].language in ("python", "java")
 
 
 def test_language_table():
@@ -244,16 +250,3 @@ def test_against_git_numstat(numstat_repo):
                 assert got[path] == (0, 0)
             else:
                 assert got[path] == (added, deleted), f"{sha}:{path}"
-
-
-def test_round_trip_on_real_git_diffs(numstat_repo):
-    shas = git(numstat_repo, "log", "--format=%H").split()
-    checked = 0
-    for sha in shas:
-        diff = git(numstat_repo, "show", sha, "--no-color", "--format=")
-        for change in parse_diff(diff).file_changes:
-            for hunk in change.hunks:
-                body = render_hunk_body(hunk)
-                assert body in diff  # byte-exact reconstruction
-                checked += 1
-    assert checked > 10
