@@ -116,6 +116,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    if args.max_diff_lines < 0:
+        raise ConfigError(f"--max-diff-lines must be at least 0, not {args.max_diff_lines}")
     records = [
         replace(rec, message=corpus_mod.preprocess_message(rec.message))
         for rec in read_jsonl(args.input)
@@ -168,6 +170,10 @@ def _read_messages(path: str, keys: tuple[str, ...]) -> list[str]:
 
 
 def _cmd_evaluate(args) -> int:
+    if not 0 < args.cider_scale <= sys.float_info.max:  # NaN fails both comparisons
+        raise ConfigError(
+            f"--cider-scale must be a finite number above 0, not {args.cider_scale}"
+        )
     hyps = _read_messages(args.hyp, ("message", "generated"))
     refs = _read_messages(args.ref, ("message", "reference"))
     if len(hyps) != len(refs):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -73,6 +74,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
         if isinstance(self.cider_scale, bool) or not isinstance(self.cider_scale, (int, float)):
             raise ConfigError(f"cider_scale must be a number, not {self.cider_scale!r}")
+        # NaN fails both comparisons; an int past the float range fails the second.
+        if not 0 < self.cider_scale <= sys.float_info.max:
+            raise ConfigError(
+                f"cider_scale must be a finite number above 0, not {self.cider_scale!r}"
+            )
         if self.subset_size < 0:
             raise ConfigError(f"subset_size must be at least 0, not {self.subset_size}")
         if self.generator == "provider" and not self.provider_config:

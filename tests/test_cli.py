@@ -166,6 +166,8 @@ def test_cli_error_paths(tmp_path, capsys):
         ({"embedder": "bogus"}, "unexpected keyword argument 'embedder'"),
         ({"generator": "provider"}, "generator 'provider' needs a provider_config file"),
         ({"method": "rag", "k": 1}, "index"),
+        ({"cider_scale": float("nan")}, "cider_scale must be a finite number above 0, not nan"),
+        ({"cider_scale": -1}, "cider_scale must be a finite number above 0, not -1"),
     ],
 )
 def test_experiment_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, config, message):
@@ -388,6 +390,12 @@ def _argument_case(case, tmp_path, repo):
         }))
         return ["experiment", "--config", str(cfg), *extra]
 
+    def evaluate(cider_scale):
+        return [
+            "evaluate", "--hyp", str(corpus), "--ref", str(corpus),
+            "--out", str(tmp_path / "o"), "--cider-scale", cider_scale,
+        ]
+
     cases = {
         "retrieve -k 0": lambda: [*retrieve, "--query-diff", str(diff), "-k", "0"],
         "suggest -k 0": lambda: [*suggest, "--diff", str(diff), "-k", "0"],
@@ -407,6 +415,14 @@ def _argument_case(case, tmp_path, repo):
         "index dimension -3": lambda: [
             "index", "--in", str(corpus), "--out", str(tmp_path / "z.dir"), "--dimension", "-3",
         ],
+        "filter max-diff-lines -5": lambda: [
+            "filter", "--in", str(corpus), "--out", str(tmp_path / "o"),
+            "--report", str(tmp_path / "o.json"), "--max-diff-lines", "-5",
+        ],
+        "evaluate cider-scale nan": lambda: evaluate("nan"),
+        "evaluate cider-scale inf": lambda: evaluate("inf"),
+        "evaluate cider-scale -1": lambda: evaluate("-1"),
+        "evaluate cider-scale 0": lambda: evaluate("0"),
     }
     return cases[case]()
 
@@ -425,6 +441,11 @@ def _argument_case(case, tmp_path, repo):
         ("index dimension with provider", "--dimension sizes the hashing embedder, not"),
         ("index dimension 0", "--dimension must be at least 1, not 0"),
         ("index dimension -3", "--dimension must be at least 1, not -3"),
+        ("filter max-diff-lines -5", "--max-diff-lines must be at least 0, not -5"),
+        ("evaluate cider-scale nan", "--cider-scale must be a finite number above 0, not nan"),
+        ("evaluate cider-scale inf", "--cider-scale must be a finite number above 0, not inf"),
+        ("evaluate cider-scale -1", "--cider-scale must be a finite number above 0, not -1.0"),
+        ("evaluate cider-scale 0", "--cider-scale must be a finite number above 0, not 0.0"),
     ],
 )
 def test_bad_argument_is_an_error_not_a_traceback(

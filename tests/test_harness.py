@@ -85,6 +85,10 @@ def test_config_validation():
         ExperimentConfig(corpus="c", out_dir="o", generator="gpt9000")
     with pytest.raises(ConfigError, match="needs an index directory"):
         ExperimentConfig(corpus="c", out_dir="o", generator="echo-mock")
+    for scale in (float("nan"), float("inf"), -1.0, 0, 10**400):
+        with pytest.raises(ConfigError, match="cider_scale must be a finite number above 0"):
+            ExperimentConfig(corpus="c", out_dir="o", cider_scale=scale)
+    assert ExperimentConfig(corpus="c", out_dir="o", cider_scale=10).cider_scale == 10
 
 
 def test_direct_constant_mock_smoke(tmp_path):

@@ -180,6 +180,37 @@ def test_meteor_alignment_known_optima():
     assert _align(shifted, shifted[1:] + shifted[:1]) == (50, 2)
 
 
+def test_meteor_chunk_bound_reaches_optimum_in_small_budget(monkeypatch):
+    # Three blocks swapped around, with repeated "_", "from" and "(": 1,152
+    # maximum alignments.  Pruning on chunks alone stops at 6 chunks after
+    # 1,000 nodes; the bound on the chunks still needed proves 3.
+    from coracmg import metrics
+
+    hyp = (
+        "os . walk ( ) and wrap from gc . collect ( ) base _ url base _ url "
+        "from cache _ ttl from cursor of"
+    ).split()
+    ref = (
+        "base _ url base _ url from cache _ ttl from cursor of from gc . "
+        "collect ( ) os . walk ( ) and wrap"
+    ).split()
+    monkeypatch.setattr(metrics, "_ALIGN_BUDGET", 1_000)
+    assert metrics._align(hyp, ref) == (26, 3)
+    assert meteor(hyp, ref) == pytest.approx(oracle_meteor(hyp, ref), abs=1e-9)
+
+
+def test_meteor_chunk_bound_is_admissible_under_dense_repetition():
+    # Short sequences over two or three tokens repeat bigrams the most, which
+    # is where a bound that overcounts the chunks still needed would prune
+    # the optimum.
+    rng = random.Random(2025)
+    for _ in range(2000):
+        alphabet = rng.choice(("ab", "abc"))
+        hyp = [rng.choice(alphabet) for _ in range(rng.randint(1, 9))]
+        ref = [rng.choice(alphabet) for _ in range(rng.randint(1, 9))]
+        assert meteor(hyp, ref) == pytest.approx(oracle_meteor(hyp, ref), abs=1e-9)
+
+
 def test_cider_idf_scale_invariance():
     rng = random.Random(5)
     refs = [[rng.choice(ALPHABET) for _ in range(6)] for _ in range(20)]
