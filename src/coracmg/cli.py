@@ -283,11 +283,10 @@ def _cmd_suggest(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    run_dirs = sorted(
-        {p.parent for p in Path(args.input).rglob("manifest.json")}
-    )
+    # A run directory holds results.jsonl; an index directory has a manifest.json too.
+    run_dirs = sorted({p.parent for p in Path(args.input).rglob("results.jsonl")})
     if not run_dirs:
-        raise InvalidInput(f"no experiment runs (manifest.json) found under {args.input}")
+        raise InvalidInput(f"no experiment runs (results.jsonl) found under {args.input}")
     results = [harness.ExperimentResult.load(d) for d in run_dirs]
     table = harness.render_report(results)
     Path(args.out).write_text(table, encoding="utf-8")
@@ -316,6 +315,10 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except CoracmgError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # e.g. an output path under a missing directory or a file
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -7,17 +7,28 @@ unit-normalized embeddings, and the two are fused 1:1 after min-max
 normalization over the candidate set.  A leakage guard skips any candidate
 whose diff is byte-identical to the query, promoting the next-ranked pair.
 
-The index persists to a directory with five entries; partitions are stored
-in sorted project order and documents in partition order:
+The index persists to a directory of five files (version 3); partitions are
+stored in sorted project order and documents in partition order:
 
-* ``manifest.json``: versioned description (counts, dimension, parameters)
-* ``docs.jsonl``: one ``[repo, sha, date, message, diff]`` array per line
+* ``manifest.json``: versioned description (counts, dimension, parameters);
+  its sorted ``projects`` counts set the partition boundaries
+* ``docs.txt``: every document's sha, date, message and diff, concatenated
+  into one UTF-8 text (a lone surrogate, which a JSON corpus line may hold,
+  is stored in its three-byte ``surrogatepass`` form)
 * ``terms.json``: each project's vocabulary, in posting-row order
-* ``postings.npz``: per partition ``p``, the CSR arrays ``offsets_p``
-  (int64, one more than the vocabulary), ``ids_p`` (int32, ascending within
-  each term), ``tfs_p`` (float64) and ``lengths_p`` (int64, tokens per doc)
+* ``postings.npz``: ``bounds`` (int64, ``4 * doc_count + 1`` code-point
+  offsets into the text: field ``f`` of document ``d`` is
+  ``text[bounds[4*d + f]:bounds[4*d + f + 1]]``) and, per partition ``p``,
+  the CSR arrays ``offsets_p`` (int64, one more than the vocabulary),
+  ``ids_p`` (int32, ascending within each term), ``tfs_p`` (float64) and
+  ``lengths_p`` (int64, tokens per doc)
 * ``vectors.bin``: 16-byte header (magic ``CMGV``, version, count,
   dimension; little-endian uint32) followed by row-major float32 vectors
+
+Loading checks the version of the manifest and of the vectors header, that
+the counts agree across files, that the text is UTF-8 and its bounds rise
+from 0 to its length, that the CSR arrays index only their own partition,
+and that every date parses; any failure is a ``CorruptIndex``.
 
 After construction the index is immutable; queries may run concurrently.
 """
@@ -45,7 +56,7 @@ from .tokenizer import tokenize
 log = logging.getLogger(__name__)
 
 VECTORS_MAGIC = b"CMGV"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 _CSR_DTYPES = {"offsets": np.int64, "ids": np.int32, "tfs": np.float64, "lengths": np.int64}
@@ -177,19 +188,29 @@ def _read_json(path: Path):
         raise CorruptIndex(f"{path} is not valid JSON: {exc}") from None
 
 
-def _read_docs(path: Path) -> list[list[str]]:
-    # One parse of all lines; ",\n" keeps the decoder's line numbers those of the file.
-    lines = _read_bytes(path).splitlines()
+def _read_docs(path: Path, bounds: np.ndarray | None, doc_count: int) -> list[_Doc]:
+    """The documents of ``docs.txt``, cut at the field bounds of ``postings.npz``."""
     try:
-        rows = json.loads(b"[" + b",\n".join(lines) + b"]")
-    except ValueError as exc:
-        raise CorruptIndex(f"{path} is not valid JSON lines: {exc}") from None
-    for lineno, row in enumerate(rows, 1):
-        if not (isinstance(row, list) and len(row) == 5 and all(isinstance(f, str) for f in row)):
-            raise CorruptIndex(
-                f"{path} line {lineno} is not a [repo, sha, date, message, diff] row"
-            )
-    return rows
+        text = _read_bytes(path).decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise CorruptIndex(f"{path} is not UTF-8: {exc}") from None
+    if bounds is None:
+        raise CorruptIndex("postings.npz lacks array 'bounds'")
+    if bounds.dtype != np.int64 or bounds.ndim != 1:
+        raise CorruptIndex("postings.npz: bounds must be a 1-d int64 array")
+    if len(bounds) != 4 * doc_count + 1:
+        raise CorruptIndex(
+            f"postings.npz has {len(bounds)} field bounds; "
+            f"{doc_count} documents need {4 * doc_count + 1}"
+        )
+    if bounds[0] != 0 or bounds[-1] != len(text) or np.any(np.diff(bounds) < 0):
+        raise CorruptIndex(
+            f"postings.npz: field bounds must rise from 0 to the {len(text)} "
+            f"characters of {path.name}"
+        )
+    ends = bounds.tolist()
+    fields = iter([text[lo:hi] for lo, hi in zip(ends, ends[1:])])
+    return list(map(_Doc._make, zip(fields, fields, fields, fields)))  # four per document
 
 
 def _read_postings(path: Path) -> dict[str, np.ndarray]:
@@ -316,14 +337,15 @@ class RetrievalIndex:
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
-        with open(out / "docs.jsonl", "w", encoding="utf-8") as fh:
-            for repo in repos:
-                for doc in self.partitions[repo].docs:
-                    fh.write(json.dumps([repo, *doc]) + "\n")
+        docs = [doc for repo in repos for doc in self.partitions[repo].docs]
+        fields = list(chain.from_iterable(docs))
+        bounds = np.zeros(len(fields) + 1, dtype=np.int64)
+        np.cumsum([len(field) for field in fields], out=bounds[1:])
+        (out / "docs.txt").write_bytes("".join(fields).encode("utf-8", "surrogatepass"))
         (out / "terms.json").write_text(
             json.dumps({r: list(self.partitions[r].terms) for r in repos}), encoding="utf-8"
         )
-        arrays = {}
+        arrays = {"bounds": bounds}
         for p, repo in enumerate(repos):
             part = self.partitions[repo]
             for name in _CSR_DTYPES:
@@ -358,11 +380,20 @@ class RetrievalIndex:
         embedder_id = manifest.get("embedder")  # the only valid query embedder
         if not (isinstance(embedder_id, str) and embedder_id):
             raise CorruptIndex(f"manifest.json names no embedder: {embedder_id!r}")
+        if sum(projects.values()) != doc_count:
+            raise CorruptIndex(
+                f"manifest.json projects hold {sum(projects.values())} documents, "
+                f"its doc_count is {doc_count}"
+            )
 
         raw = _read_bytes(root / "vectors.bin")
         if len(raw) < 16 or raw[:4] != VECTORS_MAGIC:
             raise CorruptIndex("vectors.bin has a bad magic number")
         version, count, dimension = struct.unpack("<III", raw[4:16])
+        if version != INDEX_VERSION:
+            raise CorruptIndex(
+                f"vectors.bin has version {version}; this release reads version {INDEX_VERSION}"
+            )
         if len(raw) != 16 + count * dimension * 4:
             raise CorruptIndex(
                 f"vectors.bin has {len(raw)} bytes; a {count} x {dimension} float32 "
@@ -373,30 +404,18 @@ class RetrievalIndex:
                 f"vectors.bin holds {count} vectors, manifest.json "
                 f"counts {doc_count} documents"
             )
-        matrix = np.frombuffer(raw[16:], dtype="<f4").reshape(count, dimension)
+        matrix = np.frombuffer(raw, dtype="<f4", offset=16).reshape(count, dimension)
 
-        rows = _read_docs(root / "docs.jsonl")
-        if len(rows) != doc_count:
-            raise CorruptIndex(
-                f"docs.jsonl has {len(rows)} rows, manifest.json counts {doc_count} documents"
-            )
-        found = Counter(row[0] for row in rows)
-        if found != projects:
-            raise CorruptIndex(
-                f"docs.jsonl holds {dict(sorted(found.items()))} documents per project, "
-                f"manifest.json counts {dict(sorted(projects.items()))}"
-            )
         vocab = _read_json(root / "terms.json")
         if not isinstance(vocab, dict) or set(vocab) != set(projects):
             raise CorruptIndex("terms.json does not hold one vocabulary per project")
         arrays = _read_postings(root / "postings.npz")
+        docs = _read_docs(root / "docs.txt", arrays.get("bounds"), doc_count)
 
         partitions: dict[str, _Partition] = {}
         row = 0
         for p, repo in enumerate(sorted(projects)):
             n = projects[repo]
-            if any(r[0] != repo for r in rows[row : row + n]):
-                raise CorruptIndex("docs.jsonl rows are not grouped in sorted project order")
             terms = vocab[repo]
             if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
                 raise CorruptIndex(f"terms.json vocabulary of {repo!r} is not a list of terms")
@@ -405,13 +424,12 @@ class RetrievalIndex:
             except KeyError as exc:
                 raise CorruptIndex(f"postings.npz lacks array {exc}") from None
             _check_csr(repo, n, len(terms), csr)
-            docs = [_Doc(*r[1:]) for r in rows[row : row + n]]
             try:
                 partitions[repo] = _Partition(
-                    repo, docs, matrix[row : row + n], terms, csr, k1, b
+                    repo, docs[row : row + n], matrix[row : row + n], terms, csr, k1, b
                 )
             except ValueError as exc:  # an unparseable date
-                raise CorruptIndex(f"docs.jsonl rows of {repo!r}: {exc}") from None
+                raise CorruptIndex(f"docs.txt dates of {repo!r}: {exc}") from None
             row += n
         return cls(
             partitions,

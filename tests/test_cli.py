@@ -211,6 +211,24 @@ def test_report_without_runs_is_an_error_not_a_traceback(tmp_path, capsys):
     assert err.startswith("error: no experiment runs") and str(tmp_path) in err
 
 
+def test_report_reads_runs_beside_an_index(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, synthetic_corpus(1, 10, seed=7))
+    index_dir = tmp_path / "index.dir"
+    assert main(["index", "--in", str(corpus), "--out", str(index_dir), "--dimension", "64"]) == 0
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "corpus": str(corpus), "out_dir": str(tmp_path / "runs" / "rag-k1"), "method": "rag",
+        "k": 1, "generator": "echo-mock", "index": str(index_dir), "seed": 1,
+    }))
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    table = tmp_path / "table.md"
+    assert main(["report", "--in", str(tmp_path), "--out", str(table)]) == 0
+    assert "wrote comparison of 1 runs" in capsys.readouterr().out
+    assert "rag-k1-echo-mock" in table.read_text()
+
+
 def _evaluate(tmp_path, hyp_lines, ref_lines):
     hyp = tmp_path / "hyps.jsonl"
     ref = tmp_path / "refs.jsonl"
@@ -396,6 +414,10 @@ def _argument_case(case, tmp_path, repo):
             "--out", str(tmp_path / "o"), "--cider-scale", cider_scale,
         ]
 
+    def report(out):
+        assert main(experiment(out_dir=str(tmp_path / "runs" / "r"))) == 0
+        return ["report", "--in", str(tmp_path / "runs"), "--out", str(out)]
+
     cases = {
         "retrieve -k 0": lambda: [*retrieve, "--query-diff", str(diff), "-k", "0"],
         "suggest -k 0": lambda: [*suggest, "--diff", str(diff), "-k", "0"],
@@ -423,6 +445,27 @@ def _argument_case(case, tmp_path, repo):
         "evaluate cider-scale inf": lambda: evaluate("inf"),
         "evaluate cider-scale -1": lambda: evaluate("-1"),
         "evaluate cider-scale 0": lambda: evaluate("0"),
+        "index out is a file": lambda: [
+            "index", "--in", str(corpus), "--out", str(corpus), "--dimension", "8",
+        ],
+        "filter out under a missing directory": lambda: [
+            "filter", "--in", str(corpus), "--out", str(tmp_path / "missing" / "f.jsonl"),
+            "--report", str(tmp_path / "r.json"),
+        ],
+        "filter report under a missing directory": lambda: [
+            "filter", "--in", str(corpus), "--out", str(tmp_path / "f.jsonl"),
+            "--report", str(tmp_path / "missing" / "r.json"),
+        ],
+        "ingest out under a missing directory": lambda: [
+            "ingest", "--repo", str(repo), "--branch", "main", "--since", "1970-01-01",
+            "--out", str(tmp_path / "missing" / "c.jsonl"),
+        ],
+        "evaluate out under a missing directory": lambda: [
+            "evaluate", "--hyp", str(corpus), "--ref", str(corpus),
+            "--out", str(tmp_path / "missing" / "e.json"),
+        ],
+        "report out under a missing directory": lambda: report(tmp_path / "missing" / "t.md"),
+        "experiment out_dir under a file": lambda: experiment(out_dir=str(corpus / "run")),
     }
     return cases[case]()
 
@@ -446,6 +489,13 @@ def _argument_case(case, tmp_path, repo):
         ("evaluate cider-scale inf", "--cider-scale must be a finite number above 0, not inf"),
         ("evaluate cider-scale -1", "--cider-scale must be a finite number above 0, not -1.0"),
         ("evaluate cider-scale 0", "--cider-scale must be a finite number above 0, not 0.0"),
+        ("index out is a file", "corpus.jsonl: File exists"),
+        ("filter out under a missing directory", "f.jsonl: No such file or directory"),
+        ("filter report under a missing directory", "r.json: No such file or directory"),
+        ("ingest out under a missing directory", "c.jsonl: No such file or directory"),
+        ("evaluate out under a missing directory", "e.json: No such file or directory"),
+        ("report out under a missing directory", "t.md: No such file or directory"),
+        ("experiment out_dir under a file", "run: Not a directory"),
     ],
 )
 def test_bad_argument_is_an_error_not_a_traceback(

@@ -146,7 +146,7 @@ def test_warm_embedder_builds_the_same_index(tmp_path):
     warm = HashingEmbedder(64)
     RetrievalIndex.build(records[::-1], warm)  # fills the memo in another order
     RetrievalIndex.build(records, warm).save(tmp_path / "warm")
-    for name in ("docs.jsonl", "manifest.json", "postings.npz", "terms.json", "vectors.bin"):
+    for name in ("docs.txt", "manifest.json", "postings.npz", "terms.json", "vectors.bin"):
         assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
 
@@ -353,6 +353,21 @@ def test_save_load_round_trip(tmp_path):
     assert [p.hybrid_score for p in a] == [p.hybrid_score for p in b]
 
 
+def test_save_load_round_trip_keeps_every_field(tmp_path):
+    records = [
+        make_record(0, message="handle \ud800 in names"),  # lone surrogate, valid in JSON
+        make_record(1, message="add \U0001f600 support", added=["emoji = '\U0001f600'"]),
+        make_record(2, message=""),
+        make_record(3, added=["nul \x00 byte\r", "crlf line\r"]),
+    ]
+    assert "\x00" in records[3].diff and "\r\n" in records[3].diff
+    index = build_index(records)
+    index.save(tmp_path / "idx")
+    loaded = RetrievalIndex.load(tmp_path / "idx")
+    for repo, part in index.partitions.items():
+        assert loaded.partitions[repo].docs == part.docs
+
+
 def _edit_manifest(root, **changes):
     path = root / "manifest.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
@@ -366,9 +381,28 @@ def _drop_from_manifest(root, key):
 
 
 def _edit_docs(root, edit):
-    path = root / "docs.jsonl"
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    path.write_text("".join(json.dumps(row) + "\n" for row in edit(rows)))
+    """Rewrite docs.txt and its field bounds from ``edit(fields)``."""
+    path = root / "docs.txt"
+    text = path.read_bytes().decode("utf-8", "surrogatepass")
+
+    def rewrite(arrays):
+        ends = arrays["bounds"].tolist()
+        fields = edit([text[lo:hi] for lo, hi in zip(ends, ends[1:])])
+        arrays["bounds"] = np.cumsum([0, *map(len, fields)], dtype=np.int64)
+        path.write_bytes("".join(fields).encode("utf-8", "surrogatepass"))
+
+    _edit_postings(root, rewrite)
+
+
+def _edit_text(root, edit):
+    path = root / "docs.txt"
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def _set_vectors_version(root, version):
+    path = root / "vectors.bin"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
 
 
 def _edit_postings(root, edit):
@@ -406,13 +440,44 @@ _CORRUPTIONS = {
         lambda root: _edit_manifest(root, embedder=64), "names no embedder"
     ),
     "embedder-empty": (lambda root: _edit_manifest(root, embedder=""), "names no embedder"),
+    "version-2": (lambda root: _edit_manifest(root, version=2), "version 2 index"),
+    "vectors-version-2": (
+        lambda root: _set_vectors_version(root, 2), "vectors.bin has version 2"
+    ),
     "docs-row-missing": (
-        lambda root: _edit_docs(root, lambda rows: rows[:-1]),
-        "docs.jsonl has 2 rows, manifest.json counts 3",
+        lambda root: _edit_docs(root, lambda fields: fields[:-4]),
+        "9 field bounds; 3 documents need 13",
     ),
     "docs-project-counts": (
-        lambda root: _edit_docs(root, lambda rows: [["acme/other", *rows[0][1:]], *rows[1:]]),
-        "documents per project",
+        lambda root: _edit_manifest(root, projects={"acme/project0": 2}),
+        "projects hold 2 documents, its doc_count is 3",
+    ),
+    "text-not-utf8": (
+        lambda root: _edit_text(root, lambda raw: b"\xff" + raw[1:]), "docs.txt is not UTF-8"
+    ),
+    "bounds-missing": (
+        lambda root: _edit_postings(root, lambda a: a.pop("bounds")),
+        "lacks array 'bounds'",
+    ),
+    "bounds-not-int64": (
+        lambda root: _edit_postings(root, lambda a: a.update(bounds=a["bounds"] * 1.0)),
+        "bounds must be a 1-d int64 array",
+    ),
+    "bounds-count": (
+        lambda root: _edit_postings(root, lambda a: a.update(bounds=a["bounds"][:-1])),
+        "12 field bounds; 3 documents need 13",
+    ),
+    "bounds-not-rising": (
+        lambda root: _edit_postings(root, lambda a: _swap_first_pair(a["bounds"])),
+        "field bounds must rise from 0",
+    ),
+    "bounds-short-of-text": (
+        lambda root: _edit_text(root, lambda raw: raw + b"x"),
+        "field bounds must rise from 0 to the",
+    ),
+    "date-unparseable": (
+        lambda root: _edit_docs(root, lambda fields: [fields[0], "yesterday", *fields[2:]]),
+        "docs.txt dates of 'acme/project0'",
     ),
     "offsets-not-from-zero": (
         lambda root: _edit_postings(root, lambda a: a.update(offsets_0=a["offsets_0"] + 1)),
@@ -505,13 +570,19 @@ def test_vectors_bin_layout(tmp_path):
     raw = (tmp_path / "idx" / "vectors.bin").read_bytes()
     assert raw[:4] == b"CMGV"
     version, count, dim = struct.unpack("<III", raw[4:16])
-    assert (version, count, dim) == (2, 8, 64)
+    assert (version, count, dim) == (3, 8, 64)
     assert len(raw) == 16 + count * dim * 4
     matrix = np.frombuffer(raw[16:], dtype="<f4").reshape(count, dim)
     assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, atol=1e-6)
     files = sorted(p.name for p in (tmp_path / "idx").iterdir())
-    assert files == ["docs.jsonl", "manifest.json", "postings.npz", "terms.json", "vectors.bin"]
-    assert json.loads((tmp_path / "idx" / "manifest.json").read_text())["version"] == 2
+    assert files == ["docs.txt", "manifest.json", "postings.npz", "terms.json", "vectors.bin"]
+    assert json.loads((tmp_path / "idx" / "manifest.json").read_text())["version"] == 3
+    text = (tmp_path / "idx" / "docs.txt").read_text(encoding="utf-8")
+    with np.load(tmp_path / "idx" / "postings.npz") as npz:
+        bounds = npz["bounds"].tolist()
+    assert len(bounds) == 4 * count + 1 and bounds[-1] == len(text)
+    first = index.partitions[min(index.partitions)].docs[0]
+    assert [text[bounds[f] : bounds[f + 1]] for f in range(4)] == list(first)
 
 
 def test_batch_and_single_doc_bm25_are_bit_equal():
