@@ -103,19 +103,3 @@ class PromptTemplate:
                 return rendered
             ordered = ordered[1:]  # evict the least relevant example
 
-
-def build_direct_prompt(query_diff: str, template: PromptTemplate | None = None) -> str:
-    """Instruction plus the fenced query diff; no example content."""
-    template = template or PromptTemplate.default()
-    return template.render(query_diff, [])
-
-
-def build_rag_prompt(
-    query_diff: str,
-    examples: list[ExamplePair],
-    template: PromptTemplate | None = None,
-    max_chars: int = DEFAULT_MAX_PROMPT_CHARS,
-) -> str:
-    """Example blocks in ascending relevance order, then the query block."""
-    template = template or PromptTemplate.default()
-    return template.render(query_diff, examples, max_chars=max_chars)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import harness, metrics
-from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate, build_rag_prompt
+from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate
 from .diffs import read_corpus, read_jsonl, write_jsonl
 from .errors import ConfigError, CoracmgError, InvalidInput
 from .providers import GenerationClient, HashingEmbedder, ProviderConfig, query_embedder
@@ -272,8 +272,8 @@ def _cmd_suggest(args) -> int:
     if args.provider_config:
         pc = ProviderConfig.from_file(args.provider_config)
         client = GenerationClient(pc.gen, inflight=pc.inflight)
-        prompt = build_rag_prompt(
-            query, pairs, template=template, max_chars=args.max_prompt_chars
+        prompt = (template or PromptTemplate.default()).render(
+            query, pairs, max_chars=args.max_prompt_chars
         )
         print(client.generate(prompt, pairs))
     else:

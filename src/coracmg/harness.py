@@ -10,8 +10,9 @@ byte.
 
 Queries are embedded by the embedder the index was built with, which a
 ``provider_config`` must describe exactly (``providers.query_embedder``).
-The index, provider config and template are checked before the corpus is
-read, so a mismatch stops the run before any row and before ``out_dir``.
+The index, provider config, template and ``out_dir`` are checked before the
+corpus is read, so a mismatch stops the run before any row and before
+``out_dir`` exists.
 
 Commits run one at a time unless a model provider is called: then up to the
 provider config's ``concurrency.inflight`` commits run at once, since only
@@ -20,8 +21,10 @@ provider requests wait on I/O.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -31,8 +34,8 @@ from pathlib import Path
 
 from . import metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate
-from .diffs import CommitRecord, language_of, read_corpus
-from .errors import ConfigError, CorpusTooSmall, ManifestMismatch
+from .diffs import CommitRecord, language_of, read_corpus, read_jsonl
+from .errors import ConfigError, CorpusTooSmall, InvalidInput, ManifestMismatch
 from .providers import (
     GenerationClient,
     HashingEmbedder,
@@ -166,21 +169,21 @@ class ExperimentResult:
     @classmethod
     def load(cls, run_dir: str | Path) -> "ExperimentResult":
         run_dir = Path(run_dir)
-        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-        rows = [
-            json.loads(line)
-            for line in (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
-            if line
-        ]
-        means = manifest["metrics"]
-        report = metrics.MetricReport(
-            per_sample=[],
-            bleu=means["bleu"],
-            rouge_l=means["rouge_l"],
-            meteor=means["meteor"],
-            cider=means["cider"],
-        )
-        return cls(manifest=manifest, rows=rows, report=report, out_dir=run_dir)
+        path = run_dir / "manifest.json"
+        try:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
+        try:
+            means = {key: float(manifest["metrics"][key]) for key in METRIC_KEYS}
+            result = cls(manifest, [], metrics.MetricReport(per_sample=[], **means), run_dir)
+            result.label, result.fingerprint  # the keys that name and compare runs
+        except KeyError as exc:
+            raise InvalidInput(f"{path} is not an experiment manifest: no key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"{path} is not an experiment manifest: {exc}") from None
+        result.rows = list(read_jsonl(run_dir / "results.jsonl", lambda row: row))
+        return result
 
     @property
     def label(self) -> str:
@@ -190,6 +193,15 @@ class ExperimentResult:
         if method == "rag":
             return f"rag-k{k}-{gen}"
         return f"direct-{gen}"
+
+    @property
+    def fingerprint(self) -> tuple:
+        """What runs compared in one report must share: corpus, seed and subset size."""
+        return (
+            self.manifest["corpus_sha256"],
+            self.manifest["seed"],
+            self.manifest["subset_size"],
+        )
 
 
 def _file_sha256(path) -> str:
@@ -208,6 +220,16 @@ def _build_generator(config: ExperimentConfig, pc: ProviderConfig | None):
     if config.generator == "provider":
         return GenerationClient(pc.gen, inflight=pc.inflight)
     return None  # retrieval-copy needs no generator object
+
+
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise the ``OSError`` that creating ``out_dir`` would, without creating anything."""
+    for path in (out_dir, *out_dir.parents):
+        if path.is_dir():
+            return
+        if path.exists():  # a file where a directory must be
+            code = errno.EEXIST if path == out_dir else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(out_dir))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -230,6 +252,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.template
         else PromptTemplate.default()
     )
+    out_dir = Path(config.out_dir)
+    _check_out_dir(out_dir)
     records = read_corpus(config.corpus)
     n = config.subset_size or len(records)
     subset = sample_subset(records, n, config.seed)
@@ -314,7 +338,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "runtime_seconds": round(time.time() - started, 3),
     }
 
-    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.jsonl", "w", encoding="utf-8") as fh:
         for row in rows:
@@ -378,16 +401,8 @@ def render_report(results: list[ExperimentResult]) -> str:
     """
     if not results:
         raise ManifestMismatch("no experiment results to report on")
-    fingerprint = None
     for res in results:
-        fp = (
-            res.manifest["corpus_sha256"],
-            res.manifest["seed"],
-            res.manifest["subset_size"],
-        )
-        if fingerprint is None:
-            fingerprint = fp
-        elif fp != fingerprint:
+        if res.fingerprint != results[0].fingerprint:
             raise ManifestMismatch(
                 f"run {res.label} was made from a different subset than the others"
             )

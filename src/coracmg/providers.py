@@ -12,18 +12,23 @@ offline and deterministically, which is what the test harness uses.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import math
 import os
+import reprlib
 import tempfile
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-import requests
 
 from .errors import ConfigError, DimensionMismatch, EmptyGeneration, ProviderUnavailable
 from .tokenizer import tokenize
@@ -31,8 +36,12 @@ from .tokenizer import tokenize
 EMBED_KEY_ENV = "CORACMG_EMBED_KEY"
 GEN_KEY_ENV = "CORACMG_GEN_KEY"
 
-DEFAULT_TIMEOUT = 60.0
 DEFAULT_INFLIGHT = 4
+# The one retry policy: each attempt may take TIMEOUT_SECONDS, and the wait
+# before a retry doubles from BACKOFF_SECONDS (1 s, then 2 s).
+TIMEOUT_SECONDS = 60.0
+ATTEMPTS = 3
+BACKOFF_SECONDS = 1.0
 # Client errors a retry can cure: request timeout and rate limiting.
 _RETRYABLE_4XX = (408, 429)
 
@@ -43,8 +52,6 @@ class GenerationConfig:
     model: str = ""
     temperature: float = 0.0  # experiments run fully deterministic
     max_tokens: int = 128
-    max_attempts: int = 3
-    backoff_seconds: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -106,33 +113,54 @@ def unit_normalize(values, dimension: int | None = None) -> np.ndarray:
             f"provider returned dimension {vec.shape[0]}, expected {dimension}"
         )
     norm = float(np.linalg.norm(vec.astype(np.float64)))
-    if norm == 0.0:
-        raise ProviderUnavailable("provider returned a zero embedding vector")
+    if not 0.0 < norm < math.inf:
+        raise ProviderUnavailable(f"provider returned an embedding vector of norm {norm}")
     vec = vec / np.float32(norm)
     # One refinement pass keeps the float32 norm within 1e-6 of 1.
     vec = vec / np.linalg.norm(vec)
     return vec
 
 
-def _retrying_post(url: str, payload: dict, headers: dict, attempts: int, backoff: float):
-    last_error: Exception | None = None
-    for attempt in range(attempts):
-        try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=DEFAULT_TIMEOUT)
-            if resp.status_code >= 500:
-                raise requests.RequestException(f"server error {resp.status_code}")
-            if 400 <= resp.status_code < 500 and resp.status_code not in _RETRYABLE_4XX:
-                raise ProviderUnavailable(
-                    f"request to {url} was refused with status {resp.status_code}; "
-                    "a retry cannot succeed"
-                )
-            resp.raise_for_status()
-            return resp.json()
-        except (requests.RequestException, ValueError) as exc:
-            last_error = exc
-            if attempt + 1 < attempts:
-                time.sleep(backoff * (2**attempt))
-    raise ProviderUnavailable(f"request to {url} failed after {attempts} attempts: {last_error}")
+def _post(url: str, payload: dict, key_env: str, inflight: threading.Semaphore):
+    """POST ``payload`` as JSON and return the decoded JSON answer.
+
+    Failures a retry can cure are retried under the module's policy: no
+    connection, a timeout, a dropped connection, 5xx, 408, 429, or a body
+    that is not JSON.  Any other error status is refused at once.
+    """
+    headers = {"Content-Type": "application/json"}
+    api_key = os.environ.get(key_env)
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    data = json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    last_error: object = None
+    with inflight:
+        for attempt in range(ATTEMPTS):
+            if attempt:
+                time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 1))
+            try:
+                with urllib.request.urlopen(request, timeout=TIMEOUT_SECONDS) as resp:
+                    return json.loads(resp.read())
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code < 500 and exc.code not in _RETRYABLE_4XX:
+                    raise ProviderUnavailable(
+                        f"request to {url} was refused with status {exc.code}; "
+                        "a retry cannot succeed"
+                    ) from None
+                last_error = f"status {exc.code}"
+            # OSError covers no connection and timeouts; ValueError a body that is not JSON.
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                last_error = exc
+    raise ProviderUnavailable(f"request to {url} failed after {ATTEMPTS} attempts: {last_error}")
+
+
+def _check_endpoint(url: str, key: str) -> None:
+    if not url:
+        raise ConfigError(f"{key} is not configured")
+    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        raise ConfigError(f"{key} {url!r} is not an http or https URL")
 
 
 class EmbeddingClient:
@@ -149,18 +177,13 @@ class EmbeddingClient:
         dimension: int,
         model: str = "",
         cache_dir: str | Path | None = None,
-        max_attempts: int = 3,
-        backoff_seconds: float = 1.0,
         inflight: int = DEFAULT_INFLIGHT,
     ):
-        if not endpoint:
-            raise ConfigError("embedding endpoint (embed.endpoint) is not configured")
+        _check_endpoint(endpoint, "embedding endpoint (embed.endpoint)")
         self.endpoint = endpoint
         self.dimension = dimension
         self.model = model
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.max_attempts = max_attempts
-        self.backoff_seconds = backoff_seconds
         self._memory: dict[str, np.ndarray] = {}
         self._write_lock = threading.Lock()
         self._inflight = threading.Semaphore(inflight)
@@ -185,16 +208,9 @@ class EmbeddingClient:
             vec = np.load(path)
             self._memory[key] = vec
             return vec
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(EMBED_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         payload = {"model": self.model, "input": text}
-        with self._inflight:
-            body = _retrying_post(
-                self.endpoint, payload, headers, self.max_attempts, self.backoff_seconds
-            )
-        vec = unit_normalize(_extract_embedding(body), self.dimension)
+        body = _post(self.endpoint, payload, EMBED_KEY_ENV, self._inflight)
+        vec = unit_normalize(_extract_embedding(body, self.endpoint), self.dimension)
         with self._write_lock:
             self._memory[key] = vec
             if path is not None:
@@ -206,12 +222,16 @@ class EmbeddingClient:
         return vec
 
 
-def _extract_embedding(body: dict) -> list[float]:
-    if "embedding" in body:
-        return body["embedding"]
-    if "data" in body and body["data"]:
-        return body["data"][0]["embedding"]
-    raise ProviderUnavailable(f"embedding response has no vector: {list(body)!r}")
+def _extract_embedding(body, url: str) -> np.ndarray:
+    try:
+        vector = body["embedding"] if "embedding" in body else body["data"][0]["embedding"]
+        if all(type(v) in (int, float) for v in vector):
+            vec = np.array(vector, dtype=np.float64)
+            if np.isfinite(vec).all():
+                return vec
+    except (TypeError, KeyError, IndexError, OverflowError):  # no list of numbers where one goes
+        pass
+    raise ProviderUnavailable(f"embedding response from {url} has no vector: {reprlib.repr(body)}")
 
 
 class HashingEmbedder:
@@ -297,8 +317,7 @@ class GenerationClient:
     """HTTP generation provider; responses are post-processed to one line."""
 
     def __init__(self, config: GenerationConfig, inflight: int = DEFAULT_INFLIGHT):
-        if not config.endpoint:
-            raise ConfigError("generation endpoint (gen.endpoint) is not configured")
+        _check_endpoint(config.endpoint, "generation endpoint (gen.endpoint)")
         self.config = config
         self._inflight = threading.Semaphore(inflight)
 
@@ -309,38 +328,31 @@ class GenerationClient:
     def generate(self, prompt: str, examples=None) -> str:
         if not prompt:
             raise ValueError("cannot generate from an empty prompt")
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(GEN_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
-        with self._inflight:
-            body = _retrying_post(
-                self.config.endpoint,
-                payload,
-                headers,
-                self.config.max_attempts,
-                self.config.backoff_seconds,
-            )
-        return postprocess_generation(_extract_text(body))
+        body = _post(self.config.endpoint, payload, GEN_KEY_ENV, self._inflight)
+        return postprocess_generation(_extract_text(body, self.config.endpoint))
 
 
-def _extract_text(body: dict) -> str:
-    if "text" in body:
-        return body["text"]
-    choices = body.get("choices")
-    if choices:
-        message = choices[0].get("message", {})
-        if "content" in message:
-            return message["content"]
-        if "text" in choices[0]:
-            return choices[0]["text"]
-    raise ProviderUnavailable(f"generation response has no text: {list(body)!r}")
+def _extract_text(body, url: str) -> str:
+    try:
+        if "text" in body:
+            text = body["text"]
+        else:
+            choice = body["choices"][0]
+            message = choice.get("message", {})
+            text = message["content"] if "content" in message else choice["text"]
+    except (TypeError, KeyError, IndexError, AttributeError):  # no text where one goes
+        text = None
+    if not isinstance(text, str):
+        raise ProviderUnavailable(
+            f"generation response from {url} has no text: {reprlib.repr(body)}"
+        )
+    return text
 
 
 class MockGenerator:

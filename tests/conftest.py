@@ -1,12 +1,43 @@
 from __future__ import annotations
 
+import os
 import random
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
+from fake_provider import FakeProvider, closed_port_url
 from helpers import commit_all, git, init_repo
+
+
+@pytest.fixture
+def no_proxy(monkeypatch):
+    """Loopback requests go straight out: both HTTP clients honour ``*_proxy``."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+@pytest.fixture
+def fake_provider(no_proxy):
+    fake = FakeProvider()
+    yield fake
+    fake.close()
+
+
+@pytest.fixture
+def unreachable_url(no_proxy) -> str:
+    return closed_port_url()
+
+
+@pytest.fixture
+def slept(monkeypatch):
+    """The backoff sleeps asked for; none of them is waited out."""
+    waits = []
+    monkeypatch.setattr(time, "sleep", waits.append)
+    return waits
 
 
 @pytest.fixture(scope="session")

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-import requests
 
 from coracmg.corpus import apply_filters, ingest_repo
 from coracmg.diffs import count_loc, parse_diff, write_jsonl
@@ -167,12 +167,15 @@ def test_c4_filter_pipeline():
 
 def test_c5_end_to_end_offline(tmp_path, monkeypatch):
     with criterion("C5 offline experiment: 0 provider calls, twin BLEU=CIDEr=100", 120.0):
-        def forbidden(*args, **kwargs):
+        connects = []
+
+        def forbidden(sock, address):
+            connects.append(address)
             raise AssertionError("network call attempted during offline run")
 
-        monkeypatch.setattr(requests, "post", forbidden)
-        monkeypatch.setattr(requests, "get", forbidden)
-        monkeypatch.setattr(requests.Session, "request", forbidden)
+        # Any HTTP client reaches the network through a socket connect.
+        monkeypatch.setattr(socket.socket, "connect", forbidden)
+        monkeypatch.setattr(socket.socket, "connect_ex", forbidden)
 
         records = twin_corpus(5, 50, seed=77)  # 500 commits, every one has a twin
         assert len(records) == 500
@@ -197,6 +200,7 @@ def test_c5_end_to_end_offline(tmp_path, monkeypatch):
         assert len(result.rows) == 500
         assert result.report.bleu == pytest.approx(100.0, abs=1e-9)
         assert result.report.cider == pytest.approx(100.0, abs=1e-9)
+        assert connects == []
 
 
 def test_c6_determinism(tmp_path):

@@ -2,11 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from coracmg.augmenter import (
-    PromptTemplate,
-    build_direct_prompt,
-    build_rag_prompt,
-)
+from coracmg.augmenter import PromptTemplate
 from coracmg.errors import ConfigError, EmptyQuery, TooManyExamples
 from coracmg.retriever import DocHandle, ExamplePair
 
@@ -21,40 +17,43 @@ def pair(idx: int, score: float, diff: str | None = None, message: str | None = 
 
 
 QUERY = "diff --git a/q b/q\n+the query change"
+DEFAULT = PromptTemplate.default()
 
 
 def test_direct_prompt_contains_diff_once():
-    prompt = build_direct_prompt(QUERY)
+    prompt = DEFAULT.render(QUERY, [])
     assert prompt.count(QUERY) == 1
     assert "{{" not in prompt
     assert "message" in prompt.lower()
 
 
 def test_direct_prompt_is_deterministic():
-    assert build_direct_prompt(QUERY) == build_direct_prompt(QUERY)
+    assert DEFAULT.render(QUERY, []) == DEFAULT.render(QUERY, [])
 
 
 def test_empty_query_rejected():
     with pytest.raises(EmptyQuery):
-        build_direct_prompt("")
+        DEFAULT.render("", [])
     with pytest.raises(EmptyQuery):
-        build_rag_prompt("", [pair(1, 0.5)])
+        DEFAULT.render("", [pair(1, 0.5)])
 
 
 def test_rag_prompt_structure():
-    prompt = build_rag_prompt(QUERY, [pair(1, 0.9)])
+    prompt = DEFAULT.render(QUERY, [pair(1, 0.9)])
     assert prompt.count("change 1") == 1
     assert prompt.count(QUERY) == 1
     assert prompt.index("change 1") < prompt.index(QUERY)
 
 
 def test_rag_with_no_examples_equals_direct():
-    assert build_rag_prompt(QUERY, []) == build_direct_prompt(QUERY)
+    # Zero examples drop the examples region whole: preamble, then the query block.
+    direct = DEFAULT.preamble + DEFAULT.tail.replace("{{query_diff}}", QUERY)
+    assert DEFAULT.render(QUERY, []) == direct
 
 
 def test_examples_render_in_ascending_score_order():
     examples = [pair(1, 0.9), pair(2, 0.5), pair(3, 0.7)]
-    prompt = build_rag_prompt(QUERY, examples)
+    prompt = DEFAULT.render(QUERY, examples)
     pos = {i: prompt.index(f"message number {i}") for i in (1, 2, 3)}
     assert pos[2] < pos[3] < pos[1]  # scores 0.5, 0.7, 0.9
     assert prompt.index(QUERY) > max(pos.values())
@@ -62,7 +61,7 @@ def test_examples_render_in_ascending_score_order():
 
 def test_too_many_examples():
     with pytest.raises(TooManyExamples):
-        build_rag_prompt(QUERY, [pair(i, 0.1 * i) for i in range(6)])
+        DEFAULT.render(QUERY, [pair(i, 0.1 * i) for i in range(6)])
 
 
 def test_budget_evicts_lowest_scored_first():
@@ -72,13 +71,13 @@ def test_budget_evicts_lowest_scored_first():
         pair(2, 0.2, diff=big + "low"),
         pair(3, 0.5, diff=big + "mid"),
     ]
-    full = build_rag_prompt(QUERY, examples, max_chars=1_000_000)
+    full = DEFAULT.render(QUERY, examples, max_chars=1_000_000)
     assert "low" in full and "mid" in full and "high" in full
-    trimmed = build_rag_prompt(QUERY, examples, max_chars=10_000)
+    trimmed = DEFAULT.render(QUERY, examples, max_chars=10_000)
     assert "low" not in trimmed  # score 0.2 went first
     assert "mid" in trimmed and "high" in trimmed
     assert QUERY in trimmed
-    tiny = build_rag_prompt(QUERY, examples, max_chars=500)
+    tiny = DEFAULT.render(QUERY, examples, max_chars=500)
     assert QUERY in tiny  # the query survives even when every example is gone
     assert "high" not in tiny
 
@@ -114,12 +113,12 @@ def test_template_round_trip_and_validation(tmp_path):
 
 def test_backslashes_in_diffs_survive_rendering():
     tricky = "diff --git a/w b/w\n+path = \"C:\\\\temp\\\\1\"\n+regex = r\"\\d+\""
-    prompt = build_rag_prompt(QUERY, [pair(1, 0.5, diff=tricky)])
+    prompt = DEFAULT.render(QUERY, [pair(1, 0.5, diff=tricky)])
     assert tricky in prompt
 
 
 def test_golden_snapshot_stability():
     examples = [pair(1, 0.3), pair(2, 0.8)]
-    a = build_rag_prompt(QUERY, examples)
-    b = build_rag_prompt(QUERY, list(reversed(examples)))
+    a = DEFAULT.render(QUERY, examples)
+    b = DEFAULT.render(QUERY, list(reversed(examples)))
     assert a == b  # input order is irrelevant; score order governs

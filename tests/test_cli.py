@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-import hashlib
 import json
 
 import pytest
 
 from coracmg.cli import main
 from coracmg.diffs import read_jsonl, write_jsonl
+from coracmg.retriever import RetrievalIndex
 from helpers import synthetic_corpus, twin_corpus
 
 
@@ -414,8 +414,10 @@ def _argument_case(case, tmp_path, repo):
             "--out", str(tmp_path / "o"), "--cider-scale", cider_scale,
         ]
 
-    def report(out):
+    def report(out, fault=None):
         assert main(experiment(out_dir=str(tmp_path / "runs" / "r"))) == 0
+        if fault is not None:  # (name, text): a run file overwritten
+            (tmp_path / "runs" / "r" / fault[0]).write_text(fault[1])
         return ["report", "--in", str(tmp_path / "runs"), "--out", str(out)]
 
     cases = {
@@ -466,6 +468,16 @@ def _argument_case(case, tmp_path, repo):
         ],
         "report out under a missing directory": lambda: report(tmp_path / "missing" / "t.md"),
         "experiment out_dir under a file": lambda: experiment(out_dir=str(corpus / "run")),
+        "experiment out_dir is a file": lambda: experiment(out_dir=str(corpus)),
+        "report manifest without metrics": lambda: report(
+            tmp_path / "t.md", ("manifest.json", '{"x": 1}')
+        ),
+        "report manifest not JSON": lambda: report(
+            tmp_path / "t.md", ("manifest.json", '{"metrics": ')
+        ),
+        "report results not JSON": lambda: report(
+            tmp_path / "t.md", ("results.jsonl", '{"sha": \n')
+        ),
     }
     return cases[case]()
 
@@ -496,71 +508,36 @@ def _argument_case(case, tmp_path, repo):
         ("evaluate out under a missing directory", "e.json: No such file or directory"),
         ("report out under a missing directory", "t.md: No such file or directory"),
         ("experiment out_dir under a file", "run: Not a directory"),
+        ("experiment out_dir is a file", "corpus.jsonl: File exists"),
+        (
+            "report manifest without metrics",
+            "manifest.json is not an experiment manifest: no key 'metrics'",
+        ),
+        ("report manifest not JSON", "manifest.json is not valid JSON"),
+        ("report results not JSON", "results.jsonl line 1 is not JSON"),
     ],
 )
 def test_bad_argument_is_an_error_not_a_traceback(
-    fixture_repo, tmp_path, capsys, case, message
+    fixture_repo, tmp_path, capsys, monkeypatch, case, message
 ):
     argv = _argument_case(case, tmp_path, fixture_repo)
+    retrieved = []
+    retrieve = RetrievalIndex.retrieve
+
+    def recording(self, *args, **kwargs):
+        retrieved.append(args)
+        return retrieve(self, *args, **kwargs)
+
+    monkeypatch.setattr(RetrievalIndex, "retrieve", recording)
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "o").exists()
+    assert retrieved == []  # rejected before any row or query ran
 
 
 # -- provider-built indexes through the CLI ---------------------------------------
-
-
-class _FakeProvider:
-    """Stands in for ``requests.post``: 32-d embeddings and a fixed message."""
-
-    def __init__(self):
-        self.embeds = 0
-        self.generations = 0
-
-    def __call__(self, url, json=None, headers=None, timeout=None):
-        import numpy as np
-
-        if url.endswith("/embed"):
-            self.embeds += 1
-            seed = hashlib.sha256(json["input"].encode("utf-8")).digest()
-            vector = np.random.default_rng(list(seed)).standard_normal(32)
-            return _FakeResponse({"embedding": vector.tolist()})
-        self.generations += 1
-        return _FakeResponse({"choices": [{"message": {"content": "apply the provider fix"}}]})
-
-
-class _FakeResponse:
-    status_code = 200
-
-    def __init__(self, payload):
-        self.payload = payload
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self.payload
-
-
-def _provider_config(tmp_path, name="providers.json", model="e", dimension=32):
-    path = tmp_path / name
-    path.write_text(json.dumps({
-        "embed": {"endpoint": "https://models.test/embed", "model": model,
-                  "dimension": dimension},
-        "gen": {"endpoint": "https://models.test/gen", "model": "g"},
-    }))
-    return path
-
-
-@pytest.fixture
-def fake_provider(monkeypatch):
-    import requests
-
-    fake = _FakeProvider()
-    monkeypatch.setattr(requests, "post", fake)
-    return fake
 
 
 def _experiment_over(tmp_path, corpus, index_dir, **extra):
@@ -576,7 +553,7 @@ def test_provider_index_through_retrieve_and_experiment(tmp_path, capsys, fake_p
     records = synthetic_corpus(2, 6, seed=11)
     corpus = tmp_path / "corpus.jsonl"
     write_jsonl(corpus, records)
-    providers = _provider_config(tmp_path)
+    providers = fake_provider.config(tmp_path / "providers.json")
     cache = tmp_path / "embed_cache"
     index_dir = tmp_path / "index.dir"
     assert main([
@@ -620,13 +597,13 @@ def test_provider_index_rejects_another_query_embedder(
     index_dir = tmp_path / "index.dir"
     assert main([
         "index", "--in", str(corpus), "--out", str(index_dir),
-        "--provider-config", str(_provider_config(tmp_path)),
+        "--provider-config", str(fake_provider.config(tmp_path / "providers.json")),
     ]) == 0
     built = fake_provider.embeds
     extra = ()
     config = {}
     if provider is not None:
-        other = _provider_config(tmp_path, "other.json", **provider)
+        other = fake_provider.config(tmp_path / "other.json", **provider)
         extra = ("--provider-config", str(other))
         config = {"provider_config": str(other)}
     capsys.readouterr()
@@ -647,10 +624,82 @@ def test_hash_index_ignores_a_provider_config(tmp_path, capsys, fake_provider):
     write_jsonl(corpus, records)
     index_dir = tmp_path / "index.dir"
     assert main(["index", "--in", str(corpus), "--out", str(index_dir), "--dimension", "64"]) == 0
-    providers = _provider_config(tmp_path)
+    providers = fake_provider.config(tmp_path / "providers.json")
     extra = ("--provider-config", str(providers))
     assert _retrieve_from(index_dir, tmp_path, *extra, repo="acme/project0") == 0
     assert _experiment_over(tmp_path, corpus, index_dir, provider_config=str(providers)) == 0
     assert (fake_provider.embeds, fake_provider.generations) == (0, 0)
     run = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert run["embedder_id"] == "hash-64" and run["failed_count"] == 0
+
+
+# -- an unreachable provider, end to end -------------------------------------------
+
+
+def _unreachable_providers(tmp_path, url):
+    """A provider config for the fake provider's model, served on a closed port."""
+    path = tmp_path / "unreachable.json"
+    path.write_text(json.dumps({
+        "embed": {"endpoint": f"{url}/embed", "model": "e", "dimension": 32},
+        "gen": {"endpoint": f"{url}/gen", "model": "g"},
+    }))
+    return path
+
+
+def test_retrieve_from_an_unreachable_provider(
+    tmp_path, capsys, fake_provider, unreachable_url, slept
+):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, synthetic_corpus(2, 6, seed=11))
+    index_dir = tmp_path / "index.dir"
+    assert main([
+        "index", "--in", str(corpus), "--out", str(index_dir),
+        "--provider-config", str(fake_provider.config(tmp_path / "providers.json")),
+    ]) == 0
+    capsys.readouterr()
+    extra = ("--provider-config", str(_unreachable_providers(tmp_path, unreachable_url)))
+    assert _retrieve_from(index_dir, tmp_path, *extra, repo="acme/project0") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: request to {unreachable_url}/embed failed after 3 attempts"
+    )
+    assert captured.out == ""
+    assert slept == [1.0, 2.0]
+
+
+def test_suggest_with_an_unreachable_provider(
+    fixture_repo, tmp_path, capsys, unreachable_url, slept
+):
+    diff_file = tmp_path / "work.diff"
+    diff_file.write_text("diff --git a/src/app.py b/src/app.py\n+    return 3\n")
+    providers = _unreachable_providers(tmp_path, unreachable_url)
+    assert main([
+        "suggest", "--repo", str(fixture_repo), "--diff", str(diff_file),
+        "--provider-config", str(providers),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: request to {unreachable_url}/gen failed after 3 attempts"
+    )
+    assert captured.out == ""
+    assert slept == [1.0, 2.0]
+
+
+def test_experiment_with_an_unreachable_provider(tmp_path, capsys, unreachable_url, slept):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, synthetic_corpus(2, 6, seed=11))
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "corpus": str(corpus), "out_dir": str(tmp_path / "run"), "method": "direct",
+        "generator": "provider", "seed": 4,
+        "provider_config": str(_unreachable_providers(tmp_path, unreachable_url)),
+    }))
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert "(12 failures)" in capsys.readouterr().out
+    run = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert run["failed_count"] == run["subset_size"] == 12
+    for row in read_jsonl(tmp_path / "run" / "results.jsonl", dict):
+        assert row["status"].startswith(
+            f"error: ProviderUnavailable: request to {unreachable_url}/gen failed after 3 attempts"
+        )
+    assert sorted(slept) == [1.0] * 12 + [2.0] * 12  # rows run four at a time

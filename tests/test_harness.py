@@ -4,7 +4,6 @@ import hashlib
 import json
 import re
 import threading
-import time
 
 import pytest
 
@@ -20,6 +19,7 @@ from coracmg.harness import (
 )
 from coracmg.providers import HashingEmbedder
 from coracmg.retriever import RetrievalIndex
+from fake_provider import Reply
 from helpers import make_record, synthetic_corpus, twin_corpus
 from oracles import oracle_rank
 
@@ -308,54 +308,22 @@ def test_custom_template_flows_through(tmp_path):
     assert result.manifest["template_sha256"] != template_hash(PromptTemplate.default())
 
 
-class FakeResponse:
-    def __init__(self, payload):
-        self.payload = payload
-        self.status_code = 200
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self.payload
-
-
-def test_provider_backed_experiment(tmp_path, monkeypatch):
-    import requests as requests_mod
-
-    import numpy as np
-
-    calls = {"embed": 0, "gen": 0}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        if url.endswith("/embed"):
-            calls["embed"] += 1
-            rng = np.random.default_rng(abs(hash(json["input"])) % 2**32)
-            return FakeResponse({"embedding": rng.standard_normal(32).tolist()})
-        calls["gen"] += 1
-        return FakeResponse({"choices": [{"message": {"content": "apply the provider fix"}}]})
-
-    monkeypatch.setattr(requests_mod, "post", fake_post)
-
+def test_provider_backed_experiment(tmp_path, fake_provider):
     records = synthetic_corpus(2, 6, seed=101)
     corpus_path = tmp_path / "corpus.jsonl"
     write_jsonl(corpus_path, records)
-    provider_cfg = tmp_path / "providers.json"
-    provider_cfg.write_text(json.dumps({
-        "embed": {"endpoint": "https://models.test/embed", "model": "e", "dimension": 32},
-        "gen": {"endpoint": "https://models.test/gen", "model": "g", "temperature": 0.0},
-    }))
+    provider_cfg = fake_provider.config(tmp_path / "providers.json")
     # index built with the same provider embedder and a shared cache
     from coracmg.providers import EmbeddingClient
 
     cache = tmp_path / "corpus.jsonl.embed_cache"
     embedder = EmbeddingClient(
-        "https://models.test/embed", 32, model="e", cache_dir=cache
+        f"{fake_provider.url}/embed", 32, model="e", cache_dir=cache
     )
     index = RetrievalIndex.build(records, embedder)
     index_dir = tmp_path / "corpus.index"
     index.save(index_dir)
-    embeds_after_build = calls["embed"]
+    embeds_after_build = fake_provider.embeds
     assert embeds_after_build == len(records)
 
     config = ExperimentConfig(
@@ -371,9 +339,9 @@ def test_provider_backed_experiment(tmp_path, monkeypatch):
     result = run_experiment(config)
     assert all(r["status"] == "ok" for r in result.rows)
     assert all(r["generated"] == "apply the provider fix" for r in result.rows)
-    assert calls["gen"] == len(records)
+    assert fake_provider.generations == len(records)
     # every corpus diff was already cached; only genuinely new texts embed
-    assert calls["embed"] == embeds_after_build
+    assert fake_provider.embeds == embeds_after_build
     assert result.manifest["generator_id"] == "g"
     assert result.manifest["embedder_id"] == "e"
 
@@ -407,34 +375,22 @@ def test_offline_experiment_retrieves_on_one_thread(tmp_path, monkeypatch):
     assert len(set(threads)) == 1
 
 
-def test_provider_requests_in_flight_follow_the_provider_config(tmp_path, monkeypatch):
-    import requests as requests_mod
-
+def test_provider_requests_in_flight_follow_the_provider_config(tmp_path, fake_provider):
     records = synthetic_corpus(2, 6, seed=101)
     corpus_path, index_dir = _materialize(tmp_path, records)
-    lock = threading.Lock()
-    active, peak = [0], [0]
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        with lock:
-            active[0] += 1
-            peak[0] = max(peak[0], active[0])
-        time.sleep(0.005)  # hold the request open so others can overlap it
-        with lock:
-            active[0] -= 1
-        prompt = json["messages"][0]["content"]
-        digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:12]
-        return FakeResponse({"choices": [{"message": {"content": f"apply fix {digest}"}}]})
+    def message(prompt):
+        return f"apply fix {hashlib.sha256(prompt.encode('utf-8')).hexdigest()[:12]}"
 
-    monkeypatch.setattr(requests_mod, "post", fake_post)
+    fake_provider.message = message
     results = {}
     for inflight in (1, 2):
-        provider_cfg = tmp_path / f"providers{inflight}.json"
-        provider_cfg.write_text(json.dumps({
-            "gen": {"endpoint": "https://models.test/gen", "model": "g"},
-            "concurrency": {"inflight": inflight},
-        }))
-        peak[0] = 0
+        provider_cfg = fake_provider.config(
+            tmp_path / f"providers{inflight}.json", inflight=inflight
+        )
+        # hold each request open so others can overlap it
+        fake_provider.script(*[Reply(hold=0.02)] * len(records))
+        fake_provider.peak = 0
         out = tmp_path / f"run{inflight}"
         result = run_experiment(
             ExperimentConfig(
@@ -449,7 +405,7 @@ def test_provider_requests_in_flight_follow_the_provider_config(tmp_path, monkey
             )
         )
         assert all(r["status"] == "ok" for r in result.rows)
-        assert peak[0] == inflight
+        assert fake_provider.peak == inflight
         results[inflight] = (out / "results.jsonl").read_bytes()
     assert results[1] == results[2]
 

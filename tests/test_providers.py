@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+import re
+import subprocess
+import sys
 import threading
-import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coracmg import providers
 from coracmg.errors import ConfigError, DimensionMismatch, EmptyGeneration, ProviderUnavailable
 from coracmg.providers import (
     EmbeddingClient,
@@ -23,26 +27,12 @@ from coracmg.providers import (
     unit_normalize,
 )
 from coracmg.retriever import DocHandle, ExamplePair
+from fake_provider import Reply
 from helpers import synthetic_corpus
 from oracles import oracle_hash_embed
 
 
-class FakeResponse:
-    def __init__(self, payload, status=200):
-        self.payload = payload
-        self.status_code = status
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.RequestException(f"status {self.status_code}")
-
-    def json(self):
-        return self.payload
-
-
-@pytest.fixture(autouse=True)
-def no_sleep(monkeypatch):
-    monkeypatch.setattr(time, "sleep", lambda *_: None)
+pytestmark = pytest.mark.usefixtures("slept")  # no test waits out a backoff
 
 
 def test_unit_normalize_contract():
@@ -55,106 +45,177 @@ def test_unit_normalize_contract():
         unit_normalize([0.0, 0.0], dimension=2)
 
 
-def test_embed_caches_by_content(monkeypatch, tmp_path):
-    calls = []
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls.append(url)
-        return FakeResponse({"embedding": [1.0, 2.0, 2.0, 0.0]})
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    client = EmbeddingClient("https://embed.test/v1", 4, cache_dir=tmp_path / "cache")
+def test_embed_caches_by_content(fake_provider, tmp_path):
+    fake_provider.script(Reply(body={"embedding": [1.0, 2.0, 2.0, 0.0]}))
+    endpoint = f"{fake_provider.url}/embed"
+    client = EmbeddingClient(endpoint, 4, cache_dir=tmp_path / "cache")
     first = client.embed("some diff text")
     second = client.embed("some diff text")
-    assert len(calls) == 1  # one network call, second hit the cache
+    assert len(fake_provider.requests) == 1  # one network call, second hit the cache
     assert first.tobytes() == second.tobytes()
     assert abs(float(np.linalg.norm(first)) - 1.0) < 1e-6  # norm-2 input normalized
 
     # a fresh client with the same cache dir stays fully offline
-    monkeypatch.setattr(requests, "post", lambda *a, **k: pytest.fail("network hit"))
-    warm = EmbeddingClient("https://embed.test/v1", 4, cache_dir=tmp_path / "cache")
+    warm = EmbeddingClient(endpoint, 4, cache_dir=tmp_path / "cache")
     third = warm.embed("some diff text")
     assert third.tobytes() == first.tobytes()
+    assert len(fake_provider.requests) == 1
 
 
-def test_embed_retries_then_succeeds(monkeypatch):
-    attempts = []
-
-    def flaky_post(url, json=None, headers=None, timeout=None):
-        attempts.append(1)
-        if len(attempts) < 3:
-            raise requests.ConnectionError("transient")
-        return FakeResponse({"data": [{"embedding": [0.0, 1.0]}]})
-
-    monkeypatch.setattr(requests, "post", flaky_post)
-    client = EmbeddingClient("https://embed.test/v1", 2, max_attempts=3)
-    vec = client.embed("text")
-    assert len(attempts) == 3
-    assert vec[1] == pytest.approx(1.0)
-
-
-def test_embed_gives_up_after_max_attempts(monkeypatch):
-    monkeypatch.setattr(
-        requests, "post", lambda *a, **k: (_ for _ in ()).throw(requests.ConnectionError())
+def test_embed_retries_then_succeeds(fake_provider, slept):
+    fake_provider.script(
+        Reply(drop=True), Reply(drop=True), Reply(body={"data": [{"embedding": [0.0, 1.0]}]})
     )
-    client = EmbeddingClient("https://embed.test/v1", 2, max_attempts=3)
-    with pytest.raises(ProviderUnavailable):
+    client = EmbeddingClient(f"{fake_provider.url}/embed", 2)
+    vec = client.embed("text")
+    assert len(fake_provider.requests) == 3
+    assert vec[1] == pytest.approx(1.0)
+    assert slept == [1.0, 2.0]  # the backoff doubles
+
+
+def test_embed_gives_up_after_max_attempts(fake_provider, slept):
+    fake_provider.script(*[Reply(drop=True)] * 3)
+    client = EmbeddingClient(f"{fake_provider.url}/embed", 2)
+    with pytest.raises(ProviderUnavailable, match="failed after 3 attempts"):
         client.embed("text")
+    assert len(fake_provider.requests) == 3
+    assert slept == [1.0, 2.0]
+
+
+def test_unreachable_provider_gives_up_after_max_attempts(unreachable_url, slept):
+    with pytest.raises(ProviderUnavailable, match="/embed failed after 3 attempts"):
+        EmbeddingClient(f"{unreachable_url}/embed", 2).embed("text")
+    with pytest.raises(ProviderUnavailable, match="/gen failed after 3 attempts"):
+        GenerationClient(GenerationConfig(endpoint=f"{unreachable_url}/gen")).generate("p")
+    assert slept == [1.0, 2.0] * 2
 
 
 @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
-def test_client_errors_fail_at_once(monkeypatch, status):
-    calls, slept = [], []
-
-    def refusing_post(url, json=None, headers=None, timeout=None):
-        calls.append(1)
-        return FakeResponse({"error": "refused"}, status=status)
-
-    monkeypatch.setattr(requests, "post", refusing_post)
-    monkeypatch.setattr(time, "sleep", slept.append)
-    client = EmbeddingClient("https://embed.test/v1", 2, max_attempts=3)
+def test_client_errors_fail_at_once(fake_provider, slept, status):
+    fake_provider.script(Reply(status=status, body={"error": "refused"}))
+    client = EmbeddingClient(f"{fake_provider.url}/embed", 2)
     with pytest.raises(ProviderUnavailable, match=f"status {status}"):
         client.embed("text")
-    assert len(calls) == 1  # a retry cannot change the answer
+    assert len(fake_provider.requests) == 1  # a retry cannot change the answer
     assert slept == []
 
 
 @pytest.mark.parametrize("status", [408, 429])
-def test_timeout_and_rate_limit_are_retried(monkeypatch, status):
-    responses = [FakeResponse({}, status=status), FakeResponse({"text": "Fix the bug"})]
-    calls = []
-
-    def limited_post(url, json=None, headers=None, timeout=None):
-        calls.append(1)
-        return responses[len(calls) - 1]
-
-    monkeypatch.setattr(requests, "post", limited_post)
-    client = GenerationClient(GenerationConfig(endpoint="https://gen.test/v1"))
+def test_timeout_and_rate_limit_are_retried(fake_provider, status):
+    fake_provider.script(Reply(status=status, body={}), Reply(body={"text": "Fix the bug"}))
+    client = GenerationClient(GenerationConfig(endpoint=f"{fake_provider.url}/gen"))
     assert client.generate("p") == "Fix the bug"
-    assert len(calls) == 2
+    assert len(fake_provider.requests) == 2
 
 
-def test_embed_dimension_mismatch(monkeypatch):
-    monkeypatch.setattr(
-        requests, "post", lambda *a, **k: FakeResponse({"embedding": [1.0, 2.0, 3.0]})
-    )
-    client = EmbeddingClient("https://embed.test/v1", 2)
+@pytest.mark.parametrize(
+    "fault",
+    [Reply(status=500), Reply(status=503), Reply(drop=True), Reply(raw=b"<html>busy</html>")],
+    ids=["500", "503", "dropped", "not-json"],
+)
+def test_transient_failures_are_retried(fake_provider, slept, fault):
+    fake_provider.script(fault, Reply(body={"text": "Fix the bug"}))
+    client = GenerationClient(GenerationConfig(endpoint=f"{fake_provider.url}/gen"))
+    assert client.generate("p") == "Fix the bug"
+    assert len(fake_provider.requests) == 2
+    assert slept == [1.0]
+
+
+def test_a_request_that_times_out_is_retried(fake_provider, slept, monkeypatch):
+    monkeypatch.setattr(providers, "TIMEOUT_SECONDS", 0.2)
+    fake_provider.script(Reply(hold=30.0), Reply(body={"text": "Fix the bug"}))
+    client = GenerationClient(GenerationConfig(endpoint=f"{fake_provider.url}/gen"))
+    assert client.generate("p") == "Fix the bug"
+    assert len(fake_provider.requests) == 2
+    assert slept == [1.0]
+
+
+@pytest.mark.parametrize(
+    "kind, body",
+    [
+        ("embed", 5),
+        ("embed", {"data": [5]}),
+        ("embed", {"embedding": "abc"}),
+        ("embed", {"embedding": None}),
+        ("embed", {"embedding": [1.0, "2"]}),
+        ("embed", {"embedding": [float("nan"), 1.0]}),
+        ("gen", 5),
+        ("gen", {"choices": [5]}),
+        ("gen", {"text": 3}),
+        ("gen", {"choices": [{"message": {"content": None}}]}),
+    ],
+    ids=[
+        "embed-5", "embed-data-5", "embed-abc", "embed-null", "embed-string-entry",
+        "embed-nan", "gen-5", "gen-choices-5", "gen-text-3", "gen-content-null",
+    ],
+)
+def test_response_of_the_wrong_shape_is_refused_at_once(fake_provider, slept, kind, body):
+    fake_provider.script(Reply(body=body))
+    endpoint = f"{fake_provider.url}/{kind}"
+    with pytest.raises(ProviderUnavailable, match=re.escape(endpoint)):
+        if kind == "embed":
+            EmbeddingClient(endpoint, 2).embed("text")
+        else:
+            GenerationClient(GenerationConfig(endpoint=endpoint)).generate("p")
+    assert len(fake_provider.requests) == 1
+    assert slept == []
+
+
+def test_embed_dimension_mismatch(fake_provider):
+    fake_provider.script(Reply(body={"embedding": [1.0, 2.0, 3.0]}))
+    client = EmbeddingClient(f"{fake_provider.url}/embed", 2)
     with pytest.raises(DimensionMismatch):
         client.embed("text")
 
 
-def test_empty_inputs_rejected(monkeypatch):
-    monkeypatch.setattr(requests, "post", lambda *a, **k: pytest.fail("network hit"))
-    client = EmbeddingClient("https://embed.test/v1", 2)
+def test_empty_inputs_rejected(fake_provider):
+    client = EmbeddingClient(f"{fake_provider.url}/embed", 2)
     with pytest.raises(ValueError):
         client.embed("")
-    gen = GenerationClient(GenerationConfig(endpoint="https://gen.test/v1"))
+    gen = GenerationClient(GenerationConfig(endpoint=f"{fake_provider.url}/gen"))
     with pytest.raises(ValueError):
         gen.generate("")
     with pytest.raises(ConfigError, match="embed.endpoint"):
         EmbeddingClient("", 2)
     with pytest.raises(ConfigError, match="gen.endpoint"):
         GenerationClient(GenerationConfig(endpoint=""))
+    assert fake_provider.requests == []
+
+
+def test_endpoint_must_be_an_http_url():
+    with pytest.raises(ConfigError, match="embed.endpoint.*'models.test/embed' is not an http"):
+        EmbeddingClient("models.test/embed", 2)
+    with pytest.raises(ConfigError, match="gen.endpoint.*'file:///etc/hosts' is not an http"):
+        GenerationClient(GenerationConfig(endpoint="file:///etc/hosts"))
+
+
+def test_requests_carry_json_and_bearer_headers(fake_provider, monkeypatch):
+    monkeypatch.setenv("CORACMG_EMBED_KEY", "embed-secret")
+    monkeypatch.delenv("CORACMG_GEN_KEY", raising=False)
+    EmbeddingClient(f"{fake_provider.url}/embed", 32, model="e").embed("text")
+    GenerationClient(GenerationConfig(endpoint=f"{fake_provider.url}/gen")).generate("p")
+    embed, gen = (r["headers"] for r in fake_provider.requests)
+    assert embed["Content-Type"] == gen["Content-Type"] == "application/json"
+    assert embed["Authorization"] == "Bearer embed-secret"
+    assert "Authorization" not in gen
+    assert fake_provider.requests[0]["payload"] == {"model": "e", "input": "text"}
+
+
+def test_package_imports_without_requests():
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['requests'] = None\n"
+        "import coracmg\n"
+        "for mod in pkgutil.iter_modules(coracmg.__path__):\n"
+        "    importlib.import_module(f'coracmg.{mod.name}')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('coracmg.')))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "coracmg.providers" in done.stdout and "coracmg.cli" in done.stdout
 
 
 def test_hashing_embedder_is_deterministic_and_meaningful():
@@ -212,35 +273,23 @@ def test_postprocess_generation():
         postprocess_generation("``````")
 
 
-def test_generation_client(monkeypatch):
-    seen = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen.update(json)
-        return FakeResponse({"choices": [{"message": {"content": "```\nAdd retry\n```"}}]})
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    client = GenerationClient(GenerationConfig(endpoint="https://gen.test/v1", model="m1"))
+def test_generation_client(fake_provider):
+    answer = {"choices": [{"message": {"content": "```\nAdd retry\n```"}}]}
+    fake_provider.script(Reply(body=answer))
+    client = GenerationClient(GenerationConfig(endpoint=f"{fake_provider.url}/gen", model="m1"))
     out = client.generate("the prompt")
     assert out == "Add retry"
+    seen = fake_provider.requests[0]["payload"]
     assert seen["temperature"] == 0.0
     assert seen["model"] == "m1"
     assert seen["messages"][0]["content"] == "the prompt"
 
 
-def test_generation_retry_contract(monkeypatch):
-    attempts = []
-
-    def flaky_post(url, json=None, headers=None, timeout=None):
-        attempts.append(1)
-        if len(attempts) < 3:
-            raise requests.ConnectionError("transient")
-        return FakeResponse({"text": "Fix the bug"})
-
-    monkeypatch.setattr(requests, "post", flaky_post)
-    client = GenerationClient(GenerationConfig(endpoint="https://gen.test/v1"))
+def test_generation_retry_contract(fake_provider):
+    fake_provider.script(Reply(drop=True), Reply(drop=True), Reply(body={"text": "Fix the bug"}))
+    client = GenerationClient(GenerationConfig(endpoint=f"{fake_provider.url}/gen"))
     assert client.generate("p") == "Fix the bug"
-    assert len(attempts) == 3
+    assert len(fake_provider.requests) == 3
 
 
 def _pair(message: str, score: float) -> ExamplePair:
@@ -297,29 +346,19 @@ def test_provider_config_errors(tmp_path):
             ProviderConfig.from_file(cfg_path)
 
 
-def test_inflight_cap_bounds_concurrency(monkeypatch):
-    active = []
-    peak = []
-    lock = threading.Lock()
-
-    def slow_post(url, json=None, headers=None, timeout=None):
-        with lock:
-            active.append(1)
-            peak.append(len(active))
-        time.sleep(0)  # yield
-        for _ in range(10000):
-            pass
-        with lock:
-            active.pop()
-        return FakeResponse({"text": "ok message"})
-
-    monkeypatch.setattr(requests, "post", slow_post)
+def test_inflight_cap_bounds_concurrency(fake_provider):
+    fake_provider.script(*[Reply(hold=0.05, body={"text": "ok message"})] * 8)
     client = GenerationClient(
-        GenerationConfig(endpoint="https://gen.test/v1"), inflight=2
+        GenerationConfig(endpoint=f"{fake_provider.url}/gen"), inflight=2
     )
-    threads = [threading.Thread(target=lambda: client.generate("p")) for _ in range(8)]
+    answers = []
+    threads = [
+        threading.Thread(target=lambda: answers.append(client.generate("p"))) for _ in range(8)
+    ]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert max(peak) <= 2
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert answers == ["ok message"] * 8
+    assert fake_provider.peak == 2  # held requests overlap, up to the cap and no further
