@@ -18,7 +18,7 @@ from . import corpus as corpus_mod
 from . import harness, metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate
 from .diffs import read_corpus, read_jsonl, write_jsonl
-from .errors import ConfigError, CoracmgError, InvalidInput
+from .errors import ConfigError, CoracmgError, EmptyCorpus, InvalidInput
 from .providers import GenerationClient, HashingEmbedder, ProviderConfig, query_embedder
 from .retriever import RetrievalIndex
 from .tokenizer import tokenize
@@ -260,8 +260,10 @@ def _cmd_suggest(args) -> int:
     ]
     retained, _ = corpus_mod.apply_filters(raw)
     if not retained:
-        print("no usable history after filtering; cannot suggest", file=sys.stderr)
-        return 1
+        raise EmptyCorpus(
+            f"no commit of {args.repo} on {args.branch} since {args.since} "
+            "passes the corpus filters; cannot suggest"
+        )
     embedder = HashingEmbedder(256)
     index = RetrievalIndex.build(retained, embedder)
     repo_name = retained[0].repo_full_name

@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import EmptyCorpus, InvalidInput, MalformedDiff
@@ -79,6 +80,7 @@ class ParsedDiff:
 
 _RECORD_FIELDS = ("diff", "message", "repo_full_name", "sha", "author_name", "files", "date", "loc")
 _RECORD_KINDS = (str, str, str, str, str, list, str, int)  # exact, so true/false is no loc
+_record_values = itemgetter(*_RECORD_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -115,17 +117,35 @@ class CommitRecord:
 
     @classmethod
     def from_dict(cls, obj) -> "CommitRecord":
-        """Record from one parsed corpus line; a missing or mistyped field is a ValueError."""
+        """Record from one parsed corpus line.
+
+        A missing or mistyped field, a lone surrogate in any text or a date
+        that does not parse is a ValueError.
+        """
         if type(obj) is not dict:
             raise ValueError(f"holds a JSON {type(obj).__name__}, not an object")
-        values = [obj.get(name) for name in _RECORD_FIELDS]
+        try:
+            values = _record_values(obj)
+        except KeyError:
+            values = ()  # the loop below names the missing field
         if tuple(map(type, values)) != _RECORD_KINDS:  # one C-level check on the common path
-            for name, kind, value in zip(_RECORD_FIELDS, _RECORD_KINDS, values):
-                if type(value) is not kind:
-                    found = type(value).__name__ if name in obj else "nothing"
+            for name, kind in zip(_RECORD_FIELDS, _RECORD_KINDS):
+                if type(obj.get(name)) is not kind:
+                    found = type(obj[name]).__name__ if name in obj else "nothing"
                     raise ValueError(f"field {name!r} holds {found}, not {kind.__name__}")
-        if not {str}.issuperset(map(type, obj["files"])):
+        if not {str}.issuperset(map(type, values[5])):
             raise ValueError("field 'files' holds a non-string path")
+        try:  # a JSON escape can hold half a surrogate pair, which no UTF-8 file can
+            "".join(values[:5]).encode("utf-8")
+            "".join(values[5]).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(
+                f"holds a lone surrogate U+{ord(exc.object[exc.start]):04X}, not UTF-8 text"
+            ) from None
+        try:
+            datetime.fromisoformat(values[6])
+        except ValueError:
+            raise ValueError(f"field 'date' holds {values[6]!r}, not an ISO-8601 date") from None
         return cls(*values)
 
     def validate(self) -> None:

@@ -7,7 +7,7 @@ unit-normalized embeddings, and the two are fused 1:1 after min-max
 normalization over the candidate set.  A leakage guard skips any candidate
 whose diff is byte-identical to the query, promoting the next-ranked pair.
 
-The index persists to a directory of five files (version 3); partitions are
+The index persists to a directory of five files (version 4); partitions are
 stored in sorted project order and documents in partition order:
 
 * ``manifest.json``: versioned description (counts, dimension, parameters);
@@ -20,17 +20,24 @@ stored in sorted project order and documents in partition order:
   offsets into the text: field ``f`` of document ``d`` is
   ``text[bounds[4*d + f]:bounds[4*d + f + 1]]``) and, per partition ``p``,
   the CSR arrays ``offsets_p`` (int64, one more than the vocabulary),
-  ``ids_p`` (int32, ascending within each term), ``tfs_p`` (float64) and
-  ``lengths_p`` (int64, tokens per doc)
+  ``ids_p`` (int32, ascending within each term), ``tfs_p`` (float64),
+  ``lengths_p`` (int64, tokens per doc) and ``tiebreak_p`` (int64, each
+  document's rank under (date desc, sha asc), computed at build)
 * ``vectors.bin``: 16-byte header (magic ``CMGV``, version, count,
   dimension; little-endian uint32) followed by row-major float32 vectors
 
-Loading checks the version of the manifest and of the vectors header, that
-the counts agree across files, that the text is UTF-8 and its bounds rise
-from 0 to its length, that the CSR arrays index only their own partition,
-and that every date parses; any failure is a ``CorruptIndex``.
+Loading reads every file and checks the version of the manifest and of the
+vectors header, that the counts agree across files, that the text is UTF-8
+and its bounds rise from 0 to its length, that the CSR arrays index only
+their own partition and that each tie-break array is a permutation; any
+failure is a ``CorruptIndex``.  Load builds nothing per document: a query
+cuts from the decoded text only the fields it reads, and a partition
+converts its vectors to float64 and builds its sha lookup on its first
+query.
 
-After construction the index is immutable; queries may run concurrently.
+After construction the index is immutable and queries may run
+concurrently: each piece of lazily built state is computed whole and then
+published by one attribute assignment, so a race at worst computes it twice.
 """
 
 from __future__ import annotations
@@ -38,11 +45,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import mmap
+import os
 import struct
 import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -56,10 +66,19 @@ from .tokenizer import tokenize
 log = logging.getLogger(__name__)
 
 VECTORS_MAGIC = b"CMGV"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
-_CSR_DTYPES = {"offsets": np.int64, "ids": np.int32, "tfs": np.float64, "lengths": np.int64}
+# The per-partition arrays of postings.npz: the BM25 CSR arrays and the tie-break.
+_ARRAY_DTYPES = {
+    "offsets": np.int64,
+    "ids": np.int32,
+    "tfs": np.float64,
+    "lengths": np.int64,
+    "tiebreak": np.int64,
+}
+# The four fields of each document, in docs.txt order.
+_SHA, _DATE, _MESSAGE, _DIFF = range(4)
 
 
 class DocHandle(NamedTuple):
@@ -77,55 +96,75 @@ class ExamplePair:
     hybrid_score: float
 
 
-class _Doc(NamedTuple):
-    sha: str
-    date: str
-    message: str
-    diff: str
-
-
 class _Partition:
     """One project's documents, unit vectors and BM25 postings.
 
-    The postings of term row ``t`` are ``ids[offsets[t]:offsets[t + 1]]``
-    with term frequencies ``tfs`` over the same slice; ``lengths`` holds
-    each document's token count.
+    Field ``f`` (``_SHA``, ``_DATE``, ``_MESSAGE`` or ``_DIFF``) of document
+    ``i`` is ``text[bounds[4*i + f]:bounds[4*i + f + 1]]``; a loaded index
+    shares one text among its partitions.  The postings of term row ``t``
+    are ``ids[offsets[t]:offsets[t + 1]]`` with term frequencies ``tfs``
+    over the same slice; ``lengths`` holds each document's token count and
+    ``tiebreak`` its rank under (date desc, sha asc), the order after the
+    hybrid score.
+
+    ``vectors`` and ``sha_index`` are built on first use.  Each is computed
+    whole and then published by one attribute assignment, so concurrent
+    first queries see either nothing or the finished value.
     """
 
     def __init__(
         self,
         repo: str,
-        docs: list[_Doc],
+        text: str,
+        bounds: np.ndarray,
         vectors: np.ndarray,
         terms: list[str],
-        csr: dict[str, np.ndarray],
+        arrays: dict[str, np.ndarray],
         k1: float,
         b: float,
     ):
         self.repo = repo
-        self.docs = docs
-        self.vectors = vectors.astype(np.float64)  # (n, dim) unit rows, float32 values
+        self.text = text
+        self.bounds = bounds
+        self._vectors = vectors  # (n, dim) unit rows, float32 until the first query
         self.terms = {term: t for t, term in enumerate(terms)}
-        self.offsets = csr["offsets"]
-        self.ids = csr["ids"]
-        self.tfs = csr["tfs"]
-        self.lengths = csr["lengths"]
-        self.sha_index = {doc.sha: i for i, doc in enumerate(docs)}
-        avgdl = int(self.lengths.sum()) / len(docs) if docs else 0.0
+        self.offsets = arrays["offsets"]
+        self.ids = arrays["ids"]
+        self.tfs = arrays["tfs"]
+        self.lengths = arrays["lengths"]
+        self.tiebreak = arrays["tiebreak"]
+        n = len(self.lengths)
+        avgdl = int(self.lengths.sum()) / n if n else 0.0
         # Precomputed k1 * (1 - b + b * dl / avgdl) per document.
         if avgdl > 0:
             self.length_norm = k1 * (1.0 - b + b * (self.lengths / avgdl))
         else:
-            self.length_norm = np.full(len(docs), k1, dtype=np.float64)
-        # Rank of each document under (date desc, sha asc): the tie-break
-        # after the hybrid score.
-        dates = [datetime.fromisoformat(doc.date).timestamp() for doc in docs]
-        order = sorted(range(len(docs)), key=lambda i: (-dates[i], docs[i].sha))
-        self.tiebreak = np.empty(len(docs), dtype=np.int64)
-        self.tiebreak[order] = np.arange(len(docs))
+            self.length_norm = np.full(n, k1, dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.lengths)
+
+    def field(self, i: int, f: int) -> str:
+        """Field ``f`` of document ``i``, cut from the text."""
+        return self.text[self.bounds[4 * i + f] : self.bounds[4 * i + f + 1]]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The unit rows as float64, converted from the stored float32 on first use."""
+        vectors = self._vectors
+        if vectors.dtype != np.float64:
+            # float64 keeps the dot products, and so hybrid_score, bit-identical.
+            vectors = vectors.astype(np.float64)
+            self._vectors = vectors  # publishes the copy and drops the float32 view
+        return vectors
+
+    @cached_property
+    def sha_index(self) -> dict[str, int]:
+        """Row of each sha (the last, for a repeated one), built on first use."""
+        starts = self.bounds[_SHA:-1:4].tolist()
+        ends = self.bounds[_SHA + 1 :: 4].tolist()
+        text = self.text
+        return {text[lo:hi]: i for i, (lo, hi) in enumerate(zip(starts, ends))}
 
     def posting(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """(ids, tfs) views of a term's postings, or None for an unseen term."""
@@ -134,6 +173,15 @@ class _Partition:
             return None
         lo, hi = self.offsets[t], self.offsets[t + 1]
         return self.ids[lo:hi], self.tfs[lo:hi]
+
+
+def _tiebreak(records: list[CommitRecord]) -> np.ndarray:
+    """Rank of each record under (date desc, sha asc)."""
+    stamps = [datetime.fromisoformat(rec.date).timestamp() for rec in records]
+    order = sorted(range(len(records)), key=lambda i: (-stamps[i], records[i].sha))
+    rank = np.empty(len(records), dtype=np.int64)
+    rank[order] = np.arange(len(records))
+    return rank
 
 
 def _csr(
@@ -188,8 +236,8 @@ def _read_json(path: Path):
         raise CorruptIndex(f"{path} is not valid JSON: {exc}") from None
 
 
-def _read_docs(path: Path, bounds: np.ndarray | None, doc_count: int) -> list[_Doc]:
-    """The documents of ``docs.txt``, cut at the field bounds of ``postings.npz``."""
+def _read_text(path: Path, bounds: np.ndarray | None, doc_count: int) -> str:
+    """The text of ``docs.txt``, once the field bounds of ``postings.npz`` fit it."""
     try:
         text = _read_bytes(path).decode("utf-8", "surrogatepass")
     except UnicodeDecodeError as exc:
@@ -208,9 +256,49 @@ def _read_docs(path: Path, bounds: np.ndarray | None, doc_count: int) -> list[_D
             f"postings.npz: field bounds must rise from 0 to the {len(text)} "
             f"characters of {path.name}"
         )
-    ends = bounds.tolist()
-    fields = iter([text[lo:hi] for lo, hi in zip(ends, ends[1:])])
-    return list(map(_Doc._make, zip(fields, fields, fields, fields)))  # four per document
+    return text
+
+
+def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[np.ndarray]]:
+    """The dimension and float32 rows of ``vectors.bin``, one block per partition.
+
+    Each block lives in its own anonymous mapping, outside the malloc heap,
+    so its pages go back to the system as soon as its partition has
+    converted it to float64; freed heap blocks would stay resident.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(16)
+            if len(header) < 16 or header[:4] != VECTORS_MAGIC:
+                raise CorruptIndex("vectors.bin has a bad magic number")
+            version, count, dimension = struct.unpack("<III", header[4:])
+            if version != INDEX_VERSION:
+                raise CorruptIndex(
+                    f"vectors.bin has version {version}; "
+                    f"this release reads version {INDEX_VERSION}"
+                )
+            size = os.fstat(fh.fileno()).st_size
+            if size != 16 + count * dimension * 4:
+                raise CorruptIndex(
+                    f"vectors.bin has {size} bytes; a {count} x {dimension} float32 "
+                    f"matrix needs {16 + count * dimension * 4}"
+                )
+            if count != sum(counts):
+                raise CorruptIndex(
+                    f"vectors.bin holds {count} vectors, manifest.json "
+                    f"counts {sum(counts)} documents"
+                )
+            blocks = []
+            for n in counts:
+                nbytes = 4 * n * dimension
+                staging = mmap.mmap(-1, max(nbytes, 1))  # a mapping cannot be empty
+                if fh.readinto(memoryview(staging)[:nbytes]) != nbytes:
+                    raise CorruptIndex("vectors.bin changed while it was read")
+                rows = np.frombuffer(staging, dtype="<f4", count=n * dimension)
+                blocks.append(rows.reshape(n, dimension))
+    except OSError as exc:
+        raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
+    return dimension, blocks
 
 
 def _read_postings(path: Path) -> dict[str, np.ndarray]:
@@ -223,22 +311,22 @@ def _read_postings(path: Path) -> dict[str, np.ndarray]:
         raise CorruptIndex(f"cannot read {path}: {exc}") from None
 
 
-def _check_csr(repo: str, n_docs: int, n_terms: int, csr: dict[str, np.ndarray]) -> None:
-    """Reject postings that would index out of range or double-count a document."""
+def _check_arrays(repo: str, n_docs: int, n_terms: int, arrays: dict[str, np.ndarray]) -> None:
+    """Reject arrays that index out of range, double-count a document or rank one twice."""
 
     def bad(problem: str) -> CorruptIndex:
         return CorruptIndex(f"postings.npz: project {repo!r} {problem}")
 
-    for name, dtype in _CSR_DTYPES.items():
-        if csr[name].dtype != dtype or csr[name].ndim != 1:
+    for name, dtype in _ARRAY_DTYPES.items():
+        if arrays[name].dtype != dtype or arrays[name].ndim != 1:
             raise bad(f"{name} must be a 1-d {np.dtype(dtype).name} array")
-    offsets, ids = csr["offsets"], csr["ids"]
+    offsets, ids, tiebreak = arrays["offsets"], arrays["ids"], arrays["tiebreak"]
     if len(offsets) != n_terms + 1:
         raise bad(f"has {len(offsets)} offsets for {n_terms} terms")
     if offsets[0] != 0 or offsets[-1] != len(ids) or np.any(np.diff(offsets) < 0):
         raise bad("offsets must rise from 0 to the number of postings")
-    if len(csr["tfs"]) != len(ids):
-        raise bad(f"has {len(csr['tfs'])} term frequencies for {len(ids)} postings")
+    if len(arrays["tfs"]) != len(ids):
+        raise bad(f"has {len(arrays['tfs'])} term frequencies for {len(ids)} postings")
     if len(ids) and (ids.min() < 0 or ids.max() >= n_docs):
         raise bad(f"has document ids outside [0, {n_docs})")
     # Within a term ids ascend strictly, so _batch_lexical's scatter-add
@@ -248,8 +336,12 @@ def _check_csr(repo: str, n_docs: int, n_terms: int, csr: dict[str, np.ndarray])
     rising[starts[(starts > 0) & (starts < len(ids))] - 1] = True
     if not rising.all():
         raise bad("ids must ascend within each term")
-    if len(csr["lengths"]) != n_docs:
-        raise bad(f"has {len(csr['lengths'])} lengths for {n_docs} documents")
+    if len(arrays["lengths"]) != n_docs:
+        raise bad(f"has {len(arrays['lengths'])} lengths for {n_docs} documents")
+    if len(tiebreak) != n_docs:
+        raise bad(f"has {len(tiebreak)} tie-break ranks for {n_docs} documents")
+    if not np.array_equal(np.sort(tiebreak), np.arange(n_docs)):
+        raise bad(f"tiebreak is not a permutation of 0..{n_docs - 1}")
 
 
 class RetrievalIndex:
@@ -305,9 +397,12 @@ class RetrievalIndex:
                         f"embedder returned dimension {vec.shape[0]}, index uses {dimension}"
                     )
                 vectors[i] = vec
-            docs = [_Doc(rec.sha, rec.date, rec.message, rec.diff) for rec in recs]
+            fields = [f for rec in recs for f in (rec.sha, rec.date, rec.message, rec.diff)]
+            bounds = np.zeros(len(fields) + 1, dtype=np.int64)
+            np.cumsum([len(field) for field in fields], out=bounds[1:])
+            arrays = {**_csr(rows, lengths), "tiebreak": _tiebreak(recs)}
             partitions[repo] = _Partition(
-                repo, docs, vectors, list(rows), _csr(rows, lengths), k1, b
+                repo, "".join(fields), bounds, vectors, list(rows), arrays, k1, b
             )
         return cls(
             partitions,
@@ -337,18 +432,22 @@ class RetrievalIndex:
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
-        docs = [doc for repo in repos for doc in self.partitions[repo].docs]
-        fields = list(chain.from_iterable(docs))
-        bounds = np.zeros(len(fields) + 1, dtype=np.int64)
-        np.cumsum([len(field) for field in fields], out=bounds[1:])
-        (out / "docs.txt").write_bytes("".join(fields).encode("utf-8", "surrogatepass"))
+        # Each partition's span of its text, rebased to follow the previous one.
+        texts, bounds, end = [], [np.zeros(1, dtype=np.int64)], 0
+        for repo in repos:
+            part = self.partitions[repo]
+            lo, hi = int(part.bounds[0]), int(part.bounds[-1])
+            texts.append(part.text[lo:hi])
+            bounds.append(part.bounds[1:] - lo + end)
+            end += hi - lo
+        (out / "docs.txt").write_bytes("".join(texts).encode("utf-8", "surrogatepass"))
         (out / "terms.json").write_text(
             json.dumps({r: list(self.partitions[r].terms) for r in repos}), encoding="utf-8"
         )
-        arrays = {"bounds": bounds}
+        arrays = {"bounds": np.concatenate(bounds)}
         for p, repo in enumerate(repos):
             part = self.partitions[repo]
-            for name in _CSR_DTYPES:
+            for name in _ARRAY_DTYPES:
                 arrays[f"{name}_{p}"] = getattr(part, name)
         with open(out / "postings.npz", "wb") as fh:
             np.savez(fh, **arrays)
@@ -357,7 +456,7 @@ class RetrievalIndex:
             fh.write(struct.pack("<III", INDEX_VERSION, doc_count, self.dimension))
             for repo in repos:
                 # Exact: the stored values came from float32.
-                fh.write(self.partitions[repo].vectors.astype("<f4").tobytes())
+                fh.write(self.partitions[repo]._vectors.astype("<f4").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":
@@ -375,6 +474,8 @@ class RetrievalIndex:
             b = float(manifest["b"])
             doc_count = int(manifest["doc_count"])
             projects = {str(r): int(n) for r, n in manifest["projects"].items()}
+            if min(projects.values(), default=0) < 0:
+                raise ValueError("a project holds a negative number of documents")
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptIndex(f"manifest.json has a missing or invalid field: {exc}") from None
         embedder_id = manifest.get("embedder")  # the only valid query embedder
@@ -386,50 +487,37 @@ class RetrievalIndex:
                 f"its doc_count is {doc_count}"
             )
 
-        raw = _read_bytes(root / "vectors.bin")
-        if len(raw) < 16 or raw[:4] != VECTORS_MAGIC:
-            raise CorruptIndex("vectors.bin has a bad magic number")
-        version, count, dimension = struct.unpack("<III", raw[4:16])
-        if version != INDEX_VERSION:
-            raise CorruptIndex(
-                f"vectors.bin has version {version}; this release reads version {INDEX_VERSION}"
-            )
-        if len(raw) != 16 + count * dimension * 4:
-            raise CorruptIndex(
-                f"vectors.bin has {len(raw)} bytes; a {count} x {dimension} float32 "
-                f"matrix needs {16 + count * dimension * 4}"
-            )
-        if count != doc_count:
-            raise CorruptIndex(
-                f"vectors.bin holds {count} vectors, manifest.json "
-                f"counts {doc_count} documents"
-            )
-        matrix = np.frombuffer(raw, dtype="<f4", offset=16).reshape(count, dimension)
-
+        repos = sorted(projects)
+        dimension, blocks = _read_vectors(root / "vectors.bin", [projects[r] for r in repos])
         vocab = _read_json(root / "terms.json")
         if not isinstance(vocab, dict) or set(vocab) != set(projects):
             raise CorruptIndex("terms.json does not hold one vocabulary per project")
         arrays = _read_postings(root / "postings.npz")
-        docs = _read_docs(root / "docs.txt", arrays.get("bounds"), doc_count)
+        bounds = arrays.get("bounds")
+        text = _read_text(root / "docs.txt", bounds, doc_count)
 
         partitions: dict[str, _Partition] = {}
         row = 0
-        for p, repo in enumerate(sorted(projects)):
+        for p, repo in enumerate(repos):
             n = projects[repo]
             terms = vocab[repo]
             if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
                 raise CorruptIndex(f"terms.json vocabulary of {repo!r} is not a list of terms")
             try:
-                csr = {name: arrays[f"{name}_{p}"] for name in _CSR_DTYPES}
+                part_arrays = {name: arrays[f"{name}_{p}"] for name in _ARRAY_DTYPES}
             except KeyError as exc:
                 raise CorruptIndex(f"postings.npz lacks array {exc}") from None
-            _check_csr(repo, n, len(terms), csr)
-            try:
-                partitions[repo] = _Partition(
-                    repo, docs[row : row + n], matrix[row : row + n], terms, csr, k1, b
-                )
-            except ValueError as exc:  # an unparseable date
-                raise CorruptIndex(f"docs.txt dates of {repo!r}: {exc}") from None
+            _check_arrays(repo, n, len(terms), part_arrays)
+            partitions[repo] = _Partition(
+                repo,
+                text,
+                bounds[4 * row : 4 * (row + n) + 1],
+                blocks[p],
+                terms,
+                part_arrays,
+                k1,
+                b,
+            )
             row += n
         return cls(
             partitions,
@@ -508,14 +596,15 @@ class RetrievalIndex:
         part, keep, hybrid = self._score(counts, scope_repo, query_vec, exclude_sha)
         picked: list[ExamplePair] = []
         for pos in np.lexsort((part.tiebreak[keep], -hybrid)).tolist():
-            doc = part.docs[keep[pos]]
-            if doc.diff == query_diff:
+            i = keep[pos]
+            diff = part.field(i, _DIFF)
+            if diff == query_diff:
                 continue  # leakage guard: identical diff, take the next one
             picked.append(
                 ExamplePair(
-                    diff=doc.diff,
-                    message=doc.message,
-                    handle=DocHandle(doc.sha, scope_repo),
+                    diff=diff,
+                    message=part.field(i, _MESSAGE),
+                    handle=DocHandle(part.field(i, _SHA), scope_repo),
                     hybrid_score=float(hybrid[pos]),
                 )
             )

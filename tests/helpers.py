@@ -6,6 +6,7 @@ import random
 import subprocess
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from coracmg.diffs import CommitRecord, count_loc, parse_diff, utc_isoformat
 
@@ -190,3 +191,15 @@ def commit_all(
         },
     )
     return git(repo_dir, "rev-parse", "HEAD").strip()
+
+
+class StoredDoc(NamedTuple):
+    sha: str
+    date: str
+    message: str
+    diff: str
+
+
+def stored_docs(part) -> list[StoredDoc]:
+    """Every document of an index partition, its four fields cut from the index text."""
+    return [StoredDoc(*(part.field(i, f) for f in range(4))) for i in range(len(part))]

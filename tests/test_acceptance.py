@@ -22,7 +22,7 @@ from coracmg.metrics import build_idf, cider, gleu, meteor, rouge_l
 from coracmg.providers import HashingEmbedder
 from coracmg.retriever import RetrievalIndex
 from coracmg.tokenizer import tokenize
-from helpers import git, synthetic_corpus, twin_corpus
+from helpers import git, stored_docs, synthetic_corpus, twin_corpus
 from oracles import (
     oracle_cider,
     oracle_gleu,
@@ -128,7 +128,7 @@ def test_c3_retrieval_matches_bruteforce():
                     "tokens": tokenize(d.diff),
                     "vector": [float(v) for v in part.vectors[i]],
                 }
-                for i, d in enumerate(part.docs)
+                for i, d in enumerate(stored_docs(part))
             ]
             query = members[part_idx % len(members)]
             qvec = [float(v) for v in embedder.embed(query.diff)]

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+from datetime import datetime, timezone
 
 import pytest
 
 from coracmg.cli import main
 from coracmg.diffs import read_jsonl, write_jsonl
 from coracmg.retriever import RetrievalIndex
-from helpers import synthetic_corpus, twin_corpus
+from helpers import commit_all, init_repo, synthetic_corpus, twin_corpus
 
 
 def test_full_pipeline_through_cli(fixture_repo, tmp_path, capsys):
@@ -350,6 +351,14 @@ _CORPUS_FAULTS = {
         "line 2 field 'repo_full_name' holds nothing, not str",
     ),
     "wrong-type": (_corpus_line() + _corpus_line(loc="3"), "line 2 field 'loc' holds str"),
+    "date-unparseable": (
+        _corpus_line() + _corpus_line(date="not-a-date"),
+        "line 2 field 'date' holds 'not-a-date', not an ISO-8601 date",
+    ),
+    "lone-surrogate": (  # json.dumps escapes it as \ud800, which is valid JSON
+        _corpus_line() + _corpus_line(diff="diff --git a/x b/x\n+name = '\ud800'\n"),
+        "line 2 holds a lone surrogate U+D800",
+    ),
 }
 
 
@@ -414,6 +423,14 @@ def _argument_case(case, tmp_path, repo):
             "--out", str(tmp_path / "o"), "--cider-scale", cider_scale,
         ]
 
+    def docs_only_history():
+        docs = tmp_path / "docs-only"
+        init_repo(docs)
+        (docs / "notes.md").write_text("release notes\n")  # no mainstream-language file
+        when = datetime(2020, 1, 1, tzinfo=timezone.utc)
+        commit_all(docs, "write down the notes for this release", when)
+        return ["suggest", "--repo", str(docs), "--diff", str(diff)]
+
     def report(out, fault=None):
         assert main(experiment(out_dir=str(tmp_path / "runs" / "r"))) == 0
         if fault is not None:  # (name, text): a run file overwritten
@@ -427,6 +444,7 @@ def _argument_case(case, tmp_path, repo):
         "missing query diff": lambda: [*retrieve, "--query-diff", str(tmp_path / "none.diff")],
         "missing suggest diff": lambda: [*suggest, "--diff", str(tmp_path / "none.diff")],
         "suggest template": lambda: [*suggest, "--diff", str(diff), "--template", str(template)],
+        "suggest history filtered out": docs_only_history,
         "experiment template": lambda: experiment(template=str(template)),
         "missing template": lambda: experiment(template=str(tmp_path / "none.txt")),
         "index dimension with provider": lambda: [
@@ -491,6 +509,7 @@ def _argument_case(case, tmp_path, repo):
         ("missing query diff", "cannot read"),
         ("missing suggest diff", "cannot read"),
         ("suggest template", "marker lines"),
+        ("suggest history filtered out", "passes the corpus filters; cannot suggest"),
         ("experiment template", "marker lines"),
         ("missing template", "No such file or directory"),
         ("index dimension with provider", "--dimension sizes the hashing embedder, not"),

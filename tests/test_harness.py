@@ -20,7 +20,7 @@ from coracmg.harness import (
 from coracmg.providers import HashingEmbedder
 from coracmg.retriever import RetrievalIndex
 from fake_provider import Reply
-from helpers import make_record, synthetic_corpus, twin_corpus
+from helpers import make_record, stored_docs, synthetic_corpus, twin_corpus
 from oracles import oracle_rank
 
 
@@ -152,7 +152,7 @@ def test_retrieval_copy_generate_matches_bruteforce(tmp_path):
             "tokens": tokenize(d.diff),
             "vector": [float(v) for v in part.vectors[i]],
         }
-        for i, d in enumerate(part.docs)
+        for i, d in enumerate(stored_docs(part))
     ]
     query = records[30]
     got = index.retrieve(query.diff, 1, repo, exclude_sha=query.sha, embedder=embedder)[0].message

@@ -6,6 +6,7 @@ import math
 import shutil
 import struct
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from coracmg.errors import CorruptIndex, DimensionMismatch, EmptyScope
 from coracmg.providers import HashingEmbedder
 from coracmg.retriever import RetrievalIndex, _fuse_arrays
 from coracmg.tokenizer import tokenize
-from helpers import make_record, synthetic_corpus, twin_corpus
+from helpers import make_record, stored_docs, synthetic_corpus, twin_corpus
 from oracles import (
     index_bm25_one_doc,
     oracle_bm25,
@@ -109,7 +110,7 @@ def test_index_rows_equal_per_occurrence_embeddings():
     records = synthetic_corpus(2, 50)
     index = build_index(records)
     for repo, part in index.partitions.items():
-        diffs = [doc.diff for doc in part.docs]
+        diffs = [doc.diff for doc in stored_docs(part)]
         expected = np.stack([oracle_hash_embed(diff, 64) for diff in diffs])
         assert part.vectors.astype(np.float32).tobytes() == expected.tobytes()
 
@@ -213,7 +214,7 @@ def _oracle_docs(index, repo):
             "tokens": tokenize(doc.diff),
             "vector": [float(v) for v in part.vectors[i]],
         }
-        for i, doc in enumerate(part.docs)
+        for i, doc in enumerate(stored_docs(part))
     ]
 
 
@@ -365,7 +366,7 @@ def test_save_load_round_trip_keeps_every_field(tmp_path):
     index.save(tmp_path / "idx")
     loaded = RetrievalIndex.load(tmp_path / "idx")
     for repo, part in index.partitions.items():
-        assert loaded.partitions[repo].docs == part.docs
+        assert stored_docs(loaded.partitions[repo]) == stored_docs(part)
 
 
 def _edit_manifest(root, **changes):
@@ -403,6 +404,18 @@ def _set_vectors_version(root, version):
     path = root / "vectors.bin"
     raw = path.read_bytes()
     path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+
+
+def _as_version_3(root):
+    """The directory a version-3 release wrote: no tie-break arrays, version 3 headers."""
+    _edit_manifest(root, version=3)
+    _set_vectors_version(root, 3)
+
+    def drop_tiebreaks(arrays):
+        for name in [name for name in arrays if name.startswith("tiebreak_")]:
+            del arrays[name]
+
+    _edit_postings(root, drop_tiebreaks)
 
 
 def _edit_postings(root, edit):
@@ -452,6 +465,10 @@ _CORRUPTIONS = {
         lambda root: _edit_manifest(root, projects={"acme/project0": 2}),
         "projects hold 2 documents, its doc_count is 3",
     ),
+    "docs-project-negative": (
+        lambda root: _edit_manifest(root, projects={"acme/project0": -1}),
+        "a project holds a negative number of documents",
+    ),
     "text-not-utf8": (
         lambda root: _edit_text(root, lambda raw: b"\xff" + raw[1:]), "docs.txt is not UTF-8"
     ),
@@ -475,9 +492,29 @@ _CORRUPTIONS = {
         lambda root: _edit_text(root, lambda raw: raw + b"x"),
         "field bounds must rise from 0 to the",
     ),
-    "date-unparseable": (
-        lambda root: _edit_docs(root, lambda fields: [fields[0], "yesterday", *fields[2:]]),
-        "docs.txt dates of 'acme/project0'",
+    "version-3": (_as_version_3, "version 3 index; this release reads version 4"),
+    "vectors-version-3": (
+        lambda root: _set_vectors_version(root, 3), "vectors.bin has version 3"
+    ),
+    "tiebreak-missing": (
+        lambda root: _edit_postings(root, lambda a: a.pop("tiebreak_0")),
+        "lacks array 'tiebreak_0'",
+    ),
+    "tiebreak-not-int64": (
+        lambda root: _edit_postings(root, lambda a: a.update(tiebreak_0=a["tiebreak_0"] * 1.0)),
+        "tiebreak must be a 1-d int64 array",
+    ),
+    "tiebreak-count": (
+        lambda root: _edit_postings(root, lambda a: a.update(tiebreak_0=a["tiebreak_0"][:-1])),
+        "2 tie-break ranks for 3 documents",
+    ),
+    "tiebreak-repeated-rank": (
+        lambda root: _edit_postings(root, lambda a: a.update(tiebreak_0=np.zeros(3, np.int64))),
+        r"tiebreak is not a permutation of 0\.\.2",
+    ),
+    "tiebreak-out-of-range": (
+        lambda root: _edit_postings(root, lambda a: a.update(tiebreak_0=a["tiebreak_0"] + 1)),
+        r"tiebreak is not a permutation of 0\.\.2",
     ),
     "offsets-not-from-zero": (
         lambda root: _edit_postings(root, lambda a: a.update(offsets_0=a["offsets_0"] + 1)),
@@ -556,6 +593,16 @@ def test_load_rejects_corrupt_files(tmp_path):
         assert str(caught.value).endswith("rebuild the index with `coracmg index`"), name
 
 
+def test_load_rejects_vectors_cut_short_while_read(tmp_path, monkeypatch):
+    build_index(synthetic_corpus(1, 3, seed=0)).save(tmp_path / "idx")
+    vectors = tmp_path / "idx" / "vectors.bin"
+    size = vectors.stat().st_size
+    vectors.write_bytes(vectors.read_bytes()[:-4])  # as if truncated after the size check
+    monkeypatch.setattr(retriever.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(CorruptIndex, match="vectors.bin changed while it was read"):
+        RetrievalIndex.load(tmp_path / "idx")
+
+
 def test_k_must_be_positive():
     records = [make_record(0)]
     index = build_index(records)
@@ -570,19 +617,25 @@ def test_vectors_bin_layout(tmp_path):
     raw = (tmp_path / "idx" / "vectors.bin").read_bytes()
     assert raw[:4] == b"CMGV"
     version, count, dim = struct.unpack("<III", raw[4:16])
-    assert (version, count, dim) == (3, 8, 64)
+    assert (version, count, dim) == (4, 8, 64)
     assert len(raw) == 16 + count * dim * 4
     matrix = np.frombuffer(raw[16:], dtype="<f4").reshape(count, dim)
     assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, atol=1e-6)
     files = sorted(p.name for p in (tmp_path / "idx").iterdir())
     assert files == ["docs.txt", "manifest.json", "postings.npz", "terms.json", "vectors.bin"]
-    assert json.loads((tmp_path / "idx" / "manifest.json").read_text())["version"] == 3
+    assert json.loads((tmp_path / "idx" / "manifest.json").read_text())["version"] == 4
     text = (tmp_path / "idx" / "docs.txt").read_text(encoding="utf-8")
     with np.load(tmp_path / "idx" / "postings.npz") as npz:
         bounds = npz["bounds"].tolist()
+        tiebreaks = [npz[f"tiebreak_{p}"] for p in range(len(index.partitions))]
     assert len(bounds) == 4 * count + 1 and bounds[-1] == len(text)
-    first = index.partitions[min(index.partitions)].docs[0]
+    first = stored_docs(index.partitions[min(index.partitions)])[0]
     assert [text[bounds[f] : bounds[f + 1]] for f in range(4)] == list(first)
+    for repo, tiebreak in zip(sorted(index.partitions), tiebreaks):
+        docs = stored_docs(index.partitions[repo])
+        newest_first = sorted(range(len(docs)), key=lambda i: docs[i].sha)
+        newest_first.sort(key=lambda i: docs[i].date, reverse=True)  # one UTC offset
+        assert tiebreak.dtype == np.int64 and tiebreak.tolist() == np.argsort(newest_first).tolist()
 
 
 def test_batch_and_single_doc_bm25_are_bit_equal():
@@ -595,7 +648,7 @@ def test_batch_and_single_doc_bm25_are_bit_equal():
     part = index.partitions[repo]
     query_tokens = tokenize(records[7].diff)
     batch = index._batch_lexical(part, Counter(query_tokens))
-    for i, doc in enumerate(part.docs):
+    for i, doc in enumerate(stored_docs(part)):
         single = index_bm25_one_doc(index, query_tokens, repo, doc.sha)
         assert batch[i] == single  # exact equality
 
@@ -620,3 +673,63 @@ def test_concurrent_queries_agree():
         for _ in range(5):
             parallel = list(pool.map(rank, queries))
             assert parallel == sequential
+
+
+def test_loaded_index_retrieves_what_the_built_one_does(tmp_path):
+    records = synthetic_corpus(3, 12, seed=13) + twin_corpus(1, 6, seed=2)
+    index = build_index(records)
+    index.save(tmp_path / "idx")
+    loaded = RetrievalIndex.load(tmp_path / "idx")
+    # Load converts no vectors and builds no sha lookup; the first query does.
+    for part in loaded.partitions.values():
+        assert part._vectors.dtype == np.float32 and "sha_index" not in vars(part)
+    for query in records:
+        for exclude in (query.sha, None):  # the twins' leakage guard skips a pair
+            args = (query.diff, 3, query.repo_full_name, exclude, EMBEDDER)
+            assert loaded.retrieve(*args) == index.retrieve(*args)  # every field, exact
+    for part in loaded.partitions.values():
+        assert part._vectors.dtype == np.float64 and "sha_index" in vars(part)
+
+
+def test_concurrent_first_queries_on_a_loaded_index(tmp_path):
+    # Lazy per-partition state (float64 vectors, sha lookup) is built by
+    # whichever query comes first; racing first queries must agree with a
+    # sequential run, scores bit for bit.  The excluded shas sit at the end
+    # of large partitions, so a lookup published before it is complete
+    # shows as an excluded commit in the answer.
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    records = synthetic_corpus(2, 1000, seed=23)
+    build_index(records).save(tmp_path / "idx")
+    queries = [records[i] for i in (999, 990, 1999, 980, 1990)]
+
+    def answers(index):
+        return [
+            [
+                (p.handle.sha, p.hybrid_score)
+                for p in index.retrieve(
+                    q.diff, 3, q.repo_full_name, exclude_sha=q.sha, embedder=EMBEDDER
+                )
+            ]
+            for q in queries
+        ]
+
+    def race(index, start):
+        start.wait()
+        return answers(index)
+
+    sequential = answers(RetrievalIndex.load(tmp_path / "idx"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=5) as pool:
+            for _ in range(10):
+                index = RetrievalIndex.load(tmp_path / "idx")
+                start = threading.Barrier(5, timeout=30)
+                futures = [pool.submit(race, index, start) for _ in range(5)]
+                for future in futures:
+                    assert future.result(timeout=60) == sequential
+    finally:
+        sys.setswitchinterval(interval)
