@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import harness, metrics
+from . import harness, metrics, providers
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate
 from .diffs import read_corpus, read_jsonl, write_jsonl
 from .errors import ConfigError, CoracmgError, EmptyCorpus, InvalidInput
@@ -64,7 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     idx.add_argument("--in", dest="input", required=True)
     idx.add_argument("--out", required=True)
     idx.add_argument("--provider-config", default=None, help="embed with this provider")
-    idx.add_argument("--dimension", type=int, help="hashing embedder size (default 256)")
+    idx.add_argument(
+        "--dimension",
+        type=int,
+        help=f"hashing embedder size (default {providers.DEFAULT_DIMENSION})",
+    )
     idx.add_argument("--cache-dir", default=None)
 
     ret = sub.add_parser("retrieve", help="query the index for example pairs")
@@ -197,7 +201,7 @@ def _cmd_index(args) -> int:
     elif args.dimension is not None and args.dimension < 1:
         raise ConfigError(f"--dimension must be at least 1, not {args.dimension}")
     else:
-        embedder = HashingEmbedder(256 if args.dimension is None else args.dimension)
+        embedder = HashingEmbedder() if args.dimension is None else HashingEmbedder(args.dimension)
     index = RetrievalIndex.build(read_corpus(args.input), embedder)
     index.save(args.out)
     total = sum(len(p) for p in index.partitions.values())
@@ -264,7 +268,7 @@ def _cmd_suggest(args) -> int:
             f"no commit of {args.repo} on {args.branch} since {args.since} "
             "passes the corpus filters; cannot suggest"
         )
-    embedder = HashingEmbedder(256)
+    embedder = HashingEmbedder()
     index = RetrievalIndex.build(retained, embedder)
     repo_name = retained[0].repo_full_name
     pairs = index.retrieve(query, args.k, repo_name, embedder=embedder)
@@ -273,7 +277,7 @@ def _cmd_suggest(args) -> int:
             print(f"  [{pair.hybrid_score:.3f}] {pair.handle.sha[:10]} {pair.message}")
     if args.provider_config:
         pc = ProviderConfig.from_file(args.provider_config)
-        client = GenerationClient(pc.gen, inflight=pc.inflight)
+        client = GenerationClient(pc.gen)
         prompt = (template or PromptTemplate.default()).render(
             query, pairs, max_chars=args.max_prompt_chars
         )

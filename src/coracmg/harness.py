@@ -16,7 +16,8 @@ corpus is read, so a mismatch stops the run before any row and before
 
 Commits run one at a time unless a model provider is called: then up to the
 provider config's ``concurrency.inflight`` commits run at once, since only
-provider requests wait on I/O.
+provider requests wait on I/O.  A commit makes one request at a time, so
+this also bounds the requests in flight.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import metrics
-from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate
+from .augmenter import DEFAULT_MAX_PROMPT_CHARS, MAX_EXAMPLES, PromptTemplate
 from .diffs import CommitRecord, language_of, read_corpus, read_jsonl
 from .errors import ConfigError, CorpusTooSmall, InvalidInput, ManifestMismatch
 from .providers import (
@@ -91,8 +92,8 @@ class ExperimentConfig:
         if self.generator not in GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if self.method == "rag":
-            if self.k is None or not 1 <= self.k <= 5:
-                raise ConfigError("method 'rag' requires k between 1 and 5")
+            if self.k is None or not 1 <= self.k <= MAX_EXAMPLES:
+                raise ConfigError(f"method 'rag' requires k between 1 and {MAX_EXAMPLES}")
         elif self.k is not None:
             raise ConfigError("k is only meaningful for method 'rag'")
         if self.workers < 1:
@@ -218,7 +219,7 @@ def _build_generator(config: ExperimentConfig, pc: ProviderConfig | None):
     if config.generator == "constant-mock":
         return MockGenerator("constant", config.generator_text)
     if config.generator == "provider":
-        return GenerationClient(pc.gen, inflight=pc.inflight)
+        return GenerationClient(pc.gen)
     return None  # retrieval-copy needs no generator object
 
 
@@ -351,15 +352,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def run_k_sweep(config: ExperimentConfig, ks=(1, 2, 3, 4, 5)) -> list[ExperimentResult]:
-    """Run the rag method for each k, writing each run under out_dir/k<k>."""
-    results = []
+def run_k_sweep(config: ExperimentConfig, ks=range(1, MAX_EXAMPLES + 1)) -> list[ExperimentResult]:
+    """Run the rag method for each k under out_dir/k<k>, checking every config first."""
     base_out = Path(config.out_dir)
-    for k in ks:
-        sub = ExperimentConfig(**{**config.to_dict(), "method": "rag", "k": k,
-                                  "out_dir": str(base_out / f"k{k}")})
-        results.append(run_experiment(sub))
-    return results
+    subs = [
+        ExperimentConfig(
+            **{**config.to_dict(), "method": "rag", "k": k, "out_dir": str(base_out / f"k{k}")}
+        )
+        for k in ks
+    ]
+    return [run_experiment(sub) for sub in subs]
 
 
 def _single_run_report(result: ExperimentResult) -> str:

@@ -2,10 +2,10 @@
 
 Four metrics, all implemented from scratch:
 
-* ``gleu``: min of pooled n-gram precision and recall (n = 1..4).
+* ``gleu``: min of pooled n-gram precision and recall (n = 1..``MAX_N``).
 * ``rouge_l``: LCS-based F score.
 * ``meteor``: exact-match unigram alignment (max matches, then min chunks)
-  with alpha=0.9, beta=3, gamma=0.5.
+  with ``ALPHA`` = 0.9, ``BETA`` = 3, ``GAMMA`` = 0.5 (Banerjee & Lavie).
 * ``cider``: TF-IDF weighted n-gram cosine consensus, averaged over orders
   and reported on a 0-100 scale by default (pass ``scale=10`` for the
   canonical scaling).
@@ -24,25 +24,30 @@ from dataclasses import dataclass, field
 from .errors import EmptyCorpus
 from .tokenizer import tokenize
 
-DEFAULT_MAX_N = 4
+# Longest n-gram order of GLEU and CIDEr.
+MAX_N = 4
+# METEOR's recall weight, fragmentation penalty exponent and penalty weight.
+ALPHA = 0.9
+BETA = 3.0
+GAMMA = 0.5
 
 
-def _ngram_counts(tokens: list[str], max_n: int) -> Counter:
+def _ngram_counts(tokens: list[str]) -> Counter:
     counts: Counter = Counter()
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         for i in range(len(tokens) - n + 1):
             counts[tuple(tokens[i : i + n])] += 1
     return counts
 
 
-def gleu(hyp: list[str], ref: list[str], max_n: int = DEFAULT_MAX_N) -> float:
+def gleu(hyp: list[str], ref: list[str]) -> float:
     """Google BLEU: min(precision, recall) over pooled clipped n-gram counts."""
     if not hyp and not ref:
         return 1.0
     if not hyp or not ref:
         return 0.0
-    h = _ngram_counts(hyp, max_n)
-    r = _ngram_counts(ref, max_n)
+    h = _ngram_counts(hyp)
+    r = _ngram_counts(ref)
     matched = sum(min(count, r[gram]) for gram, count in h.items() if gram in r)
     if matched == 0:
         return 0.0
@@ -203,13 +208,7 @@ def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     return total, best
 
 
-def meteor(
-    hyp: list[str],
-    ref: list[str],
-    alpha: float = 0.9,
-    beta: float = 3.0,
-    gamma: float = 0.5,
-) -> float:
+def meteor(hyp: list[str], ref: list[str]) -> float:
     """Harmonic-mean unigram metric with recall weighted above precision."""
     if not hyp or not ref:
         return 0.0
@@ -218,8 +217,8 @@ def meteor(
         return 0.0
     p = m / len(hyp)
     r = m / len(ref)
-    f_mean = p * r / (alpha * p + (1 - alpha) * r)
-    penalty = gamma * (chunks / m) ** beta
+    f_mean = p * r / (ALPHA * p + (1 - ALPHA) * r)
+    penalty = GAMMA * (chunks / m) ** BETA
     return f_mean * (1 - penalty)
 
 
@@ -235,28 +234,22 @@ class IdfTable:
         return self.weights.get(gram, math.log(self.doc_count))
 
 
-def build_idf(references: list[list[str]], max_n: int = DEFAULT_MAX_N) -> IdfTable:
+def build_idf(references: list[list[str]]) -> IdfTable:
     """Document-frequency IDF over reference sentences: idf = log(N / df)."""
     if not references:
         raise EmptyCorpus("cannot build an IDF table from zero references")
     n_docs = len(references)
     df: Counter = Counter()
     for ref in references:
-        df.update(set(_ngram_counts(ref, max_n)))
+        df.update(set(_ngram_counts(ref)))
     weights = {gram: math.log(n_docs / count) for gram, count in df.items()}
     return IdfTable(weights=weights, doc_count=n_docs)
 
 
-def cider(
-    hyp: list[str],
-    ref: list[str],
-    idf: IdfTable,
-    max_n: int = DEFAULT_MAX_N,
-    scale: float = 100.0,
-) -> float:
+def cider(hyp: list[str], ref: list[str], idf: IdfTable, scale: float = 100.0) -> float:
     """Consensus score: mean over orders of TF-IDF n-gram cosine, times ``scale``."""
     total = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         h_counts = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
         r_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
         if not h_counts or not r_counts:
@@ -271,7 +264,7 @@ def cider(
             continue
         dot = sum(w * r_vec[g] for g, w in h_vec.items() if g in r_vec)
         total += dot / (h_norm * r_norm)
-    return (scale / max_n) * total
+    return (scale / MAX_N) * total
 
 
 @dataclass(frozen=True)
@@ -311,33 +304,23 @@ class MetricReport:
 
 
 def score_pair(
-    hyp_tokens: list[str],
-    ref_tokens: list[str],
-    idf: IdfTable,
-    max_n: int = DEFAULT_MAX_N,
-    cider_scale: float = 100.0,
+    hyp_tokens: list[str], ref_tokens: list[str], idf: IdfTable, cider_scale: float = 100.0
 ) -> SampleScores:
     return SampleScores(
-        bleu=100.0 * gleu(hyp_tokens, ref_tokens, max_n),
+        bleu=100.0 * gleu(hyp_tokens, ref_tokens),
         rouge_l=100.0 * rouge_l(hyp_tokens, ref_tokens),
         meteor=100.0 * meteor(hyp_tokens, ref_tokens),
-        cider=cider(hyp_tokens, ref_tokens, idf, max_n, scale=cider_scale),
+        cider=cider(hyp_tokens, ref_tokens, idf, scale=cider_scale),
     )
 
 
-def evaluate_corpus(
-    pairs: list[tuple[str, str]],
-    max_n: int = DEFAULT_MAX_N,
-    cider_scale: float = 100.0,
-) -> MetricReport:
+def evaluate_corpus(pairs: list[tuple[str, str]], cider_scale: float = 100.0) -> MetricReport:
     """Tokenize (hypothesis, reference) text pairs and score the whole corpus."""
     if not pairs:
         raise EmptyCorpus("no (hypothesis, reference) pairs to evaluate")
     tokenized = [(tokenize(h), tokenize(r)) for h, r in pairs]
-    idf = build_idf([r for _, r in tokenized], max_n)
-    samples = [
-        score_pair(h, r, idf, max_n, cider_scale=cider_scale) for h, r in tokenized
-    ]
+    idf = build_idf([r for _, r in tokenized])
+    samples = [score_pair(h, r, idf, cider_scale=cider_scale) for h, r in tokenized]
     n = len(samples)
     return MetricReport(
         per_sample=samples,

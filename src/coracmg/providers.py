@@ -37,6 +37,8 @@ EMBED_KEY_ENV = "CORACMG_EMBED_KEY"
 GEN_KEY_ENV = "CORACMG_GEN_KEY"
 
 DEFAULT_INFLIGHT = 4
+# The hashing embedder's size, and a provider's when its config names none.
+DEFAULT_DIMENSION = 256
 # The one retry policy: each attempt may take TIMEOUT_SECONDS, and the wait
 # before a retry doubles from BACKOFF_SECONDS (1 s, then 2 s).
 TIMEOUT_SECONDS = 60.0
@@ -58,7 +60,7 @@ class GenerationConfig:
 class ProviderConfig:
     embed_endpoint: str = ""
     embed_model: str = ""
-    embed_dimension: int = 256
+    embed_dimension: int = DEFAULT_DIMENSION
     gen: GenerationConfig = GenerationConfig()
     inflight: int = DEFAULT_INFLIGHT
 
@@ -70,10 +72,13 @@ class ProviderConfig:
         inflight = int(conc.get("inflight", DEFAULT_INFLIGHT))
         if inflight < 1:
             raise ValueError(f"concurrency.inflight must be at least 1, not {inflight}")
+        dimension = int(embed.get("dimension", DEFAULT_DIMENSION))
+        if dimension < 1:
+            raise ValueError(f"embed.dimension must be at least 1, not {dimension}")
         return cls(
             embed_endpoint=embed.get("endpoint", ""),
             embed_model=embed.get("model", ""),
-            embed_dimension=int(embed.get("dimension", 256)),
+            embed_dimension=dimension,
             gen=GenerationConfig(
                 endpoint=gen.get("endpoint", ""),
                 model=gen.get("model", ""),
@@ -85,8 +90,7 @@ class ProviderConfig:
 
     def embedder(self, cache_dir: str | Path | None = None) -> "EmbeddingClient":
         return EmbeddingClient(
-            self.embed_endpoint, self.embed_dimension, self.embed_model, cache_dir,
-            inflight=self.inflight,
+            self.embed_endpoint, self.embed_dimension, self.embed_model, cache_dir
         )
 
     @classmethod
@@ -105,10 +109,10 @@ class ProviderConfig:
             raise ConfigError(f"provider config {path}: {exc}") from None
 
 
-def unit_normalize(values, dimension: int | None = None) -> np.ndarray:
-    """Cast to float32 and scale to unit Euclidean norm."""
+def unit_normalize(values, dimension: int) -> np.ndarray:
+    """Cast to float32, check the length and scale to unit Euclidean norm."""
     vec = np.asarray(values, dtype=np.float32)
-    if dimension is not None and vec.shape[0] != dimension:
+    if vec.shape[0] != dimension:
         raise DimensionMismatch(
             f"provider returned dimension {vec.shape[0]}, expected {dimension}"
         )
@@ -121,7 +125,7 @@ def unit_normalize(values, dimension: int | None = None) -> np.ndarray:
     return vec
 
 
-def _post(url: str, payload: dict, key_env: str, inflight: threading.Semaphore):
+def _post(url: str, payload: dict, key_env: str):
     """POST ``payload`` as JSON and return the decoded JSON answer.
 
     Failures a retry can cure are retried under the module's policy: no
@@ -135,24 +139,23 @@ def _post(url: str, payload: dict, key_env: str, inflight: threading.Semaphore):
     data = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=data, headers=headers, method="POST")
     last_error: object = None
-    with inflight:
-        for attempt in range(ATTEMPTS):
-            if attempt:
-                time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 1))
-            try:
-                with urllib.request.urlopen(request, timeout=TIMEOUT_SECONDS) as resp:
-                    return json.loads(resp.read())
-            except urllib.error.HTTPError as exc:
-                exc.close()
-                if exc.code < 500 and exc.code not in _RETRYABLE_4XX:
-                    raise ProviderUnavailable(
-                        f"request to {url} was refused with status {exc.code}; "
-                        "a retry cannot succeed"
-                    ) from None
-                last_error = f"status {exc.code}"
-            # OSError covers no connection and timeouts; ValueError a body that is not JSON.
-            except (OSError, http.client.HTTPException, ValueError) as exc:
-                last_error = exc
+    for attempt in range(ATTEMPTS):
+        if attempt:
+            time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 1))
+        try:
+            with urllib.request.urlopen(request, timeout=TIMEOUT_SECONDS) as resp:
+                return json.loads(resp.read())
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if exc.code < 500 and exc.code not in _RETRYABLE_4XX:
+                raise ProviderUnavailable(
+                    f"request to {url} was refused with status {exc.code}; "
+                    "a retry cannot succeed"
+                ) from None
+            last_error = f"status {exc.code}"
+        # OSError covers no connection and timeouts; ValueError a body that is not JSON.
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            last_error = exc
     raise ProviderUnavailable(f"request to {url} failed after {ATTEMPTS} attempts: {last_error}")
 
 
@@ -177,7 +180,6 @@ class EmbeddingClient:
         dimension: int,
         model: str = "",
         cache_dir: str | Path | None = None,
-        inflight: int = DEFAULT_INFLIGHT,
     ):
         _check_endpoint(endpoint, "embedding endpoint (embed.endpoint)")
         self.endpoint = endpoint
@@ -186,7 +188,6 @@ class EmbeddingClient:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._memory: dict[str, np.ndarray] = {}
         self._write_lock = threading.Lock()
-        self._inflight = threading.Semaphore(inflight)
 
     @property
     def identifier(self) -> str:
@@ -209,7 +210,7 @@ class EmbeddingClient:
             self._memory[key] = vec
             return vec
         payload = {"model": self.model, "input": text}
-        body = _post(self.endpoint, payload, EMBED_KEY_ENV, self._inflight)
+        body = _post(self.endpoint, payload, EMBED_KEY_ENV)
         vec = unit_normalize(_extract_embedding(body, self.endpoint), self.dimension)
         with self._write_lock:
             self._memory[key] = vec
@@ -249,7 +250,7 @@ class HashingEmbedder:
     writes are idempotent, so concurrent callers need no lock.
     """
 
-    def __init__(self, dimension: int = 256):
+    def __init__(self, dimension: int = DEFAULT_DIMENSION):
         self.dimension = dimension
         self._features: dict[str, tuple[int, float]] = {}  # token -> (bucket, sign)
 
@@ -316,10 +317,9 @@ def postprocess_generation(raw: str) -> str:
 class GenerationClient:
     """HTTP generation provider; responses are post-processed to one line."""
 
-    def __init__(self, config: GenerationConfig, inflight: int = DEFAULT_INFLIGHT):
+    def __init__(self, config: GenerationConfig):
         _check_endpoint(config.endpoint, "generation endpoint (gen.endpoint)")
         self.config = config
-        self._inflight = threading.Semaphore(inflight)
 
     @property
     def identifier(self) -> str:
@@ -334,7 +334,7 @@ class GenerationClient:
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
-        body = _post(self.config.endpoint, payload, GEN_KEY_ENV, self._inflight)
+        body = _post(self.config.endpoint, payload, GEN_KEY_ENV)
         return postprocess_generation(_extract_text(body, self.config.endpoint))
 
 

@@ -1,17 +1,19 @@
 """Hybrid lexical + semantic retrieval of diff-message example pairs.
 
 The index is partitioned by project; retrieval is always scoped to the
-query's own project.  Lexical scores are Okapi BM25 (k1=1.2, b=0.75,
-statistics computed per partition), semantic scores are dot products of
-unit-normalized embeddings, and the two are fused 1:1 after min-max
-normalization over the candidate set.  A leakage guard skips any candidate
-whose diff is byte-identical to the query, promoting the next-ranked pair.
+query's own project.  Lexical scores are Okapi BM25 (``K1`` = 1.2,
+``B`` = 0.75, statistics computed per partition), semantic scores are dot
+products of unit-normalized embeddings, and the two are fused 1:1 after
+min-max normalization over the candidate set.  A leakage guard skips any
+candidate whose diff is byte-identical to the query, promoting the
+next-ranked pair.
 
 The index persists to a directory of five files (version 4); partitions are
 stored in sorted project order and documents in partition order:
 
-* ``manifest.json``: versioned description (counts, dimension, parameters);
-  its sorted ``projects`` counts set the partition boundaries
+* ``manifest.json``: versioned description (counts, dimension, embedder,
+  and ``k1``/``b``, recorded but not read); its sorted ``projects`` counts
+  set the partition boundaries
 * ``docs.txt``: every document's sha, date, message and diff, concatenated
   into one UTF-8 text (a lone surrogate, which a JSON corpus line may hold,
   is stored in its three-byte ``surrogatepass`` form)
@@ -26,14 +28,16 @@ stored in sorted project order and documents in partition order:
 * ``vectors.bin``: 16-byte header (magic ``CMGV``, version, count,
   dimension; little-endian uint32) followed by row-major float32 vectors
 
-Loading reads every file and checks the version of the manifest and of the
-vectors header, that the counts agree across files, that the text is UTF-8
-and its bounds rise from 0 to its length, that the CSR arrays index only
-their own partition and that each tie-break array is a permutation; any
-failure is a ``CorruptIndex``.  Load builds nothing per document: a query
-cuts from the decoded text only the fields it reads, and a partition
-converts its vectors to float64 and builds its sha lookup on its first
-query.
+Loading reads every file but the vector rows and checks the version of the
+manifest and of the vectors header, that the counts and the size of
+``vectors.bin`` agree across files, that the text is UTF-8 and its bounds
+rise from 0 to its length, that the CSR arrays index only their own
+partition and that each tie-break array is a permutation; any failure is a
+``CorruptIndex``.  Load builds nothing per document: a query cuts from the
+decoded text only the fields it reads, and a partition reads its rows of
+``vectors.bin``, converts them to float64 and builds its sha lookup on its
+first query.  A ``vectors.bin`` that changed after load, or reads short,
+is a ``CorruptIndex`` at that query.
 
 After construction the index is immutable and queries may run
 concurrently: each piece of lazily built state is computed whole and then
@@ -52,7 +56,7 @@ import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -67,8 +71,9 @@ log = logging.getLogger(__name__)
 
 VECTORS_MAGIC = b"CMGV"
 INDEX_VERSION = 4
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
+# Okapi BM25 term-frequency saturation and length normalization.
+K1 = 1.2
+B = 0.75
 # The per-partition arrays of postings.npz: the BM25 CSR arrays and the tie-break.
 _ARRAY_DTYPES = {
     "offsets": np.int64,
@@ -107,26 +112,24 @@ class _Partition:
     ``tiebreak`` its rank under (date desc, sha asc), the order after the
     hybrid score.
 
-    ``vectors`` and ``sha_index`` are built on first use.  Each is computed
-    whole and then published by one attribute assignment, so concurrent
-    first queries see either nothing or the finished value.
+    ``rows`` are the (n, dim) float32 unit vectors, or for a loaded index a
+    function that reads them.  ``vectors`` and ``sha_index`` are built on
+    first use.  Each is computed whole and then published by one attribute
+    assignment, so concurrent first queries see either nothing or the
+    finished value.
     """
 
     def __init__(
         self,
-        repo: str,
         text: str,
         bounds: np.ndarray,
-        vectors: np.ndarray,
+        rows,
         terms: list[str],
         arrays: dict[str, np.ndarray],
-        k1: float,
-        b: float,
     ):
-        self.repo = repo
         self.text = text
         self.bounds = bounds
-        self._vectors = vectors  # (n, dim) unit rows, float32 until the first query
+        self._vectors = rows  # float64 from the first query on
         self.terms = {term: t for t, term in enumerate(terms)}
         self.offsets = arrays["offsets"]
         self.ids = arrays["ids"]
@@ -135,11 +138,11 @@ class _Partition:
         self.tiebreak = arrays["tiebreak"]
         n = len(self.lengths)
         avgdl = int(self.lengths.sum()) / n if n else 0.0
-        # Precomputed k1 * (1 - b + b * dl / avgdl) per document.
+        # Precomputed K1 * (1 - B + B * dl / avgdl) per document.
         if avgdl > 0:
-            self.length_norm = k1 * (1.0 - b + b * (self.lengths / avgdl))
+            self.length_norm = K1 * (1.0 - B + B * (self.lengths / avgdl))
         else:
-            self.length_norm = np.full(n, k1, dtype=np.float64)
+            self.length_norm = np.full(n, K1, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -148,14 +151,21 @@ class _Partition:
         """Field ``f`` of document ``i``, cut from the text."""
         return self.text[self.bounds[4 * i + f] : self.bounds[4 * i + f + 1]]
 
+    def rows(self) -> np.ndarray:
+        """The unit rows as stored: float32, or float64 once a query converted them."""
+        vectors = self._vectors
+        return vectors() if callable(vectors) else vectors
+
     @property
     def vectors(self) -> np.ndarray:
         """The unit rows as float64, converted from the stored float32 on first use."""
-        vectors = self._vectors
-        if vectors.dtype != np.float64:
-            # float64 keeps the dot products, and so hybrid_score, bit-identical.
-            vectors = vectors.astype(np.float64)
-            self._vectors = vectors  # publishes the copy and drops the float32 view
+        rows = self.rows()
+        if rows.dtype == np.float64:
+            return rows
+        # float64 keeps the dot products, and so hybrid_score, bit-identical.
+        vectors = np.frombuffer(_mapped(8 * rows.size), np.float64, rows.size).reshape(rows.shape)
+        np.copyto(vectors, rows)
+        self._vectors = vectors  # publishes the copy and drops the float32 rows
         return vectors
 
     @cached_property
@@ -222,6 +232,16 @@ def _fuse_arrays(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
     return 0.5 * _minmax(lexical) + 0.5 * _minmax(semantic)
 
 
+def _mapped(nbytes: int) -> mmap.mmap:
+    """Private memory of ``nbytes`` outside the malloc heap, faulted in by one call.
+
+    A partition's float32 and float64 rows live here: the pages go back to the
+    system as soon as the rows are dropped, whatever the heap keeps.
+    """
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)  # MAP_POPULATE: Linux only
+    return mmap.mmap(-1, max(nbytes, 1), flags=flags)  # a mapping cannot be empty
+
+
 def _read_bytes(path: Path) -> bytes:
     try:
         return path.read_bytes()
@@ -259,12 +279,12 @@ def _read_text(path: Path, bounds: np.ndarray | None, doc_count: int) -> str:
     return text
 
 
-def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[np.ndarray]]:
-    """The dimension and float32 rows of ``vectors.bin``, one block per partition.
+def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
+    """The dimension of ``vectors.bin`` and, per partition, a reader of its rows.
 
-    Each block lives in its own anonymous mapping, outside the malloc heap,
-    so its pages go back to the system as soon as its partition has
-    converted it to float64; freed heap blocks would stay resident.
+    Load checks the header and the size and reads no row: a partition calls
+    its reader on its first query, so a reopen reads only the rows a query
+    touches.
     """
     try:
         with open(path, "rb") as fh:
@@ -277,7 +297,8 @@ def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[np.ndarray]]
                     f"vectors.bin has version {version}; "
                     f"this release reads version {INDEX_VERSION}"
                 )
-            size = os.fstat(fh.fileno()).st_size
+            checked = os.fstat(fh.fileno())
+            size = checked.st_size
             if size != 16 + count * dimension * 4:
                 raise CorruptIndex(
                     f"vectors.bin has {size} bytes; a {count} x {dimension} float32 "
@@ -288,17 +309,31 @@ def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[np.ndarray]]
                     f"vectors.bin holds {count} vectors, manifest.json "
                     f"counts {sum(counts)} documents"
                 )
-            blocks = []
-            for n in counts:
-                nbytes = 4 * n * dimension
-                staging = mmap.mmap(-1, max(nbytes, 1))  # a mapping cannot be empty
-                if fh.readinto(memoryview(staging)[:nbytes]) != nbytes:
-                    raise CorruptIndex("vectors.bin changed while it was read")
-                rows = np.frombuffer(staging, dtype="<f4", count=n * dimension)
-                blocks.append(rows.reshape(n, dimension))
     except OSError as exc:
         raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
-    return dimension, blocks
+    starts = np.cumsum([0, *counts]).tolist()
+    readers = [
+        partial(_read_rows, path, checked, 16 + 4 * dimension * start, (n, dimension))
+        for start, n in zip(starts, counts)
+    ]
+    return dimension, readers
+
+
+def _read_rows(path: Path, checked: os.stat_result, offset: int, shape: tuple[int, int]):
+    """One partition's float32 rows, from the ``vectors.bin`` that load checked."""
+    nbytes = 4 * shape[0] * shape[1]
+    staging = _mapped(nbytes)
+    try:
+        with open(path, "rb") as fh:
+            now = os.fstat(fh.fileno())
+            if (now.st_size, now.st_mtime_ns) != (checked.st_size, checked.st_mtime_ns):
+                raise CorruptIndex(f"{path} changed after the index was loaded; load it again")
+            fh.seek(offset)
+            if fh.readinto(memoryview(staging)[:nbytes]) != nbytes:
+                raise CorruptIndex("vectors.bin changed while it was read")
+    except OSError as exc:
+        raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
+    return np.frombuffer(staging, dtype="<f4", count=nbytes // 4).reshape(shape)
 
 
 def _read_postings(path: Path) -> dict[str, np.ndarray]:
@@ -345,30 +380,15 @@ def _check_arrays(repo: str, n_docs: int, n_terms: int, arrays: dict[str, np.nda
 
 
 class RetrievalIndex:
-    def __init__(
-        self,
-        partitions: dict[str, _Partition],
-        dimension: int,
-        k1: float = DEFAULT_K1,
-        b: float = DEFAULT_B,
-        embedder_id: str = "",
-    ):
+    def __init__(self, partitions: dict[str, _Partition], dimension: int, embedder_id: str = ""):
         self.partitions = partitions
         self.dimension = dimension
-        self.k1 = k1
-        self.b = b
         self.embedder_id = embedder_id
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        records: Iterable[CommitRecord],
-        embedder,
-        k1: float = DEFAULT_K1,
-        b: float = DEFAULT_B,
-    ) -> "RetrievalIndex":
+    def build(cls, records: Iterable[CommitRecord], embedder) -> "RetrievalIndex":
         """Index a corpus of (already filtered and preprocessed) records."""
         grouped: dict[str, list[CommitRecord]] = {}
         for rec in records:
@@ -401,14 +421,10 @@ class RetrievalIndex:
             bounds = np.zeros(len(fields) + 1, dtype=np.int64)
             np.cumsum([len(field) for field in fields], out=bounds[1:])
             arrays = {**_csr(rows, lengths), "tiebreak": _tiebreak(recs)}
-            partitions[repo] = _Partition(
-                repo, "".join(fields), bounds, vectors, list(rows), arrays, k1, b
-            )
+            partitions[repo] = _Partition("".join(fields), bounds, vectors, list(rows), arrays)
         return cls(
             partitions,
             dimension,
-            k1=k1,
-            b=b,
             embedder_id=getattr(embedder, "identifier", type(embedder).__name__),
         )
 
@@ -422,8 +438,8 @@ class RetrievalIndex:
         manifest = {
             "magic": "coracmg-index",
             "version": INDEX_VERSION,
-            "k1": self.k1,
-            "b": self.b,
+            "k1": K1,
+            "b": B,
             "dimension": self.dimension,
             "doc_count": doc_count,
             "embedder": self.embedder_id,
@@ -456,7 +472,7 @@ class RetrievalIndex:
             fh.write(struct.pack("<III", INDEX_VERSION, doc_count, self.dimension))
             for repo in repos:
                 # Exact: the stored values came from float32.
-                fh.write(self.partitions[repo]._vectors.astype("<f4").tobytes())
+                fh.write(self.partitions[repo].rows().astype("<f4").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":
@@ -470,8 +486,6 @@ class RetrievalIndex:
                 f"this release reads version {INDEX_VERSION}"
             )
         try:
-            k1 = float(manifest["k1"])
-            b = float(manifest["b"])
             doc_count = int(manifest["doc_count"])
             projects = {str(r): int(n) for r, n in manifest["projects"].items()}
             if min(projects.values(), default=0) < 0:
@@ -488,7 +502,7 @@ class RetrievalIndex:
             )
 
         repos = sorted(projects)
-        dimension, blocks = _read_vectors(root / "vectors.bin", [projects[r] for r in repos])
+        dimension, readers = _read_vectors(root / "vectors.bin", [projects[r] for r in repos])
         vocab = _read_json(root / "terms.json")
         if not isinstance(vocab, dict) or set(vocab) != set(projects):
             raise CorruptIndex("terms.json does not hold one vocabulary per project")
@@ -509,23 +523,10 @@ class RetrievalIndex:
                 raise CorruptIndex(f"postings.npz lacks array {exc}") from None
             _check_arrays(repo, n, len(terms), part_arrays)
             partitions[repo] = _Partition(
-                repo,
-                text,
-                bounds[4 * row : 4 * (row + n) + 1],
-                blocks[p],
-                terms,
-                part_arrays,
-                k1,
-                b,
+                text, bounds[4 * row : 4 * (row + n) + 1], readers[p], terms, part_arrays
             )
             row += n
-        return cls(
-            partitions,
-            dimension,
-            k1=k1,
-            b=b,
-            embedder_id=embedder_id,
-        )
+        return cls(partitions, dimension, embedder_id=embedder_id)
 
     # -- scoring ----------------------------------------------------------
 
@@ -535,7 +536,7 @@ class RetrievalIndex:
 
     def _batch_lexical(self, part: _Partition, query_counts: Counter) -> np.ndarray:
         scores = np.zeros(len(part), dtype=np.float64)
-        k1p1 = self.k1 + 1.0
+        k1p1 = K1 + 1.0
         for term, qtf in query_counts.items():
             entry = part.posting(term)
             if entry is None:
@@ -580,9 +581,13 @@ class RetrievalIndex:
         k: int,
         scope_repo: str,
         exclude_sha: str | None = None,
-        embedder=None,
+        *,
+        embedder,
     ) -> list[ExamplePair]:
         """Top-k example pairs from the query's own project, best first.
+
+        ``embedder`` embeds the query; it must be the one that built the
+        index (``providers.query_embedder`` picks it).
 
         Candidates byte-identical to the query diff are skipped, promoting
         the next-ranked pair.  Ties break by (hybrid desc, date desc,

@@ -244,7 +244,7 @@ def index_bm25_one_doc(index, query_tokens, repo, sha):
     part = index.partitions[repo]
     idx = part.sha_index[sha]
     norm_d = float(part.length_norm[idx])
-    k1p1 = index.k1 + 1.0
+    k1p1 = 1.2 + 1.0
     score = 0.0
     for term, qtf in Counter(query_tokens).items():
         entry = part.posting(term)

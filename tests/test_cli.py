@@ -431,6 +431,16 @@ def _argument_case(case, tmp_path, repo):
         commit_all(docs, "write down the notes for this release", when)
         return ["suggest", "--repo", str(docs), "--diff", str(diff)]
 
+    def provider_index(dimension):
+        providers = tmp_path / "providers.json"
+        providers.write_text(json.dumps(
+            {"embed": {"endpoint": "http://127.0.0.1:1/embed", "dimension": dimension}}
+        ))
+        return [
+            "index", "--in", str(corpus), "--out", str(tmp_path / "p.dir"),
+            "--provider-config", str(providers),
+        ]
+
     def report(out, fault=None):
         assert main(experiment(out_dir=str(tmp_path / "runs" / "r"))) == 0
         if fault is not None:  # (name, text): a run file overwritten
@@ -441,6 +451,7 @@ def _argument_case(case, tmp_path, repo):
         "retrieve -k 0": lambda: [*retrieve, "--query-diff", str(diff), "-k", "0"],
         "suggest -k 0": lambda: [*suggest, "--diff", str(diff), "-k", "0"],
         "sweep-k 1,x": lambda: experiment("--sweep-k", "1,x"),
+        "sweep-k 1,2,9": lambda: experiment("--sweep-k", "1,2,9"),
         "missing query diff": lambda: [*retrieve, "--query-diff", str(tmp_path / "none.diff")],
         "missing suggest diff": lambda: [*suggest, "--diff", str(tmp_path / "none.diff")],
         "suggest template": lambda: [*suggest, "--diff", str(diff), "--template", str(template)],
@@ -457,6 +468,7 @@ def _argument_case(case, tmp_path, repo):
         "index dimension -3": lambda: [
             "index", "--in", str(corpus), "--out", str(tmp_path / "z.dir"), "--dimension", "-3",
         ],
+        "index provider dimension -4": lambda: provider_index(-4),
         "filter max-diff-lines -5": lambda: [
             "filter", "--in", str(corpus), "--out", str(tmp_path / "o"),
             "--report", str(tmp_path / "o.json"), "--max-diff-lines", "-5",
@@ -506,6 +518,7 @@ def _argument_case(case, tmp_path, repo):
         ("retrieve -k 0", "-k must be at least 1, not 0"),
         ("suggest -k 0", "-k must be at least 1, not 0"),
         ("sweep-k 1,x", "--sweep-k '1,x' is not a list of integers"),
+        ("sweep-k 1,2,9", "method 'rag' requires k between 1 and 5"),
         ("missing query diff", "cannot read"),
         ("missing suggest diff", "cannot read"),
         ("suggest template", "marker lines"),
@@ -515,6 +528,7 @@ def _argument_case(case, tmp_path, repo):
         ("index dimension with provider", "--dimension sizes the hashing embedder, not"),
         ("index dimension 0", "--dimension must be at least 1, not 0"),
         ("index dimension -3", "--dimension must be at least 1, not -3"),
+        ("index provider dimension -4", "embed.dimension must be at least 1, not -4"),
         ("filter max-diff-lines -5", "--max-diff-lines must be at least 0, not -5"),
         ("evaluate cider-scale nan", "--cider-scale must be a finite number above 0, not nan"),
         ("evaluate cider-scale inf", "--cider-scale must be a finite number above 0, not inf"),
@@ -553,6 +567,8 @@ def test_bad_argument_is_an_error_not_a_traceback(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "o").exists()
+    assert not list(tmp_path.rglob("k[0-9]*"))  # no k sweep run began
+    assert not (tmp_path / "p.dir").exists()
     assert retrieved == []  # rejected before any row or query ran
 
 

@@ -17,7 +17,7 @@ from coracmg.harness import (
     run_k_sweep,
     sample_subset,
 )
-from coracmg.providers import HashingEmbedder
+from coracmg.providers import EmbeddingClient, HashingEmbedder
 from coracmg.retriever import RetrievalIndex
 from fake_provider import Reply
 from helpers import make_record, stored_docs, synthetic_corpus, twin_corpus
@@ -314,8 +314,6 @@ def test_provider_backed_experiment(tmp_path, fake_provider):
     write_jsonl(corpus_path, records)
     provider_cfg = fake_provider.config(tmp_path / "providers.json")
     # index built with the same provider embedder and a shared cache
-    from coracmg.providers import EmbeddingClient
-
     cache = tmp_path / "corpus.jsonl.embed_cache"
     embedder = EmbeddingClient(
         f"{fake_provider.url}/embed", 32, model="e", cache_dir=cache
@@ -376,21 +374,28 @@ def test_offline_experiment_retrieves_on_one_thread(tmp_path, monkeypatch):
 
 
 def test_provider_requests_in_flight_follow_the_provider_config(tmp_path, fake_provider):
+    # The commits in flight bound the requests in flight: each commit embeds
+    # its query, then generates, one request at a time.
     records = synthetic_corpus(2, 6, seed=101)
-    corpus_path, index_dir = _materialize(tmp_path, records)
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus_path, records)
+    index_dir = tmp_path / "corpus.index"
+    embedder = EmbeddingClient(f"{fake_provider.url}/embed", fake_provider.dimension, model="e")
+    RetrievalIndex.build(records, embedder).save(index_dir)
 
     def message(prompt):
         return f"apply fix {hashlib.sha256(prompt.encode('utf-8')).hexdigest()[:12]}"
 
     fake_provider.message = message
     results = {}
-    for inflight in (1, 2):
+    for inflight in (1, 2, 3):
         provider_cfg = fake_provider.config(
             tmp_path / f"providers{inflight}.json", inflight=inflight
         )
         # hold each request open so others can overlap it
-        fake_provider.script(*[Reply(hold=0.02)] * len(records))
+        fake_provider.script(*[Reply(hold=0.02)] * (2 * len(records)))
         fake_provider.peak = 0
+        before = len(fake_provider.requests)
         out = tmp_path / f"run{inflight}"
         result = run_experiment(
             ExperimentConfig(
@@ -401,13 +406,16 @@ def test_provider_requests_in_flight_follow_the_provider_config(tmp_path, fake_p
                 generator="provider",
                 index=str(index_dir),
                 provider_config=str(provider_cfg),
+                embed_cache=str(tmp_path / f"cache{inflight}"),  # cold: every query embeds
                 seed=6,
             )
         )
         assert all(r["status"] == "ok" for r in result.rows)
+        sent = [r["payload"] for r in fake_provider.requests[before:]]
+        assert sum("input" in p for p in sent) == sum("messages" in p for p in sent) == len(records)
         assert fake_provider.peak == inflight
         results[inflight] = (out / "results.jsonl").read_bytes()
-    assert results[1] == results[2]
+    assert results[1] == results[2] == results[3]
 
 
 def test_workers_key_is_accepted_and_ignored(tmp_path):

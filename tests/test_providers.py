@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -340,25 +339,9 @@ def test_provider_config_errors(tmp_path):
         ('{"embed": {"dimension": "wide"}}', "invalid literal"),
         ('{"gen": []}', "has no attribute"),
         ('{"concurrency": {"inflight": 0}}', "inflight must be at least 1, not 0"),
+        ('{"embed": {"dimension": -4}}', "embed.dimension must be at least 1, not -4"),
+        ('{"embed": {"dimension": 0}}', "embed.dimension must be at least 1, not 0"),
     ]:
         cfg_path.write_text(text)
         with pytest.raises(ConfigError, match=message):
             ProviderConfig.from_file(cfg_path)
-
-
-def test_inflight_cap_bounds_concurrency(fake_provider):
-    fake_provider.script(*[Reply(hold=0.05, body={"text": "ok message"})] * 8)
-    client = GenerationClient(
-        GenerationConfig(endpoint=f"{fake_provider.url}/gen"), inflight=2
-    )
-    answers = []
-    threads = [
-        threading.Thread(target=lambda: answers.append(client.generate("p"))) for _ in range(8)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-        assert not t.is_alive()
-    assert answers == ["ok message"] * 8
-    assert fake_provider.peak == 2  # held requests overlap, up to the cap and no further

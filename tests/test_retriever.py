@@ -3,10 +3,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import shutil
 import struct
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -352,6 +352,10 @@ def test_save_load_round_trip(tmp_path):
     b = loaded.retrieve(query.diff, 3, query.repo_full_name, exclude_sha=query.sha, embedder=EMBEDDER)
     assert [p.handle for p in a] == [p.handle for p in b]
     assert [p.hybrid_score for p in a] == [p.hybrid_score for p in b]
+    # Saved again, one partition queried and the others unread, the bytes are the same.
+    loaded.save(tmp_path / "again")
+    for name in ("docs.txt", "manifest.json", "postings.npz", "terms.json", "vectors.bin"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "idx" / name).read_bytes()
 
 
 def test_save_load_round_trip_keeps_every_field(tmp_path):
@@ -593,14 +597,30 @@ def test_load_rejects_corrupt_files(tmp_path):
         assert str(caught.value).endswith("rebuild the index with `coracmg index`"), name
 
 
-def test_load_rejects_vectors_cut_short_while_read(tmp_path, monkeypatch):
-    build_index(synthetic_corpus(1, 3, seed=0)).save(tmp_path / "idx")
+def test_first_query_rejects_vectors_cut_short_while_read(tmp_path, monkeypatch):
+    records = synthetic_corpus(1, 3, seed=0)
+    build_index(records).save(tmp_path / "idx")
+    index = RetrievalIndex.load(tmp_path / "idx")  # checks the size, reads no row
     vectors = tmp_path / "idx" / "vectors.bin"
-    size = vectors.stat().st_size
-    vectors.write_bytes(vectors.read_bytes()[:-4])  # as if truncated after the size check
-    monkeypatch.setattr(retriever.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    checked = vectors.stat()
+    vectors.write_bytes(vectors.read_bytes()[:-4])  # as if truncated after the check
+    monkeypatch.setattr(retriever.os, "fstat", lambda fd: checked)
     with pytest.raises(CorruptIndex, match="vectors.bin changed while it was read"):
-        RetrievalIndex.load(tmp_path / "idx")
+        index.retrieve("x", 1, records[0].repo_full_name, embedder=EMBEDDER)
+
+
+def test_first_query_rejects_vectors_changed_after_load(tmp_path):
+    records = synthetic_corpus(2, 3, seed=0)
+    build_index(records).save(tmp_path / "idx")
+    index = RetrievalIndex.load(tmp_path / "idx")
+    index.retrieve("x", 1, records[0].repo_full_name, embedder=EMBEDDER)  # reads its rows
+    vectors = tmp_path / "idx" / "vectors.bin"
+    vectors.write_bytes(vectors.read_bytes())  # same bytes, a new modification time
+    os.utime(vectors, ns=(0, vectors.stat().st_mtime_ns + 1))
+    with pytest.raises(CorruptIndex, match="changed after the index was loaded; load it again"):
+        index.retrieve("x", 1, records[-1].repo_full_name, embedder=EMBEDDER)
+    # The project queried before the change keeps answering from its rows.
+    index.retrieve("x", 1, records[0].repo_full_name, embedder=EMBEDDER)
 
 
 def test_k_must_be_positive():
@@ -680,13 +700,14 @@ def test_loaded_index_retrieves_what_the_built_one_does(tmp_path):
     index = build_index(records)
     index.save(tmp_path / "idx")
     loaded = RetrievalIndex.load(tmp_path / "idx")
-    # Load converts no vectors and builds no sha lookup; the first query does.
+    # Load reads no vectors and builds no sha lookup; the first query does.
     for part in loaded.partitions.values():
-        assert part._vectors.dtype == np.float32 and "sha_index" not in vars(part)
+        assert callable(part._vectors) and "sha_index" not in vars(part)
     for query in records:
         for exclude in (query.sha, None):  # the twins' leakage guard skips a pair
-            args = (query.diff, 3, query.repo_full_name, exclude, EMBEDDER)
-            assert loaded.retrieve(*args) == index.retrieve(*args)  # every field, exact
+            args = (query.diff, 3, query.repo_full_name, exclude)
+            got = loaded.retrieve(*args, embedder=EMBEDDER)
+            assert got == index.retrieve(*args, embedder=EMBEDDER)  # every field, exact
     for part in loaded.partitions.values():
         assert part._vectors.dtype == np.float64 and "sha_index" in vars(part)
 
