@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--hyp", required=True, help="jsonl with a 'message' or 'generated' field")
     ev.add_argument("--ref", required=True, help="jsonl with a 'message' field")
     ev.add_argument("--out", required=True)
-    ev.add_argument("--cider-scale", type=float, default=100.0)
+    ev.add_argument("--cider-scale", type=float, default=metrics.CIDER_SCALE)
 
     idx = sub.add_parser("index", help="build the hybrid retrieval index")
     idx.add_argument("--in", dest="input", required=True)

@@ -64,7 +64,7 @@ class ExperimentConfig:
     template: str | None = None
     max_prompt_chars: int = DEFAULT_MAX_PROMPT_CHARS
     provider_config: str | None = None
-    cider_scale: float = 100.0
+    cider_scale: float = metrics.CIDER_SCALE
     # Read by nothing: accepted so older config files still load.  Concurrency
     # comes from the provider config's ``concurrency.inflight``.
     workers: int = 4
@@ -354,6 +354,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def run_k_sweep(config: ExperimentConfig, ks=range(1, MAX_EXAMPLES + 1)) -> list[ExperimentResult]:
     """Run the rag method for each k under out_dir/k<k>, checking every config first."""
+    ks = list(ks)
+    repeated = sorted({k for k in ks if ks.count(k) > 1})
+    if repeated:
+        raise ConfigError(f"k sweep lists k {', '.join(map(str, repeated))} more than once")
     base_out = Path(config.out_dir)
     subs = [
         ExperimentConfig(

@@ -82,8 +82,8 @@ class ProviderConfig:
             gen=GenerationConfig(
                 endpoint=gen.get("endpoint", ""),
                 model=gen.get("model", ""),
-                temperature=float(gen.get("temperature", 0.0)),
-                max_tokens=int(gen.get("max_tokens", 128)),
+                temperature=float(gen.get("temperature", GenerationConfig.temperature)),
+                max_tokens=int(gen.get("max_tokens", GenerationConfig.max_tokens)),
             ),
             inflight=inflight,
         )

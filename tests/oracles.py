@@ -6,9 +6,12 @@ clipping, memoized recursion for LCS, exhaustive alignment enumeration for
 the unigram metric, dense full-vocabulary vectors for the consensus metric,
 a from-scratch rescoring pipeline for hybrid retrieval, a two-stage
 (13a punctuation isolation, then segmentation) tokenizer, and a feature-hashing
-embedder that hashes every token occurrence.  ``index_bm25_one_doc`` is the
+embedder that hashes every token occurrence.  ``index_bm25_one_doc`` is an
 exception: it walks an index's own postings one document at a time, as the
-bit-exact reference for the batched scorer.
+bit-exact reference for the batched scorer.  So are the ``reference_*``
+metric kernels: the slice-by-slice n-gram counting, CIDEr and two-row LCS
+table the metrics used before, kept as they were so that the production
+kernels can be held to equal them exactly.
 """
 
 from __future__ import annotations
@@ -217,6 +220,55 @@ def oracle_cider(hyp, ref, idf_weights, n_docs, max_n=4, scale=100.0):
         if hn == 0 or rn == 0:
             continue
         total += float(np.dot(hvec, rvec) / (hn * rn))
+    return (scale / max_n) * total
+
+
+# -- bit-exact references for the metric kernels ------------------------------
+
+
+def reference_ngram_counts(tokens, max_n=4):
+    counts = Counter()
+    for n in range(1, max_n + 1):
+        for i in range(len(tokens) - n + 1):
+            counts[tuple(tokens[i : i + n])] += 1
+    return counts
+
+
+def reference_lcs(hyp, ref):
+    """Length of the longest common subsequence, two rows of the DP table."""
+    m = len(ref)
+    prev = [0] * (m + 1)
+    cur = [0] * (m + 1)
+    for h in hyp:
+        for j in range(m):
+            if h == ref[j]:
+                cur[j + 1] = prev[j] + 1
+            else:
+                up = prev[j + 1]
+                left = cur[j]
+                cur[j + 1] = up if up >= left else left
+        prev, cur = cur, prev
+    return prev[m]
+
+
+def reference_cider(hyp, ref, idf, scale=100.0, max_n=4):
+    """Consensus score: mean over orders of TF-IDF n-gram cosine, times ``scale``."""
+    total = 0.0
+    for n in range(1, max_n + 1):
+        h_counts = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
+        r_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+        if not h_counts or not r_counts:
+            continue
+        h_total = sum(h_counts.values())
+        r_total = sum(r_counts.values())
+        h_vec = {g: (c / h_total) * idf.idf(g) for g, c in h_counts.items()}
+        r_vec = {g: (c / r_total) * idf.idf(g) for g, c in r_counts.items()}
+        h_norm = math.sqrt(sum(w * w for w in h_vec.values()))
+        r_norm = math.sqrt(sum(w * w for w in r_vec.values()))
+        if h_norm == 0.0 or r_norm == 0.0:
+            continue
+        dot = sum(w * r_vec[g] for g, w in h_vec.items() if g in r_vec)
+        total += dot / (h_norm * r_norm)
     return (scale / max_n) * total
 
 

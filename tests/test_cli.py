@@ -452,6 +452,7 @@ def _argument_case(case, tmp_path, repo):
         "suggest -k 0": lambda: [*suggest, "--diff", str(diff), "-k", "0"],
         "sweep-k 1,x": lambda: experiment("--sweep-k", "1,x"),
         "sweep-k 1,2,9": lambda: experiment("--sweep-k", "1,2,9"),
+        "sweep-k 2,2": lambda: experiment("--sweep-k", "2,2"),
         "missing query diff": lambda: [*retrieve, "--query-diff", str(tmp_path / "none.diff")],
         "missing suggest diff": lambda: [*suggest, "--diff", str(tmp_path / "none.diff")],
         "suggest template": lambda: [*suggest, "--diff", str(diff), "--template", str(template)],
@@ -519,6 +520,7 @@ def _argument_case(case, tmp_path, repo):
         ("suggest -k 0", "-k must be at least 1, not 0"),
         ("sweep-k 1,x", "--sweep-k '1,x' is not a list of integers"),
         ("sweep-k 1,2,9", "method 'rag' requires k between 1 and 5"),
+        ("sweep-k 2,2", "k sweep lists k 2 more than once"),
         ("missing query diff", "cannot read"),
         ("missing suggest diff", "cannot read"),
         ("suggest template", "marker lines"),

@@ -9,6 +9,7 @@ from coracmg.errors import EmptyCorpus
 from coracmg.metrics import (
     IdfTable,
     _lcs,
+    _ngram_counts,
     build_idf,
     cider,
     evaluate_corpus,
@@ -23,6 +24,9 @@ from oracles import (
     oracle_lcs,
     oracle_meteor,
     oracle_rouge_l,
+    reference_cider,
+    reference_lcs,
+    reference_ngram_counts,
 )
 
 ALPHABET = ["fix", "add", "npe", "test", "cache", "retry", "index", "row"]
@@ -59,6 +63,72 @@ def test_lcs_against_oracle():
     assert _lcs([], []) == 0
     assert _lcs([], ["fix"]) == 0
     assert _lcs(["fix"], []) == 0
+
+
+def exact_reference_pairs(count: int, seed: int) -> list[tuple[list[str], list[str]]]:
+    """Seeded pairs where a changed n-gram, count or summation order would show.
+
+    Sides are empty, one token, one token repeated, or drawn from an alphabet
+    of one, two, three or eight tokens, so repetition is heavy.
+    """
+    rng = random.Random(seed)
+
+    def side(alphabet):
+        shape = rng.randrange(8)
+        if shape == 0:
+            return []
+        if shape == 1:
+            return [rng.choice(alphabet)]
+        if shape == 2:
+            return [rng.choice(alphabet)] * rng.randint(2, 24)
+        return [rng.choice(alphabet) for _ in range(rng.randint(2, 30))]
+
+    pairs = []
+    for _ in range(count):
+        alphabet = ALPHABET[: rng.choice((1, 2, 3, 8))]
+        pairs.append((side(alphabet), side(alphabet)))
+    return pairs
+
+
+def test_metric_kernels_equal_exact_references():
+    # ==, not approx: the kernels must do the same float operations in the
+    # same order as the references, so every score stays bit-identical.
+    pairs = exact_reference_pairs(2400, seed=15)
+    refs = [ref for _, ref in pairs if ref]
+    tables = [build_idf(refs), build_idf(refs[:5]), build_idf(refs[:1])]
+    for table, docs in zip(tables, (refs, refs[:5], refs[:1])):
+        weights, n_docs = oracle_idf(docs)
+        assert table.weights == weights and table.doc_count == n_docs
+    for hyp, ref in pairs:
+        for tokens in (hyp, ref):
+            got = list(_ngram_counts(tokens).items())
+            assert got == list(reference_ngram_counts(tokens).items())  # same order too
+        assert gleu(hyp, ref) == oracle_gleu(hyp, ref)
+        assert rouge_l(hyp, ref) == oracle_rouge_l(hyp, ref)
+        for table in tables:
+            assert cider(hyp, ref, table) == reference_cider(hyp, ref, table)
+        assert cider(hyp, ref, tables[0], scale=10.0) == reference_cider(
+            hyp, ref, tables[0], scale=10.0
+        )
+
+
+@pytest.mark.parametrize("alphabet_size", [1, 2, 3, 8, 64])
+def test_lcs_equals_dp_reference_past_machine_words(alphabet_size):
+    rng = random.Random(alphabet_size)
+    alphabet = [f"t{i}" for i in range(alphabet_size)]
+    lengths = [0, 1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 400]
+    for _ in range(30):
+        a = [rng.choice(alphabet) for _ in range(rng.choice(lengths + [rng.randint(0, 400)]))]
+        b = [rng.choice(alphabet) for _ in range(rng.choice(lengths + [rng.randint(0, 400)]))]
+        assert _lcs(a, b) == reference_lcs(a, b)
+        assert _lcs(b, a) == reference_lcs(a, b)
+
+
+def test_lcs_equals_dp_reference_on_long_pair():
+    rng = random.Random(3000)
+    ref = [rng.choice(ALPHABET) for _ in range(3000)]
+    hyp = [tok if rng.random() < 0.8 else rng.choice(ALPHABET) for tok in ref]
+    assert _lcs(hyp, ref) == reference_lcs(hyp, ref)
 
 
 def test_rouge_examples():
