@@ -165,10 +165,12 @@ class CommitRecord:
         datetime.fromisoformat(self.date)
 
 
-def read_jsonl(path, parse: Callable = CommitRecord.from_dict) -> Iterator:
+def read_jsonl(path, parse: Callable = CommitRecord.from_dict, digest=None) -> Iterator:
     """``parse`` of each non-blank line's JSON value, a ``CommitRecord`` by default.
 
     A missing file, a non-JSON line or a ``ValueError`` from ``parse`` is an ``InvalidInput``.
+    A ``hashlib`` ``digest`` is updated with every byte as it is read, so it
+    hashes exactly the bytes that were parsed.
     """
     try:
         fh = open(path, "rb")  # decoded per line, so a bad byte names its line
@@ -176,6 +178,8 @@ def read_jsonl(path, parse: Callable = CommitRecord.from_dict) -> Iterator:
         raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from None
     with fh:
         for lineno, raw in enumerate(fh, 1):
+            if digest is not None:
+                digest.update(raw)
             if not raw.strip():
                 continue
             try:
@@ -189,9 +193,12 @@ def read_jsonl(path, parse: Callable = CommitRecord.from_dict) -> Iterator:
             yield value
 
 
-def read_corpus(path) -> list[CommitRecord]:
-    """Every record of a corpus file; a file that holds none is an ``EmptyCorpus``."""
-    records = list(read_jsonl(path))
+def read_corpus(path, digest=None) -> list[CommitRecord]:
+    """Every record of a corpus file; a file that holds none is an ``EmptyCorpus``.
+
+    ``digest`` is as for ``read_jsonl``.
+    """
+    records = list(read_jsonl(path, digest=digest))
     if not records:
         raise EmptyCorpus(f"{path} holds no commit records")
     return records

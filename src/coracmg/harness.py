@@ -139,8 +139,11 @@ def sample_subset(records: list[CommitRecord], n: int, seed: int) -> list[Commit
     """
     if n > len(records):
         raise CorpusTooSmall(f"requested {n} records from a corpus of {len(records)}")
-    langs = [sorted(record_languages(r)) for r in records]
-    present = sorted({lang for ls in langs for lang in ls})
+    holders: dict[str, list[int]] = {}  # language -> ascending indices of its records
+    for i, record in enumerate(records):
+        for lang in record_languages(record):
+            holders.setdefault(lang, []).append(i)
+    present = sorted(holders)
     if n < len(present):
         raise CorpusTooSmall(
             f"{n} records cannot cover the {len(present)} languages in the corpus"
@@ -151,10 +154,9 @@ def sample_subset(records: list[CommitRecord], n: int, seed: int) -> list[Commit
     for lang in present:
         if lang in covered:
             continue
-        pool = [i for i in range(len(records)) if lang in langs[i] and i not in chosen]
-        pick = rng.choice(pool)
+        pick = rng.choice([i for i in holders[lang] if i not in chosen])
         chosen.add(pick)
-        covered.update(langs[pick])
+        covered.update(record_languages(records[pick]))
     rest = [i for i in range(len(records)) if i not in chosen]
     chosen.update(rng.sample(rest, n - len(chosen)))
     return [records[i] for i in sorted(chosen)]
@@ -205,14 +207,6 @@ class ExperimentResult:
         )
 
 
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _build_generator(config: ExperimentConfig, pc: ProviderConfig | None):
     if config.generator == "echo-mock":
         return MockGenerator("echo", config.generator_text)
@@ -255,7 +249,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     out_dir = Path(config.out_dir)
     _check_out_dir(out_dir)
-    records = read_corpus(config.corpus)
+    corpus_digest = hashlib.sha256()  # of the bytes the records are parsed from
+    records = read_corpus(config.corpus, corpus_digest)
     n = config.subset_size or len(records)
     subset = sample_subset(records, n, config.seed)
 
@@ -321,7 +316,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     manifest = {
         "config": config.to_dict(),
         "seed": config.seed,
-        "corpus_sha256": _file_sha256(config.corpus),
+        "corpus_sha256": corpus_digest.hexdigest(),
         "template_sha256": hashlib.sha256(
             (template.preamble + template.example_block + template.tail).encode("utf-8")
         ).hexdigest(),

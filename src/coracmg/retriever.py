@@ -8,36 +8,48 @@ min-max normalization over the candidate set.  A leakage guard skips any
 candidate whose diff is byte-identical to the query, promoting the
 next-ranked pair.
 
-The index persists to a directory of five files (version 4); partitions are
-stored in sorted project order and documents in partition order:
+The index persists to a directory of four files (version 5) whose number
+and layout do not depend on the project count; partitions are stored in
+sorted project order and documents in partition order:
 
 * ``manifest.json``: versioned description (counts, dimension, embedder,
   and ``k1``/``b``, recorded but not read); its sorted ``projects`` counts
   set the partition boundaries
 * ``docs.txt``: every document's sha, date, message and diff, concatenated
-  into one UTF-8 text (a lone surrogate, which a JSON corpus line may hold,
-  is stored in its three-byte ``surrogatepass`` form)
-* ``terms.json``: each project's vocabulary, in posting-row order
-* ``postings.npz``: ``bounds`` (int64, ``4 * doc_count + 1`` code-point
-  offsets into the text: field ``f`` of document ``d`` is
-  ``text[bounds[4*d + f]:bounds[4*d + f + 1]]``) and, per partition ``p``,
-  the CSR arrays ``offsets_p`` (int64, one more than the vocabulary),
-  ``ids_p`` (int32, ascending within each term), ``tfs_p`` (float64),
-  ``lengths_p`` (int64, tokens per doc) and ``tiebreak_p`` (int64, each
-  document's rank under (date desc, sha asc), computed at build)
+  as UTF-8 (a lone surrogate, which a JSON corpus line may hold, is stored
+  in its three-byte ``surrogatepass`` form)
+* ``postings.bin``: a 16-byte header (magic ``CMGP``, version as
+  little-endian uint32, section count as uint64), the byte size of each
+  section (uint64), then the sections of ``_SECTIONS`` as raw little-endian
+  arrays: ``bounds`` (int64, ``4 * doc_count + 1`` byte offsets into
+  ``docs.txt``: field ``f`` of document ``d`` is the bytes
+  ``bounds[4*d + f]:bounds[4*d + f + 1]``), ``table`` (int64, one row of
+  document, term and posting starts per project plus a row of totals), one
+  CSR over all projects (``offsets``, int64 posting starts of every term;
+  ``ids``, int32 partition-local document ids, ascending within each term;
+  ``tfs``, float64; ``lengths``, int64 tokens per document; ``tiebreak``,
+  int64 partition-local rank under (date desc, sha asc), computed at
+  build), and the UTF-8 term table ``terms`` with its int64 byte
+  ``term_bounds``, in posting-row order
 * ``vectors.bin``: 16-byte header (magic ``CMGV``, version, count,
   dimension; little-endian uint32) followed by row-major float32 vectors
 
-Loading reads every file but the vector rows and checks the version of the
-manifest and of the vectors header, that the counts and the size of
-``vectors.bin`` agree across files, that the text is UTF-8 and its bounds
-rise from 0 to its length, that the CSR arrays index only their own
-partition and that each tie-break array is a permutation; any failure is a
-``CorruptIndex``.  Load builds nothing per document: a query cuts from the
-decoded text only the fields it reads, and a partition reads its rows of
-``vectors.bin``, converts them to float64 and builds its sha lookup on its
-first query.  A ``vectors.bin`` that changed after load, or reads short,
-is a ``CorruptIndex`` at that query.
+Loading reads ``docs.txt`` and ``postings.bin`` into memory mapped outside
+the malloc heap and decodes no text.  It checks the version of the
+manifest and of both headers, that the section sizes add up to the file,
+that the counts and the size of ``vectors.bin`` agree across files, that
+``docs.txt`` and the term table are UTF-8 (``surrogatepass``) and their
+bounds rise from 0 to their length without cutting a character, that the
+project table agrees with the manifest and with ``offsets``, that the CSR
+arrays index only their own partition and that each partition's tie-break
+is a permutation; these checks run on all projects at once, and any
+failure is a ``CorruptIndex``.  A query decodes only the fields it cuts.
+A partition builds its term lookup, its BM25 length norms and its sha
+lookup, and reads its rows of ``vectors.bin`` and converts them to
+float64, on its first query.  A ``vectors.bin`` that changed after load,
+or reads short, is a ``CorruptIndex`` at that query.  Saving over a
+version-4 directory leaves its ``postings.npz`` and ``terms.json`` in
+place; version 5 never reads them.
 
 After construction the index is immutable and queries may run
 concurrently: each piece of lazily built state is computed whole and then
@@ -46,13 +58,13 @@ published by one attribute assignment, so a race at worst computes it twice.
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 import math
 import mmap
 import os
 import struct
-import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
@@ -70,18 +82,32 @@ from .tokenizer import tokenize
 log = logging.getLogger(__name__)
 
 VECTORS_MAGIC = b"CMGV"
-INDEX_VERSION = 4
+POSTINGS_MAGIC = b"CMGP"
+INDEX_VERSION = 5
 # Okapi BM25 term-frequency saturation and length normalization.
 K1 = 1.2
 B = 0.75
-# The per-partition arrays of postings.npz: the BM25 CSR arrays and the tie-break.
-_ARRAY_DTYPES = {
-    "offsets": np.int64,
-    "ids": np.int32,
-    "tfs": np.float64,
-    "lengths": np.int64,
-    "tiebreak": np.int64,
-}
+# The sections of postings.bin in file order.  The 8-byte types come first,
+# so after the 8-byte-aligned header every section starts at a multiple of
+# its item size.
+_SECTIONS = tuple(
+    (name, np.dtype(dtype))
+    for name, dtype in (
+        ("bounds", "<i8"),
+        ("table", "<i8"),
+        ("offsets", "<i8"),
+        ("tfs", "<f8"),
+        ("lengths", "<i8"),
+        ("tiebreak", "<i8"),
+        ("term_bounds", "<i8"),
+        ("ids", "<i4"),
+        ("terms", "u1"),
+    )
+)
+# Magic, version, section count, then the byte size of each section.
+_POSTINGS_HEADER = struct.Struct(f"<4sIQ{len(_SECTIONS)}Q")
+# Bytes decoded at a time when a non-ASCII text is checked for UTF-8.
+_UTF8_CHUNK = 1 << 16
 # The four fields of each document, in docs.txt order.
 _SHA, _DATE, _MESSAGE, _DIFF = range(4)
 
@@ -101,55 +127,62 @@ class ExamplePair:
     hybrid_score: float
 
 
+def _utf8(text: str) -> bytes:
+    # surrogatepass: a lone surrogate, which a JSON corpus line may hold, round-trips.
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _text(raw) -> str:
+    return str(raw, "utf-8", "surrogatepass")
+
+
 class _Partition:
     """One project's documents, unit vectors and BM25 postings.
 
     Field ``f`` (``_SHA``, ``_DATE``, ``_MESSAGE`` or ``_DIFF``) of document
-    ``i`` is ``text[bounds[4*i + f]:bounds[4*i + f + 1]]``; a loaded index
-    shares one text among its partitions.  The postings of term row ``t``
-    are ``ids[offsets[t]:offsets[t + 1]]`` with term frequencies ``tfs``
-    over the same slice; ``lengths`` holds each document's token count and
+    ``i`` is the UTF-8 ``docs[bounds[4*i + f]:bounds[4*i + f + 1]]``, and the
+    term of posting row ``t`` the UTF-8
+    ``term_table[term_bounds[t]:term_bounds[t + 1]]``; a loaded index shares
+    one ``docs``, one term table and one ``ids``/``tfs`` pair among its
+    partitions.  The postings of term row ``t`` are
+    ``ids[offsets[t]:offsets[t + 1]]`` with term frequencies ``tfs`` over the
+    same slice; ``lengths`` holds each document's token count and
     ``tiebreak`` its rank under (date desc, sha asc), the order after the
     hybrid score.
 
     ``rows`` are the (n, dim) float32 unit vectors, or for a loaded index a
-    function that reads them.  ``vectors`` and ``sha_index`` are built on
-    first use.  Each is computed whole and then published by one attribute
-    assignment, so concurrent first queries see either nothing or the
-    finished value.
+    function that reads them.  ``vectors``, ``terms``, ``length_norm`` and
+    ``sha_index`` are built on first use.  Each is computed whole and then
+    published by one attribute assignment, so concurrent first queries see
+    either nothing or the finished value.
     """
 
     def __init__(
         self,
-        text: str,
+        docs,
         bounds: np.ndarray,
         rows,
-        terms: list[str],
+        term_table,
+        term_bounds: np.ndarray,
         arrays: dict[str, np.ndarray],
     ):
-        self.text = text
+        self.docs = docs  # bytes, or the mapped docs.txt: slices of either are bytes
         self.bounds = bounds
         self._vectors = rows  # float64 from the first query on
-        self.terms = {term: t for t, term in enumerate(terms)}
+        self.term_table = term_table
+        self.term_bounds = term_bounds
         self.offsets = arrays["offsets"]
         self.ids = arrays["ids"]
         self.tfs = arrays["tfs"]
         self.lengths = arrays["lengths"]
         self.tiebreak = arrays["tiebreak"]
-        n = len(self.lengths)
-        avgdl = int(self.lengths.sum()) / n if n else 0.0
-        # Precomputed K1 * (1 - B + B * dl / avgdl) per document.
-        if avgdl > 0:
-            self.length_norm = K1 * (1.0 - B + B * (self.lengths / avgdl))
-        else:
-            self.length_norm = np.full(n, K1, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.lengths)
 
     def field(self, i: int, f: int) -> str:
-        """Field ``f`` of document ``i``, cut from the text."""
-        return self.text[self.bounds[4 * i + f] : self.bounds[4 * i + f + 1]]
+        """Field ``f`` of document ``i``, decoded from its bytes alone."""
+        return _text(self.docs[self.bounds[4 * i + f] : self.bounds[4 * i + f + 1]])
 
     def rows(self) -> np.ndarray:
         """The unit rows as stored: float32, or float64 once a query converted them."""
@@ -169,12 +202,31 @@ class _Partition:
         return vectors
 
     @cached_property
-    def sha_index(self) -> dict[str, int]:
-        """Row of each sha (the last, for a repeated one), built on first use."""
+    def terms(self) -> dict[str, int]:
+        """Posting row of each term, decoded from the term table on first use."""
+        table, ends = self.term_table, self.term_bounds.tolist()
+        return {_text(table[lo:hi]): t for t, (lo, hi) in enumerate(zip(ends, ends[1:]))}
+
+    @cached_property
+    def length_norm(self) -> np.ndarray:
+        """K1 * (1 - B + B * dl / avgdl) per document, computed on first use."""
+        n = len(self.lengths)
+        avgdl = int(self.lengths.sum()) / n if n else 0.0
+        if avgdl > 0:
+            return K1 * (1.0 - B + B * (self.lengths / avgdl))
+        return np.full(n, K1, dtype=np.float64)
+
+    @cached_property
+    def sha_index(self) -> dict[bytes, int]:
+        """Row of each sha's UTF-8 (the last, for a repeated one), built on first use."""
         starts = self.bounds[_SHA:-1:4].tolist()
         ends = self.bounds[_SHA + 1 :: 4].tolist()
-        text = self.text
-        return {text[lo:hi]: i for i, (lo, hi) in enumerate(zip(starts, ends))}
+        docs = self.docs
+        return {docs[lo:hi]: i for i, (lo, hi) in enumerate(zip(starts, ends))}
+
+    def row(self, sha: str) -> int | None:
+        """Row of ``sha`` (the last, for a repeated one), or None for an unknown sha."""
+        return self.sha_index.get(_utf8(sha))
 
     def posting(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """(ids, tfs) views of a term's postings, or None for an unseen term."""
@@ -192,6 +244,26 @@ def _tiebreak(records: list[CommitRecord]) -> np.ndarray:
     rank = np.empty(len(records), dtype=np.int64)
     rank[order] = np.arange(len(records))
     return rank
+
+
+def _packed(texts: list[str]) -> tuple[bytes, np.ndarray]:
+    """The UTF-8 of ``texts`` concatenated, and the int64 byte bounds of each."""
+    encoded = [_utf8(text) for text in texts]
+    bounds = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(raw) for raw in encoded], out=bounds[1:])
+    return b"".join(encoded), bounds
+
+
+def _rebased(pieces: Iterable[tuple]) -> tuple[list, np.ndarray]:
+    """The spans ``buf[b[0]:b[-1]]`` of ``(buf, b)`` pieces, with their bounds ``b``
+    rebased so that the spans follow one another from 0."""
+    spans, bounds, end = [], [np.zeros(1, dtype=np.int64)], 0
+    for buf, b in pieces:
+        lo, hi = int(b[0]), int(b[-1])
+        spans.append(buf[lo:hi])
+        bounds.append(b[1:] - lo + end)
+        end += hi - lo
+    return spans, np.concatenate(bounds)
 
 
 def _csr(
@@ -235,48 +307,34 @@ def _fuse_arrays(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
 def _mapped(nbytes: int) -> mmap.mmap:
     """Private memory of ``nbytes`` outside the malloc heap, faulted in by one call.
 
-    A partition's float32 and float64 rows live here: the pages go back to the
-    system as soon as the rows are dropped, whatever the heap keeps.
+    The text, the postings and a partition's float32 and float64 rows live
+    here: the pages go back to the system as soon as they are dropped,
+    whatever the heap keeps.
     """
     flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)  # MAP_POPULATE: Linux only
     return mmap.mmap(-1, max(nbytes, 1), flags=flags)  # a mapping cannot be empty
 
 
-def _read_bytes(path: Path) -> bytes:
+def _read_mapped(path: Path) -> tuple[mmap.mmap, int]:
+    """The bytes of ``path`` in ``_mapped`` memory, and how many there are."""
     try:
-        return path.read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            data = _mapped(size)
+            if fh.readinto(memoryview(data)[:size]) != size:
+                raise CorruptIndex(f"{path.name} changed while it was read")
     except OSError as exc:
         raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
+    return data, size
 
 
 def _read_json(path: Path):
     try:
-        return json.loads(_read_bytes(path))
+        return json.loads(path.read_bytes())
+    except OSError as exc:
+        raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise CorruptIndex(f"{path} is not valid JSON: {exc}") from None
-
-
-def _read_text(path: Path, bounds: np.ndarray | None, doc_count: int) -> str:
-    """The text of ``docs.txt``, once the field bounds of ``postings.npz`` fit it."""
-    try:
-        text = _read_bytes(path).decode("utf-8", "surrogatepass")
-    except UnicodeDecodeError as exc:
-        raise CorruptIndex(f"{path} is not UTF-8: {exc}") from None
-    if bounds is None:
-        raise CorruptIndex("postings.npz lacks array 'bounds'")
-    if bounds.dtype != np.int64 or bounds.ndim != 1:
-        raise CorruptIndex("postings.npz: bounds must be a 1-d int64 array")
-    if len(bounds) != 4 * doc_count + 1:
-        raise CorruptIndex(
-            f"postings.npz has {len(bounds)} field bounds; "
-            f"{doc_count} documents need {4 * doc_count + 1}"
-        )
-    if bounds[0] != 0 or bounds[-1] != len(text) or np.any(np.diff(bounds) < 0):
-        raise CorruptIndex(
-            f"postings.npz: field bounds must rise from 0 to the {len(text)} "
-            f"characters of {path.name}"
-        )
-    return text
 
 
 def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
@@ -337,46 +395,141 @@ def _read_rows(path: Path, checked: os.stat_result, offset: int, shape: tuple[in
 
 
 def _read_postings(path: Path) -> dict[str, np.ndarray]:
+    """The sections of ``postings.bin``, as arrays over one mapped copy of the file."""
+    data, size = _read_mapped(path)
+    if size < _POSTINGS_HEADER.size or data[:4] != POSTINGS_MAGIC:
+        raise CorruptIndex("postings.bin has a bad magic number")
+    _, version, count, *sizes = _POSTINGS_HEADER.unpack_from(data)
+    if version != INDEX_VERSION:
+        raise CorruptIndex(
+            f"postings.bin has version {version}; this release reads version {INDEX_VERSION}"
+        )
+    if count != len(_SECTIONS):
+        raise CorruptIndex(
+            f"postings.bin has {count} sections; version {INDEX_VERSION} has {len(_SECTIONS)}"
+        )
+    if size != _POSTINGS_HEADER.size + sum(sizes):
+        raise CorruptIndex(
+            f"postings.bin has {size} bytes; its header gives "
+            f"{_POSTINGS_HEADER.size + sum(sizes)}"
+        )
+    arrays, offset = {}, _POSTINGS_HEADER.size
+    for (name, dtype), nbytes in zip(_SECTIONS, sizes):
+        if nbytes % dtype.itemsize:
+            raise CorruptIndex(
+                f"postings.bin section {name!r} has {nbytes} bytes, "
+                f"not a whole number of {dtype.name} items"
+            )
+        arrays[name] = np.frombuffer(data, dtype, nbytes // dtype.itemsize, offset)
+        offset += nbytes
+    return arrays
+
+
+def _write_postings(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    sections = [np.ascontiguousarray(arrays[name], dtype) for name, dtype in _SECTIONS]
+    with open(path, "wb") as fh:
+        fh.write(
+            _POSTINGS_HEADER.pack(
+                POSTINGS_MAGIC, INDEX_VERSION, len(sections), *(s.nbytes for s in sections)
+            )
+        )
+        for section in sections:
+            fh.write(section)
+
+
+def _check_text(name: str, what: str, data: np.ndarray, bounds: np.ndarray) -> None:
+    """Reject ``bounds`` that do not rise from 0 to the end of ``data`` or that cut
+    a character, and ``data`` that is not UTF-8, keeping no decoded copy."""
+    if bounds[0] != 0 or bounds[-1] != len(data) or np.any(np.diff(bounds) < 0):
+        raise CorruptIndex(
+            f"postings.bin: {what} bounds must rise from 0 to the {len(data)} bytes of {name}"
+        )
+    if len(data) == 0 or data.max() < 0x80:
+        return  # ASCII: every byte is a character
+    decoder = codecs.getincrementaldecoder("utf-8")("surrogatepass")
     try:
-        # np.load refuses object arrays by default, so reading runs no stored
-        # code; a bare .npy file loads as an array and fails the `with` (TypeError).
-        with np.load(path) as npz:
-            return {name: npz[name] for name in npz.files}
-    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise CorruptIndex(f"cannot read {path}: {exc}") from None
+        for start in range(0, len(data), _UTF8_CHUNK):
+            chunk = data[start : start + _UTF8_CHUNK].tobytes()
+            decoder.decode(chunk, final=start + _UTF8_CHUNK >= len(data))
+    except UnicodeDecodeError as exc:
+        raise CorruptIndex(f"{name} is not UTF-8: {exc}") from None
+    if np.any((data[bounds[bounds < len(data)]] & 0xC0) == 0x80):  # a continuation byte
+        raise CorruptIndex(f"postings.bin: a {what} bound falls inside a character of {name}")
 
 
-def _check_arrays(repo: str, n_docs: int, n_terms: int, arrays: dict[str, np.ndarray]) -> None:
-    """Reject arrays that index out of range, double-count a document or rank one twice."""
+def _check_postings(arrays: dict[str, np.ndarray], counts: list[int], text: np.ndarray) -> list:
+    """The project table's rows, once the arrays of ``postings.bin`` agree with
+    one another, with the manifest's document ``counts`` and with ``docs.txt``.
+
+    Every check runs over all projects at once.
+    """
 
     def bad(problem: str) -> CorruptIndex:
-        return CorruptIndex(f"postings.npz: project {repo!r} {problem}")
+        return CorruptIndex(f"postings.bin {problem}")
 
-    for name, dtype in _ARRAY_DTYPES.items():
-        if arrays[name].dtype != dtype or arrays[name].ndim != 1:
-            raise bad(f"{name} must be a 1-d {np.dtype(dtype).name} array")
-    offsets, ids, tiebreak = arrays["offsets"], arrays["ids"], arrays["tiebreak"]
-    if len(offsets) != n_terms + 1:
-        raise bad(f"has {len(offsets)} offsets for {n_terms} terms")
-    if offsets[0] != 0 or offsets[-1] != len(ids) or np.any(np.diff(offsets) < 0):
+    n_docs = sum(counts)
+    bounds, table, offsets, ids = (arrays[n] for n in ("bounds", "table", "offsets", "ids"))
+    if len(bounds) != 4 * n_docs + 1:
+        raise bad(f"has {len(bounds)} field bounds; {n_docs} documents need {4 * n_docs + 1}")
+    _check_text("docs.txt", "field", text, bounds)
+    if len(table) != 3 * (len(counts) + 1):
+        raise bad(
+            f"has a project table of {len(table)} entries; "
+            f"{len(counts)} projects need {3 * (len(counts) + 1)}"
+        )
+    doc_starts, term_starts, posting_starts = table.reshape(-1, 3).T
+    if not np.array_equal(doc_starts, np.cumsum([0, *counts])):
+        raise bad("project table disagrees with the project counts of manifest.json")
+    if (
+        not len(offsets)
+        or offsets[0] != 0
+        or offsets[-1] != len(ids)
+        or np.any(np.diff(offsets) < 0)
+    ):
         raise bad("offsets must rise from 0 to the number of postings")
+    n_terms = len(offsets) - 1
+    if not (
+        term_starts[0] == 0
+        and term_starts[-1] == n_terms
+        and np.all(np.diff(term_starts) >= 0)
+        and np.array_equal(offsets[term_starts], posting_starts)
+    ):
+        raise bad("project table's term starts disagree with offsets")
+    if len(arrays["term_bounds"]) != n_terms + 1:
+        raise bad(f"has {len(arrays['term_bounds'])} term bounds for {n_terms} terms")
+    _check_text("the term table", "term", arrays["terms"], arrays["term_bounds"])
     if len(arrays["tfs"]) != len(ids):
         raise bad(f"has {len(arrays['tfs'])} term frequencies for {len(ids)} postings")
-    if len(ids) and (ids.min() < 0 or ids.max() >= n_docs):
-        raise bad(f"has document ids outside [0, {n_docs})")
+    if len(arrays["lengths"]) != n_docs:
+        raise bad(f"has {len(arrays['lengths'])} lengths for {n_docs} documents")
+    tiebreak = arrays["tiebreak"]
+    if len(tiebreak) != n_docs:
+        raise bad(f"has {len(tiebreak)} tie-break ranks for {n_docs} documents")
+    # The largest id of each project with postings, which begin at its posting start.
+    firsts = posting_starts[:-1]
+    held = firsts < posting_starts[1:]
+    if len(ids) and (
+        ids.min() < 0
+        or np.any(np.maximum.reduceat(ids, firsts[held]) >= np.diff(doc_starts)[held])
+    ):
+        raise bad("has document ids outside their project")
     # Within a term ids ascend strictly, so _batch_lexical's scatter-add
     # counts each (term, document) once.
-    rising = np.diff(ids) > 0
+    rising = ids[1:] > ids[:-1]
     starts = offsets[1:-1]
     rising[starts[(starts > 0) & (starts < len(ids))] - 1] = True
     if not rising.all():
         raise bad("ids must ascend within each term")
-    if len(arrays["lengths"]) != n_docs:
-        raise bad(f"has {len(arrays['lengths'])} lengths for {n_docs} documents")
-    if len(tiebreak) != n_docs:
-        raise bad(f"has {len(tiebreak)} tie-break ranks for {n_docs} documents")
-    if not np.array_equal(np.sort(tiebreak), np.arange(n_docs)):
-        raise bad(f"tiebreak is not a permutation of 0..{n_docs - 1}")
+    # Ranks at least 0 that, shifted by their project's start, are a
+    # permutation of 0..n_docs-1 are a permutation within each project.
+    if n_docs and (
+        tiebreak.min() < 0
+        or not np.array_equal(
+            np.sort(tiebreak + np.repeat(doc_starts[:-1], counts)), np.arange(n_docs)
+        )
+    ):
+        raise bad("tiebreak is not a permutation of each project's positions")
+    return table.reshape(-1, 3).tolist()
 
 
 class RetrievalIndex:
@@ -418,10 +571,10 @@ class RetrievalIndex:
                     )
                 vectors[i] = vec
             fields = [f for rec in recs for f in (rec.sha, rec.date, rec.message, rec.diff)]
-            bounds = np.zeros(len(fields) + 1, dtype=np.int64)
-            np.cumsum([len(field) for field in fields], out=bounds[1:])
+            docs, bounds = _packed(fields)
+            term_table, term_bounds = _packed(list(rows))
             arrays = {**_csr(rows, lengths), "tiebreak": _tiebreak(recs)}
-            partitions[repo] = _Partition("".join(fields), bounds, vectors, list(rows), arrays)
+            partitions[repo] = _Partition(docs, bounds, vectors, term_table, term_bounds, arrays)
         return cls(
             partitions,
             dimension,
@@ -434,7 +587,8 @@ class RetrievalIndex:
         out = Path(path)
         out.mkdir(parents=True, exist_ok=True)
         repos = sorted(self.partitions)
-        doc_count = sum(len(self.partitions[r]) for r in repos)
+        parts = [self.partitions[r] for r in repos]
+        doc_count = sum(map(len, parts))
         manifest = {
             "magic": "coracmg-index",
             "version": INDEX_VERSION,
@@ -443,36 +597,35 @@ class RetrievalIndex:
             "dimension": self.dimension,
             "doc_count": doc_count,
             "embedder": self.embedder_id,
-            "projects": {r: len(self.partitions[r]) for r in repos},
+            "projects": {r: len(p) for r, p in zip(repos, parts)},
         }
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
-        # Each partition's span of its text, rebased to follow the previous one.
-        texts, bounds, end = [], [np.zeros(1, dtype=np.int64)], 0
-        for repo in repos:
-            part = self.partitions[repo]
-            lo, hi = int(part.bounds[0]), int(part.bounds[-1])
-            texts.append(part.text[lo:hi])
-            bounds.append(part.bounds[1:] - lo + end)
-            end += hi - lo
-        (out / "docs.txt").write_bytes("".join(texts).encode("utf-8", "surrogatepass"))
-        (out / "terms.json").write_text(
-            json.dumps({r: list(self.partitions[r].terms) for r in repos}), encoding="utf-8"
-        )
-        arrays = {"bounds": np.concatenate(bounds)}
-        for p, repo in enumerate(repos):
-            part = self.partitions[repo]
-            for name in _ARRAY_DTYPES:
-                arrays[f"{name}_{p}"] = getattr(part, name)
-        with open(out / "postings.npz", "wb") as fh:
-            np.savez(fh, **arrays)
+        docs, bounds = _rebased((p.docs, p.bounds) for p in parts)
+        (out / "docs.txt").write_bytes(b"".join(docs))
+        terms, term_bounds = _rebased((p.term_table, p.term_bounds) for p in parts)
+        ids, offsets = _rebased((p.ids, p.offsets) for p in parts)
+        tfs, _ = _rebased((p.tfs, p.offsets) for p in parts)
+        sizes = [[len(p), len(p.term_bounds) - 1, p.offsets[-1] - p.offsets[0]] for p in parts]
+        arrays = {
+            "bounds": bounds,
+            "table": np.cumsum([[0, 0, 0], *sizes], axis=0),
+            "offsets": offsets,
+            "tfs": np.concatenate(tfs),
+            "lengths": np.concatenate([p.lengths for p in parts]),
+            "tiebreak": np.concatenate([p.tiebreak for p in parts]),
+            "term_bounds": term_bounds,
+            "ids": np.concatenate(ids),
+            "terms": np.frombuffer(b"".join(terms), np.uint8),
+        }
+        _write_postings(out / "postings.bin", arrays)
         with open(out / "vectors.bin", "wb") as fh:
             fh.write(VECTORS_MAGIC)
             fh.write(struct.pack("<III", INDEX_VERSION, doc_count, self.dimension))
-            for repo in repos:
+            for part in parts:
                 # Exact: the stored values came from float32.
-                fh.write(self.partitions[repo].rows().astype("<f4").tobytes())
+                fh.write(part.rows().astype("<f4").tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":
@@ -502,30 +655,32 @@ class RetrievalIndex:
             )
 
         repos = sorted(projects)
-        dimension, readers = _read_vectors(root / "vectors.bin", [projects[r] for r in repos])
-        vocab = _read_json(root / "terms.json")
-        if not isinstance(vocab, dict) or set(vocab) != set(projects):
-            raise CorruptIndex("terms.json does not hold one vocabulary per project")
-        arrays = _read_postings(root / "postings.npz")
-        bounds = arrays.get("bounds")
-        text = _read_text(root / "docs.txt", bounds, doc_count)
+        counts = [projects[r] for r in repos]
+        dimension, readers = _read_vectors(root / "vectors.bin", counts)
+        arrays = _read_postings(root / "postings.bin")
+        docs, size = _read_mapped(root / "docs.txt")
+        table = _check_postings(arrays, counts, np.frombuffer(docs, np.uint8, size))
 
+        bounds, term_bounds, offsets = arrays["bounds"], arrays["term_bounds"], arrays["offsets"]
+        lengths, tiebreak = arrays["lengths"], arrays["tiebreak"]
+        terms = arrays["terms"].data  # a memoryview: its slices decode without a copy
         partitions: dict[str, _Partition] = {}
-        row = 0
-        for p, repo in enumerate(repos):
-            n = projects[repo]
-            terms = vocab[repo]
-            if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
-                raise CorruptIndex(f"terms.json vocabulary of {repo!r} is not a list of terms")
-            try:
-                part_arrays = {name: arrays[f"{name}_{p}"] for name in _ARRAY_DTYPES}
-            except KeyError as exc:
-                raise CorruptIndex(f"postings.npz lacks array {exc}") from None
-            _check_arrays(repo, n, len(terms), part_arrays)
+        for repo, reader, (d0, t0, _), (d1, t1, _) in zip(repos, readers, table, table[1:]):
+            part_arrays = {
+                "offsets": offsets[t0 : t1 + 1],  # global posting positions into ids and tfs
+                "ids": arrays["ids"],
+                "tfs": arrays["tfs"],
+                "lengths": lengths[d0:d1],
+                "tiebreak": tiebreak[d0:d1],
+            }
             partitions[repo] = _Partition(
-                text, bounds[4 * row : 4 * (row + n) + 1], readers[p], terms, part_arrays
+                docs,
+                bounds[4 * d0 : 4 * d1 + 1],
+                reader,
+                terms,
+                term_bounds[t0 : t1 + 1],
+                part_arrays,
             )
-            row += n
         return cls(partitions, dimension, embedder_id=embedder_id)
 
     # -- scoring ----------------------------------------------------------
@@ -564,7 +719,7 @@ class RetrievalIndex:
         if part is None or len(part) == 0:
             raise EmptyScope(f"no indexed documents for project {scope_repo!r}")
         keep = np.arange(len(part))
-        excluded = part.sha_index.get(exclude_sha)
+        excluded = part.row(exclude_sha) if exclude_sha is not None else None
         if excluded is not None:
             keep = np.delete(keep, excluded)
         if len(keep) == 0:

@@ -11,7 +11,8 @@ exception: it walks an index's own postings one document at a time, as the
 bit-exact reference for the batched scorer.  So are the ``reference_*``
 metric kernels: the slice-by-slice n-gram counting, CIDEr and two-row LCS
 table the metrics used before, kept as they were so that the production
-kernels can be held to equal them exactly.
+kernels can be held to equal them exactly.  ``reference_sample_subset`` is the
+subset sampler as it was before it built per-language pools in one pass.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
 import re
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+
+from coracmg.errors import CorpusTooSmall
+from coracmg.harness import record_languages
 
 # Punctuation isolation, 13a style. The character class covers the ASCII
 # punctuation blocks; period, comma and dash are handled by the
@@ -294,7 +299,7 @@ def index_bm25_one_doc(index, query_tokens, repo, sha):
     so the two agree bit for bit, not just approximately.
     """
     part = index.partitions[repo]
-    idx = part.sha_index[sha]
+    idx = part.row(sha)
     norm_d = float(part.length_norm[idx])
     k1p1 = 1.2 + 1.0
     score = 0.0
@@ -375,3 +380,33 @@ def oracle_stats(values):
     import statistics
 
     return statistics.mean(values), max(values), statistics.median_low(values)
+
+
+def reference_sample_subset(records, n, seed):
+    """Seeded sample of ``n`` records covering every language in the corpus.
+
+    One record is drawn per uncovered language first; the remainder is a
+    uniform draw.  Output preserves corpus order, and a given seed always
+    selects the same subset.
+    """
+    if n > len(records):
+        raise CorpusTooSmall(f"requested {n} records from a corpus of {len(records)}")
+    langs = [sorted(record_languages(r)) for r in records]
+    present = sorted({lang for ls in langs for lang in ls})
+    if n < len(present):
+        raise CorpusTooSmall(
+            f"{n} records cannot cover the {len(present)} languages in the corpus"
+        )
+    rng = random.Random(seed)
+    chosen: set[int] = set()
+    covered: set[str] = set()
+    for lang in present:
+        if lang in covered:
+            continue
+        pool = [i for i in range(len(records)) if lang in langs[i] and i not in chosen]
+        pick = rng.choice(pool)
+        chosen.add(pick)
+        covered.update(langs[pick])
+    rest = [i for i in range(len(records)) if i not in chosen]
+    chosen.update(rng.sample(rest, n - len(chosen)))
+    return [records[i] for i in sorted(chosen)]

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from coracmg import harness
 from coracmg.diffs import write_jsonl
 from coracmg.errors import ConfigError, CorpusTooSmall, ManifestMismatch
 from coracmg.harness import (
@@ -20,8 +21,8 @@ from coracmg.harness import (
 from coracmg.providers import EmbeddingClient, HashingEmbedder
 from coracmg.retriever import RetrievalIndex
 from fake_provider import Reply
-from helpers import make_record, stored_docs, synthetic_corpus, twin_corpus
-from oracles import oracle_rank
+from helpers import make_diff, make_record, stored_docs, synthetic_corpus, twin_corpus
+from oracles import oracle_rank, reference_sample_subset
 
 
 def _materialize(tmp_path, records, name="corpus"):
@@ -71,7 +72,60 @@ def test_sample_too_small():
         sample_subset(records, 6, seed=0)
 
 
+_LANGUAGE_EXTS = [".java", ".cpp", ".scala", ".ts", ".py", ".lua", ".go", ".rs"]
+
+
+def _language_corpus(n_langs: int) -> list:
+    """Records in ``n_langs`` languages, some with two languages and one with none."""
+    exts = _LANGUAGE_EXTS[:n_langs]
+    records = synthetic_corpus(2, 30, seed=n_langs, languages=exts)
+    for i in range(3):
+        first, second = exts[i % n_langs], exts[(i + 1) % n_langs]
+        two = make_diff(f"src/a{i}{first}") + make_diff(f"src/b{i}{second}")
+        records.insert(7 * i, make_record(100 + i, diff=two))
+    return records + [make_record(200, path="README.md")]
+
+
+def test_sample_subset_picks_what_the_reference_picks():
+    for n_langs in range(1, len(_LANGUAGE_EXTS) + 1):
+        records = _language_corpus(n_langs)
+        assert len(set().union(*map(harness.record_languages, records))) == n_langs
+        for n in (n_langs, n_langs + 3, len(records)):
+            for seed in range(50):
+                assert sample_subset(records, n, seed) == reference_sample_subset(records, n, seed)
+        for n in (n_langs - 1, len(records) + 1):  # cannot cover every language; too many
+            with pytest.raises(CorpusTooSmall) as got:
+                sample_subset(records, n, 0)
+            with pytest.raises(CorpusTooSmall) as expected:
+                reference_sample_subset(records, n, 0)
+            assert str(got.value) == str(expected.value)
+
+
 # -- experiments ---------------------------------------------------------------
+
+
+def test_manifest_hashes_the_corpus_bytes_the_run_parsed(tmp_path, monkeypatch):
+    records = synthetic_corpus(2, 10)
+    corpus_path, index_dir = _materialize(tmp_path, records)
+    original = corpus_path.read_bytes()
+    config = dict(
+        corpus=str(corpus_path), method="rag", k=2, subset_size=6, seed=1,
+        generator="echo-mock", index=str(index_dir),
+    )
+    run_experiment(ExperimentConfig(out_dir=str(tmp_path / "before"), **config))
+    sample = harness.sample_subset
+
+    def rewrite_then_sample(parsed, n, seed):
+        write_jsonl(corpus_path, parsed[:-1])  # the file changes once it has been read
+        return sample(parsed, n, seed)
+
+    monkeypatch.setattr(harness, "sample_subset", rewrite_then_sample)
+    result = run_experiment(ExperimentConfig(out_dir=str(tmp_path / "during"), **config))
+    assert corpus_path.read_bytes() != original
+    assert result.manifest["corpus_sha256"] == hashlib.sha256(original).hexdigest()
+    assert (tmp_path / "during" / "results.jsonl").read_bytes() == (
+        tmp_path / "before" / "results.jsonl"
+    ).read_bytes()
 
 
 def test_config_validation():

@@ -6,6 +6,7 @@ import math
 import os
 import shutil
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -35,7 +36,7 @@ def build_index(records):
 def bm25(index, query_tokens, record):
     """The batched BM25 score of one indexed record."""
     part = index.partitions[record.repo_full_name]
-    return index._batch_lexical(part, Counter(query_tokens))[part.sha_index[record.sha]]
+    return index._batch_lexical(part, Counter(query_tokens))[part.row(record.sha)]
 
 
 def test_bm25_no_shared_terms_scores_zero():
@@ -147,7 +148,7 @@ def test_warm_embedder_builds_the_same_index(tmp_path):
     warm = HashingEmbedder(64)
     RetrievalIndex.build(records[::-1], warm)  # fills the memo in another order
     RetrievalIndex.build(records, warm).save(tmp_path / "warm")
-    for name in ("docs.txt", "manifest.json", "postings.npz", "terms.json", "vectors.bin"):
+    for name in ("docs.txt", "manifest.json", "postings.bin", "vectors.bin"):
         assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
 
@@ -354,7 +355,7 @@ def test_save_load_round_trip(tmp_path):
     assert [p.hybrid_score for p in a] == [p.hybrid_score for p in b]
     # Saved again, one partition queried and the others unread, the bytes are the same.
     loaded.save(tmp_path / "again")
-    for name in ("docs.txt", "manifest.json", "postings.npz", "terms.json", "vectors.bin"):
+    for name in ("docs.txt", "manifest.json", "postings.bin", "vectors.bin"):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "idx" / name).read_bytes()
 
 
@@ -373,6 +374,72 @@ def test_save_load_round_trip_keeps_every_field(tmp_path):
         assert stored_docs(loaded.partitions[repo]) == stored_docs(part)
 
 
+def _held_by_load(root):
+    """A loaded index and the bytes ``tracemalloc`` saw load allocate and keep."""
+    tracemalloc.start()
+    try:
+        index = RetrievalIndex.load(root)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return index, held
+
+
+def test_load_keeps_the_index_off_the_heap(tmp_path):
+    root = tmp_path / "idx"
+    build_index(synthetic_corpus(4, 500)).save(root)
+    index, held = _held_by_load(root)
+    files = (root / "docs.txt").stat().st_size + (root / "postings.bin").stat().st_size
+    assert held < files / 10
+    query = synthetic_corpus(4, 500)[7]
+    assert index.retrieve(query.diff, 3, query.repo_full_name, embedder=EMBEDDER)
+
+
+def test_loaded_text_takes_the_bytes_of_docs_txt(tmp_path):
+    # One character outside the Basic Multilingual Plane adds its own four
+    # bytes, not three more bytes for every other character.
+    records = synthetic_corpus(4, 500, seed=1)
+    emoji = dataclasses.replace(records[0], message=records[0].message + " \U0001f600")
+    loads = {}
+    for name, corpus in (("plain", records), ("emoji", [emoji, *records[1:]])):
+        build_index(corpus).save(tmp_path / name)
+        index, held = _held_by_load(tmp_path / name)
+        size = (tmp_path / name / "docs.txt").stat().st_size
+        assert {len(part.docs) for part in index.partitions.values()} == {size}
+        loads[name] = size, held
+        assert stored_docs(index.partitions[emoji.repo_full_name])[0] == (
+            corpus[0].sha, corpus[0].date, corpus[0].message, corpus[0].diff
+        )
+    assert loads["emoji"][0] - loads["plain"][0] == len(" \U0001f600".encode())
+    assert abs(loads["emoji"][1] - loads["plain"][1]) < 1024
+
+
+def test_index_layout_does_not_grow_with_the_project_count(tmp_path):
+    layouts = []
+    for shape in ((200, 5), (2, 500)):
+        root = tmp_path / f"{shape[0]}x{shape[1]}"
+        build_index(synthetic_corpus(*shape)).save(root)
+        sections = struct.unpack_from("<Q", (root / "postings.bin").read_bytes(), 8)[0]
+        layouts.append((sorted(p.name for p in root.iterdir()), sections))
+    assert layouts[0] == layouts[1]
+
+
+def test_utf8_check_decodes_characters_split_across_chunks(tmp_path, monkeypatch):
+    records = [
+        make_record(0, message="caf\u00e9 \U0001f600 \ud800"),
+        make_record(1, added=["na\u00efve = '\u4e2d'"]),
+    ]
+    index = build_index(records)
+    index.save(tmp_path / "idx")
+    monkeypatch.setattr(retriever, "_UTF8_CHUNK", 1)  # every multi-byte character split
+    loaded = RetrievalIndex.load(tmp_path / "idx")
+    for repo, part in index.partitions.items():
+        assert stored_docs(loaded.partitions[repo]) == stored_docs(part)
+    _edit_file(tmp_path / "idx", "docs.txt", lambda raw: raw[:-1] + b"\xc3")
+    with pytest.raises(CorruptIndex, match="docs.txt is not UTF-8"):
+        RetrievalIndex.load(tmp_path / "idx")
+
+
 def _edit_manifest(root, **changes):
     path = root / "manifest.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
@@ -386,21 +453,21 @@ def _drop_from_manifest(root, key):
 
 
 def _edit_docs(root, edit):
-    """Rewrite docs.txt and its field bounds from ``edit(fields)``."""
+    """Rewrite docs.txt and its byte field bounds from ``edit(fields)``, each field bytes."""
     path = root / "docs.txt"
-    text = path.read_bytes().decode("utf-8", "surrogatepass")
+    raw = path.read_bytes()
 
     def rewrite(arrays):
         ends = arrays["bounds"].tolist()
-        fields = edit([text[lo:hi] for lo, hi in zip(ends, ends[1:])])
+        fields = edit([raw[lo:hi] for lo, hi in zip(ends, ends[1:])])
         arrays["bounds"] = np.cumsum([0, *map(len, fields)], dtype=np.int64)
-        path.write_bytes("".join(fields).encode("utf-8", "surrogatepass"))
+        path.write_bytes(b"".join(fields))
 
     _edit_postings(root, rewrite)
 
 
-def _edit_text(root, edit):
-    path = root / "docs.txt"
+def _edit_file(root, name, edit):
+    path = root / name
     path.write_bytes(edit(path.read_bytes()))
 
 
@@ -410,25 +477,45 @@ def _set_vectors_version(root, version):
     path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
 
 
-def _as_version_3(root):
-    """The directory a version-3 release wrote: no tie-break arrays, version 3 headers."""
-    _edit_manifest(root, version=3)
-    _set_vectors_version(root, 3)
+def _as_version(version):
+    """The manifest and vectors header a release writing ``version`` would leave."""
 
-    def drop_tiebreaks(arrays):
-        for name in [name for name in arrays if name.startswith("tiebreak_")]:
-            del arrays[name]
+    def edit(root):
+        _edit_manifest(root, version=version)
+        _set_vectors_version(root, version)
 
-    _edit_postings(root, drop_tiebreaks)
+    return edit
 
 
 def _edit_postings(root, edit):
-    path = root / "postings.npz"
-    with np.load(path) as npz:
-        arrays = {name: npz[name] for name in npz.files}
+    """Rewrite postings.bin from ``edit(arrays)``, with a header that fits the new arrays."""
+    path = root / "postings.bin"
+    arrays = {name: array.copy() for name, array in retriever._read_postings(path).items()}
     edit(arrays)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    retriever._write_postings(path, arrays)
+
+
+_SECTION_NAMES = [name for name, _ in retriever._SECTIONS]
+
+
+def _edit_header(root, edit):
+    """Rewrite the header of postings.bin from ``edit([magic, version, count, *sizes])``."""
+    path = root / "postings.bin"
+    raw = path.read_bytes()
+    header = retriever._POSTINGS_HEADER
+    values = list(header.unpack_from(raw))
+    edit(values)
+    path.write_bytes(header.pack(*values) + raw[header.size :])
+
+
+def _resize_sections(**changes):
+    """A header edit that adds ``changes[name]`` bytes to each named section's size."""
+
+    def edit(values):
+        for name, delta in changes.items():
+            values[3 + _SECTION_NAMES.index(name)] += delta
+
+    return edit
 
 
 def _swap_first_pair(values):
@@ -436,14 +523,43 @@ def _swap_first_pair(values):
 
 
 def _unsort_first_shared_term(arrays):
-    offsets, ids = arrays["offsets_0"], arrays["ids_0"]
+    offsets, ids = arrays["offsets"], arrays["ids"]
     lo = next(int(offsets[t]) for t in range(len(offsets) - 1) if offsets[t + 1] - offsets[t] > 1)
     ids[[lo, lo + 1]] = ids[[lo + 1, lo]]
 
 
+def _bound_inside_character(root):
+    # The first sha ends in a two-byte character, and its end bound moves one byte back.
+    _edit_docs(root, lambda fields: [fields[0] + "\u00e9".encode(), *fields[1:]])
+
+    def cut(arrays):
+        arrays["bounds"][1] -= 1
+
+    _edit_postings(root, cut)
+
+
+def _set(index, value):
+    """An edit that sets ``values[index]`` to ``value``."""
+
+    def edit(values):
+        values[index] = value
+
+    return edit
+
+
+def _add(name, index, delta):
+    """A postings edit that adds ``delta`` to ``arrays[name][index]``."""
+
+    def edit(arrays):
+        arrays[name][index] += delta
+
+    return edit
+
+
 _CORRUPTIONS = {
     "missing-directory": (lambda root: shutil.rmtree(root), "cannot read"),
-    "missing-file": (lambda root: (root / "postings.npz").unlink(), "cannot read"),
+    "missing-file": (lambda root: (root / "postings.bin").unlink(), "cannot read"),
+    "missing-docs": (lambda root: (root / "docs.txt").unlink(), "cannot read"),
     "manifest-not-json": (
         lambda root: (root / "manifest.json").write_text('{"magic": "coracmg-index",'),
         "not valid JSON",
@@ -474,15 +590,11 @@ _CORRUPTIONS = {
         "a project holds a negative number of documents",
     ),
     "text-not-utf8": (
-        lambda root: _edit_text(root, lambda raw: b"\xff" + raw[1:]), "docs.txt is not UTF-8"
+        lambda root: _edit_file(root, "docs.txt", lambda raw: b"\xff" + raw[1:]),
+        "docs.txt is not UTF-8",
     ),
-    "bounds-missing": (
-        lambda root: _edit_postings(root, lambda a: a.pop("bounds")),
-        "lacks array 'bounds'",
-    ),
-    "bounds-not-int64": (
-        lambda root: _edit_postings(root, lambda a: a.update(bounds=a["bounds"] * 1.0)),
-        "bounds must be a 1-d int64 array",
+    "bound-inside-character": (
+        _bound_inside_character, "a field bound falls inside a character of docs.txt"
     ),
     "bounds-count": (
         lambda root: _edit_postings(root, lambda a: a.update(bounds=a["bounds"][:-1])),
@@ -493,61 +605,118 @@ _CORRUPTIONS = {
         "field bounds must rise from 0",
     ),
     "bounds-short-of-text": (
-        lambda root: _edit_text(root, lambda raw: raw + b"x"),
+        lambda root: _edit_file(root, "docs.txt", lambda raw: raw + b"x"),
         "field bounds must rise from 0 to the",
     ),
-    "version-3": (_as_version_3, "version 3 index; this release reads version 4"),
-    "vectors-version-3": (
-        lambda root: _set_vectors_version(root, 3), "vectors.bin has version 3"
+    "version-3": (_as_version(3), "version 3 index; this release reads version 5"),
+    "version-4": (_as_version(4), "version 4 index; this release reads version 5"),
+    "vectors-version-4": (
+        lambda root: _set_vectors_version(root, 4), "vectors.bin has version 4"
     ),
-    "tiebreak-missing": (
-        lambda root: _edit_postings(root, lambda a: a.pop("tiebreak_0")),
-        "lacks array 'tiebreak_0'",
+    "postings-bad-magic": (
+        lambda root: _edit_header(root, _set(0, b"CMGV")),  # magic
+        "postings.bin has a bad magic number",
     ),
-    "tiebreak-not-int64": (
-        lambda root: _edit_postings(root, lambda a: a.update(tiebreak_0=a["tiebreak_0"] * 1.0)),
-        "tiebreak must be a 1-d int64 array",
+    "postings-cut-in-header": (
+        lambda root: _edit_file(root, "postings.bin", lambda raw: raw[:20]),
+        "postings.bin has a bad magic number",
+    ),
+    "postings-version-4": (
+        lambda root: _edit_header(root, _set(1, 4)),  # version
+        "postings.bin has version 4; this release reads version 5",
+    ),
+    "postings-section-count": (
+        lambda root: _edit_header(root, _set(2, 8)),  # section count
+        "postings.bin has 8 sections; version 5 has 9",
+    ),
+    "postings-short": (
+        lambda root: _edit_file(root, "postings.bin", lambda raw: raw[:-1]),
+        "postings.bin has [0-9]+ bytes; its header gives",
+    ),
+    "postings-section-size": (
+        lambda root: _edit_header(root, _resize_sections(ids=4)),
+        "postings.bin has [0-9]+ bytes; its header gives",
+    ),
+    "postings-section-not-whole": (
+        lambda root: _edit_header(root, _resize_sections(ids=2, terms=-2)),
+        "section 'ids' has [0-9]+ bytes, not a whole number of int32 items",
+    ),
+    "table-size": (
+        lambda root: _edit_postings(root, lambda a: a.update(table=a["table"][:-1])),
+        "project table of 5 entries; 1 projects need 6",
+    ),
+    "table-document-starts": (
+        lambda root: _edit_postings(root, _add("table", 3, -1)),
+        "project table disagrees with the project counts of manifest.json",
+    ),
+    "table-term-count": (
+        lambda root: _edit_postings(root, _add("table", 4, -1)),
+        "project table's term starts disagree with offsets",
+    ),
+    "table-posting-start": (
+        lambda root: _edit_postings(root, _add("table", 5, 1)),
+        "project table's term starts disagree with offsets",
+    ),
+    "term-bounds-count": (
+        lambda root: _edit_postings(root, lambda a: a.update(term_bounds=a["term_bounds"][:-1])),
+        "term bounds for [0-9]+ terms",
+    ),
+    "term-bounds-not-rising": (
+        lambda root: _edit_postings(root, lambda a: _swap_first_pair(a["term_bounds"])),
+        "term bounds must rise from 0 to the [0-9]+ bytes of the term table",
+    ),
+    "terms-not-utf8": (
+        lambda root: _edit_postings(root, lambda a: _set(0, 0xFF)(a["terms"])),
+        "the term table is not UTF-8",
     ),
     "tiebreak-count": (
-        lambda root: _edit_postings(root, lambda a: a.update(tiebreak_0=a["tiebreak_0"][:-1])),
+        lambda root: _edit_postings(root, lambda a: a.update(tiebreak=a["tiebreak"][:-1])),
         "2 tie-break ranks for 3 documents",
     ),
     "tiebreak-repeated-rank": (
-        lambda root: _edit_postings(root, lambda a: a.update(tiebreak_0=np.zeros(3, np.int64))),
-        r"tiebreak is not a permutation of 0\.\.2",
+        lambda root: _edit_postings(root, lambda a: a.update(tiebreak=np.zeros(3, np.int64))),
+        "tiebreak is not a permutation of each project's positions",
     ),
     "tiebreak-out-of-range": (
-        lambda root: _edit_postings(root, lambda a: a.update(tiebreak_0=a["tiebreak_0"] + 1)),
-        r"tiebreak is not a permutation of 0\.\.2",
+        lambda root: _edit_postings(root, lambda a: a.update(tiebreak=a["tiebreak"] + 1)),
+        "tiebreak is not a permutation of each project's positions",
+    ),
+    "tiebreak-negative": (
+        lambda root: _edit_postings(root, lambda a: a.update(tiebreak=a["tiebreak"] - 1)),
+        "tiebreak is not a permutation of each project's positions",
     ),
     "offsets-not-from-zero": (
-        lambda root: _edit_postings(root, lambda a: a.update(offsets_0=a["offsets_0"] + 1)),
+        lambda root: _edit_postings(root, lambda a: a.update(offsets=a["offsets"] + 1)),
         "offsets must rise from 0",
     ),
     "offsets-decreasing": (
-        lambda root: _edit_postings(root, lambda a: _swap_first_pair(a["offsets_0"])),
+        lambda root: _edit_postings(root, lambda a: _swap_first_pair(a["offsets"])),
         "offsets must rise from 0",
     ),
     "offsets-end-before-ids": (
         lambda root: _edit_postings(
-            root, lambda a: a.update(ids_0=np.append(a["ids_0"], np.int32(0)))
+            root, lambda a: a.update(ids=np.append(a["ids"], np.int32(0)))
         ),
         "offsets must rise from 0",
     ),
+    "tfs-count": (
+        lambda root: _edit_postings(root, lambda a: a.update(tfs=a["tfs"][:-1])),
+        "term frequencies for [0-9]+ postings",
+    ),
     "ids-out-of-range": (
-        lambda root: _edit_postings(root, lambda a: a.update(ids_0=a["ids_0"] + np.int32(3))),
-        r"ids outside \[0, 3\)",
+        lambda root: _edit_postings(root, lambda a: a.update(ids=a["ids"] + np.int32(3))),
+        "document ids outside their project",
+    ),
+    "ids-negative": (
+        lambda root: _edit_postings(root, lambda a: a.update(ids=a["ids"] - np.int32(1))),
+        "document ids outside their project",
     ),
     "ids-not-ascending": (
         lambda root: _edit_postings(root, _unsort_first_shared_term),
         "ascend within each term",
     ),
-    "object-array": (
-        lambda root: _edit_postings(root, lambda a: a.update(tfs_0=a["tfs_0"].astype(object))),
-        "cannot read .*postings.npz",
-    ),
     "lengths-count": (
-        lambda root: _edit_postings(root, lambda a: a.update(lengths_0=a["lengths_0"][:-1])),
+        lambda root: _edit_postings(root, lambda a: a.update(lengths=a["lengths"][:-1])),
         "2 lengths for 3 documents",
     ),
 }
@@ -597,6 +766,35 @@ def test_load_rejects_corrupt_files(tmp_path):
         assert str(caught.value).endswith("rebuild the index with `coracmg index`"), name
 
 
+def _id_of_the_next_project(arrays):
+    """Give project 0's last posting the id of project 0's size, which only project 1 has."""
+    table = arrays["table"].reshape(-1, 3)
+    last = table[1, 2] - 1  # project 0's last posting, the last of its last term
+    arrays["ids"][last] = table[1, 0]
+
+
+def _ranks_traded_between_projects(arrays):
+    # Shifted by their project's start (0 and 2) the ranks are 0, 2 and 1, 3, 4:
+    # a permutation of 0..4, though neither project's ranks are its own.
+    arrays["tiebreak"][:] = [0, 2, -1, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_id_of_the_next_project, "document ids outside their project"),
+        (_ranks_traded_between_projects, "tiebreak is not a permutation of each project's"),
+    ],
+)
+def test_load_checks_each_project_against_its_own_size(tmp_path, corrupt, message):
+    records = synthetic_corpus(2, 3, seed=0)[1:]  # projects of 2 and 3 documents
+    root = tmp_path / "idx"
+    build_index(records).save(root)
+    _edit_postings(root, corrupt)
+    with pytest.raises(CorruptIndex, match=message):
+        RetrievalIndex.load(root)
+
+
 def test_first_query_rejects_vectors_cut_short_while_read(tmp_path, monkeypatch):
     records = synthetic_corpus(1, 3, seed=0)
     build_index(records).save(tmp_path / "idx")
@@ -633,29 +831,45 @@ def test_k_must_be_positive():
 def test_vectors_bin_layout(tmp_path):
     records = synthetic_corpus(2, 4, seed=1)
     index = build_index(records)
-    index.save(tmp_path / "idx")
-    raw = (tmp_path / "idx" / "vectors.bin").read_bytes()
+    root = tmp_path / "idx"
+    index.save(root)
+    raw = (root / "vectors.bin").read_bytes()
     assert raw[:4] == b"CMGV"
     version, count, dim = struct.unpack("<III", raw[4:16])
-    assert (version, count, dim) == (4, 8, 64)
+    assert (version, count, dim) == (5, 8, 64)
     assert len(raw) == 16 + count * dim * 4
     matrix = np.frombuffer(raw[16:], dtype="<f4").reshape(count, dim)
     assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, atol=1e-6)
-    files = sorted(p.name for p in (tmp_path / "idx").iterdir())
-    assert files == ["docs.txt", "manifest.json", "postings.npz", "terms.json", "vectors.bin"]
-    assert json.loads((tmp_path / "idx" / "manifest.json").read_text())["version"] == 4
-    text = (tmp_path / "idx" / "docs.txt").read_text(encoding="utf-8")
-    with np.load(tmp_path / "idx" / "postings.npz") as npz:
-        bounds = npz["bounds"].tolist()
-        tiebreaks = [npz[f"tiebreak_{p}"] for p in range(len(index.partitions))]
+    files = sorted(p.name for p in root.iterdir())
+    assert files == ["docs.txt", "manifest.json", "postings.bin", "vectors.bin"]
+    assert json.loads((root / "manifest.json").read_text())["version"] == 5
+
+    postings = (root / "postings.bin").read_bytes()
+    magic, version, sections = struct.unpack_from("<4sIQ", postings)
+    assert (magic, version, sections) == (b"CMGP", 5, 9)
+    sizes = struct.unpack_from(f"<{sections}Q", postings, 16)
+    assert len(postings) == 16 + 8 * sections + sum(sizes)
+    arrays = retriever._read_postings(root / "postings.bin")
+    text = (root / "docs.txt").read_bytes()
+    bounds = arrays["bounds"].tolist()
     assert len(bounds) == 4 * count + 1 and bounds[-1] == len(text)
     first = stored_docs(index.partitions[min(index.partitions)])[0]
-    assert [text[bounds[f] : bounds[f + 1]] for f in range(4)] == list(first)
-    for repo, tiebreak in zip(sorted(index.partitions), tiebreaks):
-        docs = stored_docs(index.partitions[repo])
+    assert [text[bounds[f] : bounds[f + 1]].decode() for f in range(4)] == list(first)
+    table = arrays["table"].reshape(-1, 3).tolist()
+    assert [row[0] for row in table] == [0, 4, 8]  # document starts
+    terms, term_bounds = arrays["terms"].tobytes(), arrays["term_bounds"].tolist()
+    offsets = arrays["offsets"].tolist()
+    for repo, (d0, t0, p0), (d1, t1, p1) in zip(sorted(index.partitions), table, table[1:]):
+        part = index.partitions[repo]
+        vocab = [terms[term_bounds[t] : term_bounds[t + 1]].decode() for t in range(t0, t1)]
+        assert vocab == list(part.terms)  # in posting-row order
+        assert (offsets[t0], offsets[t1]) == (p0, p1)  # posting starts
+        docs = stored_docs(part)
         newest_first = sorted(range(len(docs)), key=lambda i: docs[i].sha)
         newest_first.sort(key=lambda i: docs[i].date, reverse=True)  # one UTC offset
-        assert tiebreak.dtype == np.int64 and tiebreak.tolist() == np.argsort(newest_first).tolist()
+        tiebreak = arrays["tiebreak"][d0:d1]
+        assert tiebreak.dtype == np.int64
+        assert tiebreak.tolist() == np.argsort(newest_first).tolist()
 
 
 def test_batch_and_single_doc_bm25_are_bit_equal():
