@@ -256,6 +256,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_suggest(args) -> int:
+    if args.max_prompt_chars < 1:
+        raise ConfigError(f"--max-prompt-chars must be at least 1, not {args.max_prompt_chars}")
     query = _read_query(args.diff, args.k)
     template = PromptTemplate.from_file(args.template) if args.template else None
     raw = [

@@ -30,7 +30,7 @@ import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import metrics
@@ -47,6 +47,14 @@ from .providers import (
 from .retriever import RetrievalIndex
 
 GENERATORS = ("provider", "echo-mock", "constant-mock", "retrieval-copy")
+# What a config file may give a field of each annotated type, or null where
+# the annotation allows None.  bool is a subclass of int, and a JSON true is
+# never a count, a number or a path.
+_ACCEPTED = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+}
 
 
 @dataclass
@@ -70,14 +78,13 @@ class ExperimentConfig:
     workers: int = 4
 
     def __post_init__(self):
-        for name in ("k", "subset_size", "seed", "workers", "max_prompt_chars"):
-            value = getattr(self, name)
-            if name == "k" and value is None:
+        for field in fields(self):  # annotations are strings: see the __future__ import
+            value, kind = getattr(self, field.name), field.type.removesuffix(" | None")
+            if value is None and kind != field.type:
                 continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
-        if isinstance(self.cider_scale, bool) or not isinstance(self.cider_scale, (int, float)):
-            raise ConfigError(f"cider_scale must be a number, not {self.cider_scale!r}")
+            types, name = _ACCEPTED[kind]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{field.name} must be {name}, not {value!r}")
         # NaN fails both comparisons; an int past the float range fails the second.
         if not 0 < self.cider_scale <= sys.float_info.max:
             raise ConfigError(
@@ -85,6 +92,10 @@ class ExperimentConfig:
             )
         if self.subset_size < 0:
             raise ConfigError(f"subset_size must be at least 0, not {self.subset_size}")
+        if self.max_prompt_chars < 1:  # would drop every example without a word
+            raise ConfigError(
+                f"max_prompt_chars must be at least 1, not {self.max_prompt_chars}"
+            )
         if self.generator == "provider" and not self.provider_config:
             raise ConfigError("generator 'provider' needs a provider_config file")
         if self.method not in ("direct", "rag"):
@@ -253,6 +264,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     records = read_corpus(config.corpus, corpus_digest)
     n = config.subset_size or len(records)
     subset = sample_subset(records, n, config.seed)
+    del records  # rows read only the subset: the rest of the corpus can go
 
     def process(record: CommitRecord) -> dict:
         row = {

@@ -244,10 +244,6 @@ class IdfTable:
     weights: dict[tuple, float]
     doc_count: int
 
-    def idf(self, gram: tuple) -> float:
-        # Unseen grams are treated as df = 1.
-        return self.weights.get(gram, math.log(self.doc_count))
-
 
 def build_idf(references: list[list[str]]) -> IdfTable:
     """Document-frequency IDF over reference sentences: idf = log(N / df)."""
@@ -264,7 +260,7 @@ def build_idf(references: list[list[str]]) -> IdfTable:
 def cider(hyp: list[str], ref: list[str], idf: IdfTable, scale: float = CIDER_SCALE) -> float:
     """Consensus score: mean over orders of TF-IDF n-gram cosine, times ``scale``."""
     weights = idf.weights
-    unseen = math.log(idf.doc_count)  # IdfTable.idf of a gram no reference has
+    unseen = math.log(idf.doc_count)  # a gram no reference has counts as df = 1
     total = 0.0
     for n in range(1, MAX_N + 1):
         h_counts = Counter(_ngrams(hyp, n))

@@ -75,13 +75,20 @@ class ProviderConfig:
         dimension = int(embed.get("dimension", DEFAULT_DIMENSION))
         if dimension < 1:
             raise ValueError(f"embed.dimension must be at least 1, not {dimension}")
+
+        def text(role: str, key: str) -> str:
+            value = obj.get(role, {}).get(key, "")
+            if not isinstance(value, str):
+                raise ValueError(f"{role}.{key} must be a string, not {value!r}")
+            return value
+
         return cls(
-            embed_endpoint=embed.get("endpoint", ""),
-            embed_model=embed.get("model", ""),
+            embed_endpoint=text("embed", "endpoint"),
+            embed_model=text("embed", "model"),
             embed_dimension=dimension,
             gen=GenerationConfig(
-                endpoint=gen.get("endpoint", ""),
-                model=gen.get("model", ""),
+                endpoint=text("gen", "endpoint"),
+                model=text("gen", "model"),
                 temperature=float(gen.get("temperature", GenerationConfig.temperature)),
                 max_tokens=int(gen.get("max_tokens", GenerationConfig.max_tokens)),
             ),

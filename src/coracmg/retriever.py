@@ -34,6 +34,9 @@ sorted project order and documents in partition order:
 * ``vectors.bin``: 16-byte header (magic ``CMGV``, version, count,
   dimension; little-endian uint32) followed by row-major float32 vectors
 
+A built and a loaded index hold the same sections and the same ``docs.txt``
+bytes, and ``RetrievalIndex.__init__`` cuts the partitions out of them for
+both; ``save`` writes the sections as held.
 Loading reads ``docs.txt`` and ``postings.bin`` into memory mapped outside
 the malloc heap and decodes no text.  It checks the version of the
 manifest and of both headers, that the section sizes add up to the file,
@@ -139,12 +142,14 @@ def _text(raw) -> str:
 class _Partition:
     """One project's documents, unit vectors and BM25 postings.
 
-    Field ``f`` (``_SHA``, ``_DATE``, ``_MESSAGE`` or ``_DIFF``) of document
-    ``i`` is the UTF-8 ``docs[bounds[4*i + f]:bounds[4*i + f + 1]]``, and the
-    term of posting row ``t`` the UTF-8
-    ``term_table[term_bounds[t]:term_bounds[t + 1]]``; a loaded index shares
-    one ``docs``, one term table and one ``ids``/``tfs`` pair among its
-    partitions.  The postings of term row ``t`` are
+    A partition is a view of the index's ``sections``: its documents and its
+    term rows are the (start, end) ranges ``docs_at`` and ``terms_at`` of the
+    whole index, and every partition shares one ``docs``, one term table and
+    one ``ids``/``tfs`` pair.  Field ``f`` (``_SHA``, ``_DATE``, ``_MESSAGE``
+    or ``_DIFF``) of document ``i`` is the UTF-8
+    ``docs[bounds[4*i + f]:bounds[4*i + f + 1]]``, and the term of posting
+    row ``t`` the UTF-8 ``term_table[term_bounds[t]:term_bounds[t + 1]]``.
+    The postings of term row ``t`` are
     ``ids[offsets[t]:offsets[t + 1]]`` with term frequencies ``tfs`` over the
     same slice; ``lengths`` holds each document's token count and
     ``tiebreak`` its rank under (date desc, sha asc), the order after the
@@ -157,25 +162,18 @@ class _Partition:
     either nothing or the finished value.
     """
 
-    def __init__(
-        self,
-        docs,
-        bounds: np.ndarray,
-        rows,
-        term_table,
-        term_bounds: np.ndarray,
-        arrays: dict[str, np.ndarray],
-    ):
+    def __init__(self, docs, rows, sections: dict[str, np.ndarray], docs_at, terms_at):
+        (d0, d1), (t0, t1) = docs_at, terms_at
         self.docs = docs  # bytes, or the mapped docs.txt: slices of either are bytes
-        self.bounds = bounds
+        self.bounds = sections["bounds"][4 * d0 : 4 * d1 + 1]
         self._vectors = rows  # float64 from the first query on
-        self.term_table = term_table
-        self.term_bounds = term_bounds
-        self.offsets = arrays["offsets"]
-        self.ids = arrays["ids"]
-        self.tfs = arrays["tfs"]
-        self.lengths = arrays["lengths"]
-        self.tiebreak = arrays["tiebreak"]
+        self.term_table = sections["terms"].data  # a memoryview: slices decode without a copy
+        self.term_bounds = sections["term_bounds"][t0 : t1 + 1]
+        self.offsets = sections["offsets"][t0 : t1 + 1]  # posting positions in ids and tfs
+        self.ids = sections["ids"]
+        self.tfs = sections["tfs"]
+        self.lengths = sections["lengths"][d0:d1]
+        self.tiebreak = sections["tiebreak"][d0:d1]
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -252,33 +250,6 @@ def _packed(texts: list[str]) -> tuple[bytes, np.ndarray]:
     bounds = np.zeros(len(encoded) + 1, dtype=np.int64)
     np.cumsum([len(raw) for raw in encoded], out=bounds[1:])
     return b"".join(encoded), bounds
-
-
-def _rebased(pieces: Iterable[tuple]) -> tuple[list, np.ndarray]:
-    """The spans ``buf[b[0]:b[-1]]`` of ``(buf, b)`` pieces, with their bounds ``b``
-    rebased so that the spans follow one another from 0."""
-    spans, bounds, end = [], [np.zeros(1, dtype=np.int64)], 0
-    for buf, b in pieces:
-        lo, hi = int(b[0]), int(b[-1])
-        spans.append(buf[lo:hi])
-        bounds.append(b[1:] - lo + end)
-        end += hi - lo
-    return spans, np.concatenate(bounds)
-
-
-def _csr(
-    rows: dict[str, tuple[list[int], list[int]]], lengths: list[int]
-) -> dict[str, np.ndarray]:
-    """CSR arrays from per-term ``(ids, tfs)`` rows, in the rows' term order."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(ids) for ids, _ in rows.values()], out=offsets[1:])
-    nnz = int(offsets[-1])
-    return {
-        "offsets": offsets,
-        "ids": np.fromiter(chain.from_iterable(ids for ids, _ in rows.values()), np.int32, nnz),
-        "tfs": np.fromiter(chain.from_iterable(tfs for _, tfs in rows.values()), np.float64, nnz),
-        "lengths": np.array(lengths, dtype=np.int64),
-    }
 
 
 def _embed(embedder, text: str, counts: Counter) -> np.ndarray:
@@ -457,9 +428,9 @@ def _check_text(name: str, what: str, data: np.ndarray, bounds: np.ndarray) -> N
         raise CorruptIndex(f"postings.bin: a {what} bound falls inside a character of {name}")
 
 
-def _check_postings(arrays: dict[str, np.ndarray], counts: list[int], text: np.ndarray) -> list:
-    """The project table's rows, once the arrays of ``postings.bin`` agree with
-    one another, with the manifest's document ``counts`` and with ``docs.txt``.
+def _check_postings(arrays: dict[str, np.ndarray], counts: list[int], text: np.ndarray) -> None:
+    """Reject sections of ``postings.bin`` that disagree with one another, with
+    the manifest's document ``counts`` or with ``docs.txt``.
 
     Every check runs over all projects at once.
     """
@@ -529,14 +500,24 @@ def _check_postings(arrays: dict[str, np.ndarray], counts: list[int], text: np.n
         )
     ):
         raise bad("tiebreak is not a permutation of each project's positions")
-    return table.reshape(-1, 3).tolist()
 
 
 class RetrievalIndex:
-    def __init__(self, partitions: dict[str, _Partition], dimension: int, embedder_id: str = ""):
-        self.partitions = partitions
+    def __init__(self, rows: dict, sections: dict[str, np.ndarray], docs, dimension, embedder_id):
+        """An index over the sections of ``postings.bin`` and the ``docs.txt`` bytes.
+
+        ``rows`` maps each project, in sorted order, to its float32 vector rows
+        or a reader of them; the project table's rows cut out the partitions.
+        """
+        self.sections = sections
+        self.docs = docs
         self.dimension = dimension
         self.embedder_id = embedder_id
+        table = sections["table"].reshape(-1, 3).tolist()
+        self.partitions = {
+            repo: _Partition(docs, part_rows, sections, (d0, d1), (t0, t1))
+            for (repo, part_rows), (d0, t0, _), (d1, t1, _) in zip(rows.items(), table, table[1:])
+        }
 
     # -- construction -----------------------------------------------------
 
@@ -549,18 +530,22 @@ class RetrievalIndex:
         if not grouped:
             raise EmptyCorpus("cannot build an index from zero records")
         dimension = getattr(embedder, "dimension")
-        partitions: dict[str, _Partition] = {}
+        texts: list[bytes] = []  # each project's packed fields
+        bounds = [np.zeros(1, dtype=np.int64)]  # their field bounds, from 0 over all projects
+        terms: list[str] = []  # each project's terms, in posting-row order
+        df: list[int] = []  # postings of each term row
+        lengths: list[int] = []
+        ids, tfs, tiebreak, table, rows = [], [], [], [(0, 0, 0)], {}
         for repo in sorted(grouped):
             recs = grouped[repo]
             vectors = np.empty((len(recs), dimension), dtype=np.float32)
-            lengths = []
-            rows: dict[str, tuple[list[int], list[int]]] = {}  # term -> (ids, tfs)
+            postings: dict[str, tuple[list[int], list[int]]] = {}  # term -> (ids, tfs)
             for i, rec in enumerate(recs):
                 counts = Counter(tokenize(rec.diff))
                 for term, tf in counts.items():
-                    row = rows.get(term)
+                    row = postings.get(term)
                     if row is None:
-                        row = rows[term] = ([], [])
+                        row = postings[term] = ([], [])
                     row[0].append(i)
                     row[1].append(tf)
                 lengths.append(sum(counts.values()))
@@ -570,25 +555,44 @@ class RetrievalIndex:
                         f"embedder returned dimension {vec.shape[0]}, index uses {dimension}"
                     )
                 vectors[i] = vec
-            fields = [f for rec in recs for f in (rec.sha, rec.date, rec.message, rec.diff)]
-            docs, bounds = _packed(fields)
-            term_table, term_bounds = _packed(list(rows))
-            arrays = {**_csr(rows, lengths), "tiebreak": _tiebreak(recs)}
-            partitions[repo] = _Partition(docs, bounds, vectors, term_table, term_bounds, arrays)
-        return cls(
-            partitions,
-            dimension,
-            embedder_id=getattr(embedder, "identifier", type(embedder).__name__),
-        )
+            # One project at a time: packing every field after the loop left its
+            # freed copies as holes in the malloc heap (rag-k3 peak_rss_mb +5%).
+            text, ends = _packed([f for r in recs for f in (r.sha, r.date, r.message, r.diff)])
+            texts.append(text)
+            bounds.append(ends[1:] + bounds[-1][-1])
+            terms += postings
+            sizes = [len(term_ids) for term_ids, _ in postings.values()]
+            df += sizes
+            nnz, lists = sum(sizes), postings.values()
+            # Arrays now, so that each project's Python posting lists die with it.
+            ids.append(np.fromiter(chain.from_iterable(i for i, _ in lists), np.int32, nnz))
+            tfs.append(np.fromiter(chain.from_iterable(t for _, t in lists), np.float64, nnz))
+            tiebreak.append(_tiebreak(recs))
+            table.append((len(recs), len(postings), nnz))
+            rows[repo] = vectors  # its own array: converting the partition frees it
+        term_text, term_bounds = _packed(terms)
+        offsets = np.zeros(len(df) + 1, dtype=np.int64)
+        np.cumsum(df, out=offsets[1:])
+        sections = {
+            "bounds": np.concatenate(bounds),
+            "table": np.cumsum(table, axis=0, dtype=np.int64).ravel(),
+            "offsets": offsets,
+            "tfs": np.concatenate(tfs),
+            "lengths": np.array(lengths, dtype=np.int64),
+            "tiebreak": np.concatenate(tiebreak),
+            "term_bounds": term_bounds,
+            "ids": np.concatenate(ids),
+            "terms": np.frombuffer(term_text, np.uint8),
+        }
+        embedder_id = getattr(embedder, "identifier", type(embedder).__name__)
+        return cls(rows, sections, b"".join(texts), dimension, embedder_id)
 
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
         out = Path(path)
         out.mkdir(parents=True, exist_ok=True)
-        repos = sorted(self.partitions)
-        parts = [self.partitions[r] for r in repos]
-        doc_count = sum(map(len, parts))
+        doc_count = len(self.sections["lengths"])
         manifest = {
             "magic": "coracmg-index",
             "version": INDEX_VERSION,
@@ -597,33 +601,19 @@ class RetrievalIndex:
             "dimension": self.dimension,
             "doc_count": doc_count,
             "embedder": self.embedder_id,
-            "projects": {r: len(p) for r, p in zip(repos, parts)},
+            "projects": {r: len(p) for r, p in self.partitions.items()},
         }
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
-        docs, bounds = _rebased((p.docs, p.bounds) for p in parts)
-        (out / "docs.txt").write_bytes(b"".join(docs))
-        terms, term_bounds = _rebased((p.term_table, p.term_bounds) for p in parts)
-        ids, offsets = _rebased((p.ids, p.offsets) for p in parts)
-        tfs, _ = _rebased((p.tfs, p.offsets) for p in parts)
-        sizes = [[len(p), len(p.term_bounds) - 1, p.offsets[-1] - p.offsets[0]] for p in parts]
-        arrays = {
-            "bounds": bounds,
-            "table": np.cumsum([[0, 0, 0], *sizes], axis=0),
-            "offsets": offsets,
-            "tfs": np.concatenate(tfs),
-            "lengths": np.concatenate([p.lengths for p in parts]),
-            "tiebreak": np.concatenate([p.tiebreak for p in parts]),
-            "term_bounds": term_bounds,
-            "ids": np.concatenate(ids),
-            "terms": np.frombuffer(b"".join(terms), np.uint8),
-        }
-        _write_postings(out / "postings.bin", arrays)
+        # A mapped empty docs.txt is one byte long: the bounds give the text's end.
+        with memoryview(self.docs) as text:
+            (out / "docs.txt").write_bytes(text[: int(self.sections["bounds"][-1])])
+        _write_postings(out / "postings.bin", self.sections)
         with open(out / "vectors.bin", "wb") as fh:
             fh.write(VECTORS_MAGIC)
             fh.write(struct.pack("<III", INDEX_VERSION, doc_count, self.dimension))
-            for part in parts:
+            for part in self.partitions.values():
                 # Exact: the stored values came from float32.
                 fh.write(part.rows().astype("<f4").tobytes())
 
@@ -657,31 +647,10 @@ class RetrievalIndex:
         repos = sorted(projects)
         counts = [projects[r] for r in repos]
         dimension, readers = _read_vectors(root / "vectors.bin", counts)
-        arrays = _read_postings(root / "postings.bin")
+        sections = _read_postings(root / "postings.bin")
         docs, size = _read_mapped(root / "docs.txt")
-        table = _check_postings(arrays, counts, np.frombuffer(docs, np.uint8, size))
-
-        bounds, term_bounds, offsets = arrays["bounds"], arrays["term_bounds"], arrays["offsets"]
-        lengths, tiebreak = arrays["lengths"], arrays["tiebreak"]
-        terms = arrays["terms"].data  # a memoryview: its slices decode without a copy
-        partitions: dict[str, _Partition] = {}
-        for repo, reader, (d0, t0, _), (d1, t1, _) in zip(repos, readers, table, table[1:]):
-            part_arrays = {
-                "offsets": offsets[t0 : t1 + 1],  # global posting positions into ids and tfs
-                "ids": arrays["ids"],
-                "tfs": arrays["tfs"],
-                "lengths": lengths[d0:d1],
-                "tiebreak": tiebreak[d0:d1],
-            }
-            partitions[repo] = _Partition(
-                docs,
-                bounds[4 * d0 : 4 * d1 + 1],
-                reader,
-                terms,
-                term_bounds[t0 : t1 + 1],
-                part_arrays,
-            )
-        return cls(partitions, dimension, embedder_id=embedder_id)
+        _check_postings(sections, counts, np.frombuffer(docs, np.uint8, size))
+        return cls(dict(zip(repos, readers)), sections, docs, dimension, embedder_id)
 
     # -- scoring ----------------------------------------------------------
 

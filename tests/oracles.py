@@ -258,6 +258,10 @@ def reference_lcs(hyp, ref):
 
 def reference_cider(hyp, ref, idf, scale=100.0, max_n=4):
     """Consensus score: mean over orders of TF-IDF n-gram cosine, times ``scale``."""
+
+    def weight(gram):  # a gram no reference has counts as df = 1
+        return idf.weights.get(gram, math.log(idf.doc_count))
+
     total = 0.0
     for n in range(1, max_n + 1):
         h_counts = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
@@ -266,8 +270,8 @@ def reference_cider(hyp, ref, idf, scale=100.0, max_n=4):
             continue
         h_total = sum(h_counts.values())
         r_total = sum(r_counts.values())
-        h_vec = {g: (c / h_total) * idf.idf(g) for g, c in h_counts.items()}
-        r_vec = {g: (c / r_total) * idf.idf(g) for g, c in r_counts.items()}
+        h_vec = {g: (c / h_total) * weight(g) for g, c in h_counts.items()}
+        r_vec = {g: (c / r_total) * weight(g) for g, c in r_counts.items()}
         h_norm = math.sqrt(sum(w * w for w in h_vec.values()))
         r_norm = math.sqrt(sum(w * w for w in r_vec.values()))
         if h_norm == 0.0 or r_norm == 0.0:

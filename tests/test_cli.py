@@ -169,6 +169,16 @@ def test_cli_error_paths(tmp_path, capsys):
         ({"method": "rag", "k": 1}, "index"),
         ({"cider_scale": float("nan")}, "cider_scale must be a finite number above 0, not nan"),
         ({"cider_scale": -1}, "cider_scale must be a finite number above 0, not -1"),
+        ({"corpus": 12345}, "corpus must be a string, not 12345"),  # open() takes an int as a fd
+        (
+            {"generator": "provider", "provider_config": True},
+            "provider_config must be a string, not True",
+        ),
+        ({"generator_text": 5}, "generator_text must be a string, not 5"),
+        ({"out_dir": 5}, "out_dir must be a string, not 5"),
+        ({"method": "rag", "k": 1, "index": 7}, "index must be a string, not 7"),
+        ({"template": 1}, "template must be a string, not 1"),
+        ({"embed_cache": ["a"]}, "embed_cache must be a string, not ['a']"),
     ],
 )
 def test_experiment_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, config, message):
@@ -509,6 +519,10 @@ def _argument_case(case, tmp_path, repo):
         "report results not JSON": lambda: report(
             tmp_path / "t.md", ("results.jsonl", '{"sha": \n')
         ),
+        "experiment max_prompt_chars 0": lambda: experiment(max_prompt_chars=0),
+        "suggest max-prompt-chars -5": lambda: [
+            *suggest, "--diff", str(diff), "--max-prompt-chars", "-5",
+        ],
     }
     return cases[case]()
 
@@ -550,6 +564,8 @@ def _argument_case(case, tmp_path, repo):
         ),
         ("report manifest not JSON", "manifest.json is not valid JSON"),
         ("report results not JSON", "results.jsonl line 1 is not JSON"),
+        ("experiment max_prompt_chars 0", "max_prompt_chars must be at least 1, not 0"),
+        ("suggest max-prompt-chars -5", "--max-prompt-chars must be at least 1, not -5"),
     ],
 )
 def test_bad_argument_is_an_error_not_a_traceback(

@@ -147,12 +147,14 @@ def test_meteor_examples():
 
 
 def test_idf_examples():
-    assert build_idf([["a", "b"]]).idf(("a",)) == 0.0  # N=1
+    assert build_idf([["a", "b"]]).weights[("a",)] == 0.0  # N=1
     refs = [["g", "x"], ["g", "y"], ["g", "z"], ["g", "w"]]
     table = build_idf(refs)
-    assert table.idf(("g",)) == pytest.approx(math.log(1), abs=1e-12)
-    assert table.idf(("x",)) == pytest.approx(math.log(4), abs=1e-12)
-    assert table.idf(("absent",)) == pytest.approx(math.log(4), abs=1e-12)
+    assert table.weights[("g",)] == pytest.approx(math.log(1), abs=1e-12)
+    assert table.weights[("x",)] == pytest.approx(math.log(4), abs=1e-12)
+    assert ("absent",) not in table.weights and table.doc_count == 4
+    # cider weighs an absent gram as df = 1, like "y": log(4), so the scores are equal.
+    assert cider(["absent", "z"], ["absent", "x"], table) == cider(["y", "z"], ["y", "x"], table)
     with pytest.raises(EmptyCorpus):
         build_idf([])
 
@@ -177,7 +179,7 @@ def test_cider_matches_dense_oracle():
     table = build_idf(refs)
     weights, n_docs = oracle_idf(refs)
     for gram, w in weights.items():
-        assert table.idf(gram) == pytest.approx(w, abs=1e-12)
+        assert table.weights[gram] == pytest.approx(w, abs=1e-12)
     for _ in range(50):
         hyp, ref = random_pair(rng)
         mine = cider(hyp, ref, table)

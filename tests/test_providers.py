@@ -341,6 +341,8 @@ def test_provider_config_errors(tmp_path):
         ('{"concurrency": {"inflight": 0}}', "inflight must be at least 1, not 0"),
         ('{"embed": {"dimension": -4}}', "embed.dimension must be at least 1, not -4"),
         ('{"embed": {"dimension": 0}}', "embed.dimension must be at least 1, not 0"),
+        ('{"gen": {"endpoint": 5}}', "gen.endpoint must be a string, not 5"),
+        ('{"embed": {"model": ["m"]}}', r"embed.model must be a string, not \['m'\]"),
     ]:
         cfg_path.write_text(text)
         with pytest.raises(ConfigError, match=message):

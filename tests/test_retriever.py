@@ -363,8 +363,8 @@ def test_save_load_round_trip_keeps_every_field(tmp_path):
     records = [
         make_record(0, message="handle \ud800 in names"),  # lone surrogate, valid in JSON
         make_record(1, message="add \U0001f600 support", added=["emoji = '\U0001f600'"]),
-        make_record(2, message=""),
-        make_record(3, added=["nul \x00 byte\r", "crlf line\r"]),
+        make_record(2, repo="acme/gadgets", message=""),
+        make_record(3, repo="acme/gadgets", added=["nul \x00 byte\r", "crlf line\r"]),
     ]
     assert "\x00" in records[3].diff and "\r\n" in records[3].diff
     index = build_index(records)
@@ -372,6 +372,33 @@ def test_save_load_round_trip_keeps_every_field(tmp_path):
     loaded = RetrievalIndex.load(tmp_path / "idx")
     for repo, part in index.partitions.items():
         assert stored_docs(loaded.partitions[repo]) == stored_docs(part)
+    # The loaded index holds what the built one did, so it saves the same bytes.
+    loaded.save(tmp_path / "again")
+    for name in ("docs.txt", "manifest.json", "postings.bin", "vectors.bin"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "idx" / name).read_bytes()
+
+
+def test_built_index_holds_the_sections_load_reads(tmp_path):
+    records = synthetic_corpus(3, 12, seed=13) + [make_record(0, message="caf\u00e9 \ud800")]
+    index = build_index(records)
+    parts = index.partitions.values()
+    assert list(index.partitions) == sorted(index.partitions)
+    retriever._check_postings(
+        index.sections, [len(p) for p in parts], np.frombuffer(index.docs, np.uint8)
+    )
+    assert [(name, index.sections[name].dtype) for name, _ in retriever._SECTIONS] == list(
+        retriever._SECTIONS
+    )
+    # One docs buffer and one ids/tfs pair, shared as a loaded index shares them.
+    assert {id(p.docs) for p in parts} == {id(index.docs)}
+    assert {(id(p.ids), id(p.tfs)) for p in parts} == {
+        (id(index.sections["ids"]), id(index.sections["tfs"]))
+    }
+    index.save(tmp_path / "idx")
+    loaded = RetrievalIndex.load(tmp_path / "idx")
+    for name, section in index.sections.items():
+        assert loaded.sections[name].tobytes() == section.tobytes(), name
+    assert loaded.docs[: len(index.docs)] == index.docs
 
 
 def _held_by_load(root):
