@@ -186,11 +186,12 @@ def _cmd_evaluate(args) -> int:
         )
     report = metrics.evaluate_corpus(list(zip(hyps, refs)), cider_scale=args.cider_scale)
     Path(args.out).write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
-    print(
-        f"bleu={report.bleu:.2f} rouge_l={report.rouge_l:.2f} "
-        f"meteor={report.meteor:.2f} cider={report.cider:.2f}"
-    )
+    print(_summary(report.means()))
     return 0
+
+
+def _summary(means: dict) -> str:
+    return " ".join(f"{key}={means[key]:.2f}" for key, _ in metrics.METRICS)
 
 
 def _cmd_index(args) -> int:
@@ -240,18 +241,11 @@ def _cmd_experiment(args) -> int:
         except ValueError:
             raise ConfigError(f"--sweep-k {args.sweep_k!r} is not a list of integers") from None
         results = harness.run_k_sweep(config, ks)
-        table = harness.render_report(results)
-        out = Path(config.out_dir) / "report.md"
-        out.write_text(table, encoding="utf-8")
-        print(f"ran k sweep over {ks}; report at {out}")
-        return 0
-    result = harness.run_experiment(config)
-    m = result.manifest["metrics"]
-    print(
-        f"{result.label}: bleu={m['bleu']:.2f} rouge_l={m['rouge_l']:.2f} "
-        f"meteor={m['meteor']:.2f} cider={m['cider']:.2f} "
-        f"({result.manifest['failed_count']} failures)"
-    )
+    else:
+        results = [harness.run_experiment(config)]
+    for result in results:
+        failed = result.manifest["failed_count"]
+        print(f"{result.label}: {_summary(result.manifest['metrics'])} ({failed} failures)")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the type rule of config values."""
 
 
 class CoracmgError(Exception):
@@ -70,3 +70,26 @@ class TooManyExamples(CoracmgError):
 
 class ManifestMismatch(CoracmgError):
     """Experiment results being combined were not produced from the same subset."""
+
+
+# What a config value of each annotated type may be.  bool is a subclass of
+# int, and a JSON true is never a count, a number or a path.
+_ACCEPTED = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+}
+
+
+def check_type(name: str, value, annotation: str) -> None:
+    """Raise :class:`ConfigError` unless ``value`` fits ``annotation``.
+
+    ``annotation`` is ``"str"``, ``"int"`` or ``"float"``, optionally with
+    ``" | None"``; a float takes an int, and no string is read as a number.
+    """
+    kind = annotation.removesuffix(" | None")
+    if value is None and kind != annotation:
+        return
+    types, what = _ACCEPTED[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{name} must be {what}, not {value!r}")

@@ -6,7 +6,14 @@ scoped to its own project and its own sha excluded.  Per-commit failures are
 recorded in the result rows rather than aborting the run.  Result files are
 ``results.jsonl`` (rows sorted by sha), ``manifest.json`` and ``report.md``;
 identical configurations and seeds reproduce ``results.jsonl`` byte for
-byte.
+byte.  An :class:`ExperimentResult` is the manifest and the rows: the means
+are ``manifest["metrics"]``, keyed as ``metrics.METRICS``, and there is no
+other copy of them.
+
+Every report is drawn by :func:`render_report`: a run's ``report.md`` (the
+seed, then the run's label, means and commits with the failed ones in
+brackets), the comparison :func:`run_k_sweep` writes to
+``<out_dir>/report.md``, and ``coracmg report``'s table.
 
 Queries are embedded by the embedder the index was built with, which a
 ``provider_config`` must describe exactly (``providers.query_embedder``).
@@ -36,7 +43,7 @@ from pathlib import Path
 from . import metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, MAX_EXAMPLES, PromptTemplate
 from .diffs import CommitRecord, language_of, read_corpus, read_jsonl
-from .errors import ConfigError, CorpusTooSmall, InvalidInput, ManifestMismatch
+from .errors import ConfigError, CorpusTooSmall, InvalidInput, ManifestMismatch, check_type
 from .providers import (
     GenerationClient,
     HashingEmbedder,
@@ -47,14 +54,6 @@ from .providers import (
 from .retriever import RetrievalIndex
 
 GENERATORS = ("provider", "echo-mock", "constant-mock", "retrieval-copy")
-# What a config file may give a field of each annotated type, or null where
-# the annotation allows None.  bool is a subclass of int, and a JSON true is
-# never a count, a number or a path.
-_ACCEPTED = {
-    "str": (str, "a string"),
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-}
 
 
 @dataclass
@@ -79,12 +78,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for field in fields(self):  # annotations are strings: see the __future__ import
-            value, kind = getattr(self, field.name), field.type.removesuffix(" | None")
-            if value is None and kind != field.type:
-                continue
-            types, name = _ACCEPTED[kind]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(f"{field.name} must be {name}, not {value!r}")
+            check_type(field.name, getattr(self, field.name), field.type)
         # NaN fails both comparisons; an int past the float range fails the second.
         if not 0 < self.cider_scale <= sys.float_info.max:
             raise ConfigError(
@@ -177,7 +171,6 @@ def sample_subset(records: list[CommitRecord], n: int, seed: int) -> list[Commit
 class ExperimentResult:
     manifest: dict
     rows: list[dict]
-    report: metrics.MetricReport
     out_dir: Path | None = None
 
     @classmethod
@@ -188,16 +181,20 @@ class ExperimentResult:
             manifest = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:  # not JSON, or not UTF-8
             raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
+        # Every value render_report reads: the means, the counts, and the
+        # config echo by the config's own rules.
         try:
-            means = {key: float(manifest["metrics"][key]) for key in METRIC_KEYS}
-            result = cls(manifest, [], metrics.MetricReport(per_sample=[], **means), run_dir)
-            result.label, result.fingerprint  # the keys that name and compare runs
+            for key, _ in metrics.METRICS:
+                check_type(f"metrics.{key}", manifest["metrics"][key], "float")
+            for key in ("seed", "subset_size", "failed_count"):
+                check_type(key, manifest[key], "int")
+            ExperimentConfig(**manifest["config"])
+            manifest["corpus_sha256"]  # compared, never formatted
         except KeyError as exc:
             raise InvalidInput(f"{path} is not an experiment manifest: no key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (ConfigError, TypeError) as exc:
             raise InvalidInput(f"{path} is not an experiment manifest: {exc}") from None
-        result.rows = list(read_jsonl(run_dir / "results.jsonl", lambda row: row))
-        return result
+        return cls(manifest, list(read_jsonl(run_dir / "results.jsonl", lambda row: row)), run_dir)
 
     @property
     def label(self) -> str:
@@ -337,12 +334,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "subset_size": len(subset),
         "ok_count": len(ok_rows),
         "failed_count": len(rows) - len(ok_rows),
-        "metrics": {
-            "bleu": report.bleu,
-            "rouge_l": report.rouge_l,
-            "meteor": report.meteor,
-            "cider": report.cider,
-        },
+        "metrics": report.means(),
         "runtime_seconds": round(time.time() - started, 3),
     }
 
@@ -354,13 +346,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
     )
-    result = ExperimentResult(manifest=manifest, rows=rows, report=report, out_dir=out_dir)
-    (out_dir / "report.md").write_text(_single_run_report(result), encoding="utf-8")
+    result = ExperimentResult(manifest=manifest, rows=rows, out_dir=out_dir)
+    (out_dir / "report.md").write_text(render_report([result]), encoding="utf-8")
     return result
 
 
 def run_k_sweep(config: ExperimentConfig, ks=range(1, MAX_EXAMPLES + 1)) -> list[ExperimentResult]:
-    """Run the rag method for each k under out_dir/k<k>, checking every config first."""
+    """Run the rag method for each k under out_dir/k<k>, checking every config first.
+
+    The runs' comparison goes to out_dir/report.md.
+    """
     ks = list(ks)
     repeated = sorted({k for k in ks if ks.count(k) > 1})
     if repeated:
@@ -372,26 +367,9 @@ def run_k_sweep(config: ExperimentConfig, ks=range(1, MAX_EXAMPLES + 1)) -> list
         )
         for k in ks
     ]
-    return [run_experiment(sub) for sub in subs]
-
-
-def _single_run_report(result: ExperimentResult) -> str:
-    m = result.manifest["metrics"]
-    lines = [
-        f"# Run {result.label}",
-        "",
-        f"- commits: {result.manifest['subset_size']} ({result.manifest['failed_count']} failed)",
-        f"- seed: {result.manifest['seed']}",
-        "",
-        "| Metric | Mean |",
-        "|---|---|",
-        f"| BLEU | {m['bleu']:.2f} |",
-        f"| Rouge-L | {m['rouge_l']:.2f} |",
-        f"| METEOR | {m['meteor']:.2f} |",
-        f"| CIDEr | {m['cider']:.2f} |",
-        "",
-    ]
-    return "\n".join(lines)
+    results = [run_experiment(sub) for sub in subs]
+    (base_out / "report.md").write_text(render_report(results), encoding="utf-8")
+    return results
 
 
 def _delta(direct: float, augmented: float) -> str:
@@ -402,15 +380,20 @@ def _delta(direct: float, augmented: float) -> str:
     return f"{arrow}{abs(pct)}%"
 
 
-METRIC_KEYS = ("bleu", "rouge_l", "meteor", "cider")
-METRIC_TITLES = {"bleu": "BLEU", "rouge_l": "Rouge-L", "meteor": "METEOR", "cider": "CIDEr"}
+def _cells(means: dict, base: dict | None = None) -> str:
+    """The table cells of ``means``, each with its change from ``base`` when one is given."""
+    return " | ".join(
+        f"{means[key]:.2f}" + (f" ({_delta(base[key], means[key])})" if base else "")
+        for key, _ in metrics.METRICS
+    )
 
 
 def render_report(results: list[ExperimentResult]) -> str:
-    """Comparison table against the direct baseline, plus a k-sweep series.
+    """Mean scores of each run against the direct baseline, plus a k-sweep series.
 
-    All runs must share the same corpus, seed and subset size; mismatches
-    raise :class:`ManifestMismatch`.
+    A run's ``report.md``, a k sweep's and ``coracmg report``'s table are
+    all drawn here.  All runs must share the same corpus, seed and subset
+    size; mismatches raise :class:`ManifestMismatch`.
     """
     if not results:
         raise ManifestMismatch("no experiment results to report on")
@@ -421,23 +404,14 @@ def render_report(results: list[ExperimentResult]) -> str:
             )
     direct = [r for r in results if r.manifest["config"]["method"] == "direct"]
     augmented = [r for r in results if r.manifest["config"]["method"] != "direct"]
-    lines = ["# Experiment comparison", ""]
-    header = "| Run | " + " | ".join(METRIC_TITLES[k] for k in METRIC_KEYS) + " |"
-    lines += [header, "|" + "---|" * (len(METRIC_KEYS) + 1)]
-    for res in direct:
-        m = res.manifest["metrics"]
-        cells = " | ".join(f"{m[k]:.2f}" for k in METRIC_KEYS)
-        lines.append(f"| {res.label} | {cells} |")
+    titles = " | ".join(title for _, title in metrics.METRICS)
+    lines = ["# Experiment runs", "", f"- seed: {results[0].manifest['seed']}", ""]
+    lines += [f"| Run | {titles} | Commits (failed) |", "|" + "---|" * (len(metrics.METRICS) + 2)]
     base = direct[0].manifest["metrics"] if direct else None
-    for res in sorted(augmented, key=lambda r: (r.manifest["config"]["k"] or 0, r.label)):
-        m = res.manifest["metrics"]
-        if base:
-            cells = " | ".join(
-                f"{m[k]:.2f} ({_delta(base[k], m[k])})" for k in METRIC_KEYS
-            )
-        else:
-            cells = " | ".join(f"{m[k]:.2f}" for k in METRIC_KEYS)
-        lines.append(f"| {res.label} | {cells} |")
+    for res in direct + sorted(augmented, key=lambda r: (r.manifest["config"]["k"] or 0, r.label)):
+        against = None if res in direct else base
+        counts = f"{res.manifest['subset_size']} ({res.manifest['failed_count']})"
+        lines.append(f"| {res.label} | {_cells(res.manifest['metrics'], against)} | {counts} |")
     lines.append("")
 
     sweep = sorted(
@@ -446,11 +420,8 @@ def render_report(results: list[ExperimentResult]) -> str:
     )
     if len(sweep) >= 2:
         lines += ["## Scores by number of example pairs", ""]
-        lines.append("| k | " + " | ".join(METRIC_TITLES[k] for k in METRIC_KEYS) + " |")
-        lines.append("|" + "---|" * (len(METRIC_KEYS) + 1))
+        lines += [f"| k | {titles} |", "|" + "---|" * (len(metrics.METRICS) + 1)]
         for res in sweep:
-            m = res.manifest["metrics"]
-            cells = " | ".join(f"{m[k]:.2f}" for k in METRIC_KEYS)
-            lines.append(f"| {res.manifest['config']['k']} | {cells} |")
+            lines.append(f"| {res.manifest['config']['k']} | {_cells(res.manifest['metrics'])} |")
         lines.append("")
     return "\n".join(lines)

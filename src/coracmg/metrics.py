@@ -38,6 +38,9 @@ BETA = 3.0
 GAMMA = 0.5
 # Default scale of the reported CIDEr score.
 CIDER_SCALE = 100.0
+# The reported metrics in report order: result key and report title.  Every
+# score dict, manifest, summary line and report table is drawn from this.
+METRICS = (("bleu", "BLEU"), ("rouge_l", "Rouge-L"), ("meteor", "METEOR"), ("cider", "CIDEr"))
 
 
 def _ngrams(tokens: list[str], n: int):
@@ -288,12 +291,7 @@ class SampleScores:
     cider: float
 
     def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "rouge_l": self.rouge_l,
-            "meteor": self.meteor,
-            "cider": self.cider,
-        }
+        return {key: getattr(self, key) for key, _ in METRICS}
 
 
 @dataclass(frozen=True)
@@ -306,14 +304,12 @@ class MetricReport:
     meteor: float = 0.0
     cider: float = 0.0
 
+    def means(self) -> dict:
+        """The four corpus means, keyed in ``METRICS`` order."""
+        return {key: getattr(self, key) for key, _ in METRICS}
+
     def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "rouge_l": self.rouge_l,
-            "meteor": self.meteor,
-            "cider": self.cider,
-            "per_sample": [s.to_dict() for s in self.per_sample],
-        }
+        return {**self.means(), "per_sample": [s.to_dict() for s in self.per_sample]}
 
 
 def score_pair(
@@ -340,10 +336,5 @@ def evaluate_corpus(
     idf = build_idf([r for _, r in tokenized])
     samples = [score_pair(h, r, idf, cider_scale=cider_scale) for h, r in tokenized]
     n = len(samples)
-    return MetricReport(
-        per_sample=samples,
-        bleu=sum(s.bleu for s in samples) / n,
-        rouge_l=sum(s.rouge_l for s in samples) / n,
-        meteor=sum(s.meteor for s in samples) / n,
-        cider=sum(s.cider for s in samples) / n,
-    )
+    means = {key: sum(getattr(s, key) for s in samples) / n for key, _ in METRICS}
+    return MetricReport(per_sample=samples, **means)

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import reprlib
+import sys
 import tempfile
 import threading
 import time
@@ -30,7 +31,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, EmptyGeneration, ProviderUnavailable
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptyGeneration,
+    InvalidInput,
+    ProviderUnavailable,
+    check_type,
+)
 from .tokenizer import tokenize
 
 EMBED_KEY_ENV = "CORACMG_EMBED_KEY"
@@ -66,33 +74,32 @@ class ProviderConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ProviderConfig":
-        embed = obj.get("embed", {})
-        gen = obj.get("gen", {})
-        conc = obj.get("concurrency", {})
-        inflight = int(conc.get("inflight", DEFAULT_INFLIGHT))
-        if inflight < 1:
-            raise ValueError(f"concurrency.inflight must be at least 1, not {inflight}")
-        dimension = int(embed.get("dimension", DEFAULT_DIMENSION))
-        if dimension < 1:
-            raise ValueError(f"embed.dimension must be at least 1, not {dimension}")
+        def value(role: str, key: str, annotation: str, default):
+            found = obj.get(role, {}).get(key, default)
+            check_type(f"{role}.{key}", found, annotation)
+            return found
 
-        def text(role: str, key: str) -> str:
-            value = obj.get(role, {}).get(key, "")
-            if not isinstance(value, str):
-                raise ValueError(f"{role}.{key} must be a string, not {value!r}")
-            return value
+        def count(role: str, key: str, default: int) -> int:
+            found = value(role, key, "int", default)
+            if found < 1:
+                raise ConfigError(f"{role}.{key} must be at least 1, not {found}")
+            return found
 
+        temperature = value("gen", "temperature", "float", GenerationConfig.temperature)
+        # NaN fails both comparisons; an int past the float range fails one.
+        if not -sys.float_info.max <= temperature <= sys.float_info.max:
+            raise ConfigError(f"gen.temperature must be a finite number, not {temperature!r}")
         return cls(
-            embed_endpoint=text("embed", "endpoint"),
-            embed_model=text("embed", "model"),
-            embed_dimension=dimension,
+            embed_endpoint=value("embed", "endpoint", "str", ""),
+            embed_model=value("embed", "model", "str", ""),
+            embed_dimension=count("embed", "dimension", DEFAULT_DIMENSION),
             gen=GenerationConfig(
-                endpoint=text("gen", "endpoint"),
-                model=text("gen", "model"),
-                temperature=float(gen.get("temperature", GenerationConfig.temperature)),
-                max_tokens=int(gen.get("max_tokens", GenerationConfig.max_tokens)),
+                endpoint=value("gen", "endpoint", "str", ""),
+                model=value("gen", "model", "str", ""),
+                temperature=float(temperature),
+                max_tokens=count("gen", "max_tokens", GenerationConfig.max_tokens),
             ),
-            inflight=inflight,
+            inflight=count("concurrency", "inflight", DEFAULT_INFLIGHT),
         )
 
     def embedder(self, cache_dir: str | Path | None = None) -> "EmbeddingClient":
@@ -112,7 +119,7 @@ class ProviderConfig:
             raise ConfigError(f"provider config {path} is not valid JSON: {exc}") from None
         try:
             return cls.from_dict(values)
-        except (AttributeError, TypeError, ValueError) as exc:  # not objects, or bad numbers
+        except (AttributeError, ConfigError) as exc:  # not objects, or values of another kind
             raise ConfigError(f"provider config {path}: {exc}") from None
 
 
@@ -206,7 +213,7 @@ class EmbeddingClient:
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
-            raise ValueError("cannot embed empty text")
+            raise InvalidInput("cannot embed an empty diff: a provider takes no empty text")
         key = self._key(text)
         cached = self._memory.get(key)
         if cached is not None:

@@ -198,8 +198,8 @@ def test_c5_end_to_end_offline(tmp_path, monkeypatch):
         )
         assert result.manifest["failed_count"] == 0
         assert len(result.rows) == 500
-        assert result.report.bleu == pytest.approx(100.0, abs=1e-9)
-        assert result.report.cider == pytest.approx(100.0, abs=1e-9)
+        assert result.manifest["metrics"]["bleu"] == pytest.approx(100.0, abs=1e-9)
+        assert result.manifest["metrics"]["cider"] == pytest.approx(100.0, abs=1e-9)
         assert connects == []
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -123,6 +125,37 @@ def test_experiment_and_report_commands(tmp_path, capsys):
     assert "direct-constant-mock" in text
     assert "rag-k1-retrieval-copy" in text
     assert "↑" in text or "↓" in text
+
+
+def test_experiment_sweep_k_writes_each_run_and_their_report(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, synthetic_corpus(1, 10, seed=7))
+    index_dir = tmp_path / "index.dir"
+    assert main(["index", "--in", str(corpus), "--out", str(index_dir), "--dimension", "64"]) == 0
+    sweep = tmp_path / "sweep"
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "corpus": str(corpus), "out_dir": str(sweep), "method": "rag", "k": 3,
+        "generator": "echo-mock", "index": str(index_dir), "seed": 1,
+    }))
+    capsys.readouterr()
+    assert main(["experiment", "--config", str(cfg), "--sweep-k", "1,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = []
+    for k in (1, 2):
+        for name in ("results.jsonl", "manifest.json", "report.md"):
+            assert (sweep / f"k{k}" / name).exists()
+        m = json.loads((sweep / f"k{k}" / "manifest.json").read_text())["metrics"]
+        expected.append(
+            f"rag-k{k}-echo-mock: bleu={m['bleu']:.2f} rouge_l={m['rouge_l']:.2f} "
+            f"meteor={m['meteor']:.2f} cider={m['cider']:.2f} (0 failures)"
+        )
+    assert lines == expected  # one summary line per run
+    report = (sweep / "report.md").read_text()
+    assert "| rag-k1-echo-mock |" in report and "| rag-k2-echo-mock |" in report
+    assert "## Scores by number of example pairs" in report
+    series = [line for line in report.splitlines() if re.match(r"\| \d \|", line)]
+    assert [line[:5] for line in series] == ["| 1 |", "| 2 |"]
 
 
 def test_suggest_command(fixture_repo, tmp_path, capsys):
@@ -441,21 +474,43 @@ def _argument_case(case, tmp_path, repo):
         commit_all(docs, "write down the notes for this release", when)
         return ["suggest", "--repo", str(docs), "--diff", str(diff)]
 
-    def provider_index(dimension):
+    def provider_index(dimension, records_in=corpus):
         providers = tmp_path / "providers.json"
         providers.write_text(json.dumps(
             {"embed": {"endpoint": "http://127.0.0.1:1/embed", "dimension": dimension}}
         ))
         return [
-            "index", "--in", str(corpus), "--out", str(tmp_path / "p.dir"),
+            "index", "--in", str(records_in), "--out", str(tmp_path / "p.dir"),
             "--provider-config", str(providers),
         ]
+
+    def empty_diff_index():
+        # The first record embedded has no diff, so no request is ever tried.
+        empty = tmp_path / "empty-diff.jsonl"
+        write_jsonl(empty, [replace(records[0], diff=""), *records[1:3]])
+        return provider_index(8, empty)
 
     def report(out, fault=None):
         assert main(experiment(out_dir=str(tmp_path / "runs" / "r"))) == 0
         if fault is not None:  # (name, text): a run file overwritten
             (tmp_path / "runs" / "r" / fault[0]).write_text(fault[1])
         return ["report", "--in", str(tmp_path / "runs"), "--out", str(out)]
+
+    def edited_manifest(*keys, value=None):
+        """Report over a run whose manifest value at ``keys`` is ``value`` (None: deleted)."""
+        assert main(experiment(out_dir=str(tmp_path / "runs" / "r2"), k=2)) == 0
+        argv = report(tmp_path / "t.md")
+        path = tmp_path / "runs" / "r" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        holder = manifest
+        for key in keys[:-1]:
+            holder = holder[key]
+        if value is None:
+            del holder[keys[-1]]
+        else:
+            holder[keys[-1]] = value
+        path.write_text(json.dumps(manifest))
+        return argv
 
     cases = {
         "retrieve -k 0": lambda: [*retrieve, "--query-diff", str(diff), "-k", "0"],
@@ -480,6 +535,7 @@ def _argument_case(case, tmp_path, repo):
             "index", "--in", str(corpus), "--out", str(tmp_path / "z.dir"), "--dimension", "-3",
         ],
         "index provider dimension -4": lambda: provider_index(-4),
+        "index provider empty diff": empty_diff_index,
         "filter max-diff-lines -5": lambda: [
             "filter", "--in", str(corpus), "--out", str(tmp_path / "o"),
             "--report", str(tmp_path / "o.json"), "--max-diff-lines", "-5",
@@ -519,6 +575,17 @@ def _argument_case(case, tmp_path, repo):
         "report results not JSON": lambda: report(
             tmp_path / "t.md", ("results.jsonl", '{"sha": \n')
         ),
+        "report manifest k two": lambda: edited_manifest("config", "k", value="two"),
+        "report manifest k 9": lambda: edited_manifest("config", "k", value=9),
+        "report manifest method 7": lambda: edited_manifest("config", "method", value=7),
+        "report manifest generator list": lambda: edited_manifest(
+            "config", "generator", value=["echo-mock"]
+        ),
+        "report manifest seed string": lambda: edited_manifest("seed", value="1"),
+        "report manifest subset_size 2.5": lambda: edited_manifest("subset_size", value=2.5),
+        "report manifest failed_count true": lambda: edited_manifest("failed_count", value=True),
+        "report manifest without failed_count": lambda: edited_manifest("failed_count"),
+        "report manifest bleu string": lambda: edited_manifest("metrics", "bleu", value="12.5"),
         "experiment max_prompt_chars 0": lambda: experiment(max_prompt_chars=0),
         "suggest max-prompt-chars -5": lambda: [
             *suggest, "--diff", str(diff), "--max-prompt-chars", "-5",
@@ -564,6 +631,19 @@ def _argument_case(case, tmp_path, repo):
         ),
         ("report manifest not JSON", "manifest.json is not valid JSON"),
         ("report results not JSON", "results.jsonl line 1 is not JSON"),
+        (
+            "report manifest k two",
+            "manifest.json is not an experiment manifest: k must be an integer, not 'two'",
+        ),
+        ("report manifest k 9", "method 'rag' requires k between 1 and 5"),
+        ("report manifest method 7", "method must be a string, not 7"),
+        ("report manifest generator list", "generator must be a string, not ['echo-mock']"),
+        ("report manifest seed string", "seed must be an integer, not '1'"),
+        ("report manifest subset_size 2.5", "subset_size must be an integer, not 2.5"),
+        ("report manifest failed_count true", "failed_count must be an integer, not True"),
+        ("report manifest without failed_count", "no key 'failed_count'"),
+        ("report manifest bleu string", "metrics.bleu must be a number, not '12.5'"),
+        ("index provider empty diff", "cannot embed an empty diff"),
         ("experiment max_prompt_chars 0", "max_prompt_chars must be at least 1, not 0"),
         ("suggest max-prompt-chars -5", "--max-prompt-chars must be at least 1, not -5"),
     ],

@@ -183,8 +183,8 @@ def test_retrieval_copy_on_twin_corpus_scores_100(tmp_path):
     )
     result = run_experiment(config)
     assert all(r["status"] == "ok" for r in result.rows)
-    assert result.report.bleu == pytest.approx(100.0, abs=1e-9)
-    assert result.report.cider == pytest.approx(100.0, abs=1e-9)
+    assert result.manifest["metrics"]["bleu"] == pytest.approx(100.0, abs=1e-9)
+    assert result.manifest["metrics"]["cider"] == pytest.approx(100.0, abs=1e-9)
     for row in result.rows:
         assert row["generated"] == row["reference"]
 
@@ -299,6 +299,36 @@ def test_failures_recorded_not_fatal(tmp_path):
     ok = [r for r in result.rows if r["status"] == "ok"]
     assert len(ok) == 6
     assert all(r["scores"] is not None for r in ok)
+
+    # The run's report.md shows its label, seed, commits, failures and means.
+    keys = ("bleu", "rouge_l", "meteor", "cider")
+    report = (tmp_path / "run" / "report.md").read_text()
+    assert "- seed: 1\n" in report
+    assert "| Run | BLEU | Rouge-L | METEOR | CIDEr | Commits (failed) |" in report
+    means = result.manifest["metrics"]
+    cells = _report_cells(report, "rag-k1-echo-mock")
+    assert cells == [f"{means[k]:.2f}" for k in keys] + ["7 (1)"]
+
+    # Compared with a run that failed nowhere, each run shows its own count.
+    direct = run_experiment(
+        ExperimentConfig(
+            corpus=str(corpus_path),
+            out_dir=str(tmp_path / "direct"),
+            method="direct",
+            generator="constant-mock",
+            seed=1,
+        )
+    )
+    assert direct.manifest["failed_count"] == 0
+    both = render_report([result, direct])
+    assert _report_cells(both, "direct-constant-mock")[-1] == "7 (0)"
+    assert _report_cells(both, "rag-k1-echo-mock")[-1] == "7 (1)"
+
+
+def _report_cells(report: str, label: str) -> list[str]:
+    """The cells after the label in the one table row of run ``label``."""
+    (row,) = [line for line in report.splitlines() if line.startswith(f"| {label} |")]
+    return [cell.strip() for cell in row.split("|")[2:-1]]
 
 
 def test_scope_audit(tmp_path):

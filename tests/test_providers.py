@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coracmg import providers
-from coracmg.errors import ConfigError, DimensionMismatch, EmptyGeneration, ProviderUnavailable
+from coracmg.errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptyGeneration,
+    InvalidInput,
+    ProviderUnavailable,
+)
 from coracmg.providers import (
     EmbeddingClient,
     GenerationClient,
@@ -169,7 +175,7 @@ def test_embed_dimension_mismatch(fake_provider):
 
 def test_empty_inputs_rejected(fake_provider):
     client = EmbeddingClient(f"{fake_provider.url}/embed", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="cannot embed an empty diff"):
         client.embed("")
     gen = GenerationClient(GenerationConfig(endpoint=f"{fake_provider.url}/gen"))
     with pytest.raises(ValueError):
@@ -328,6 +334,10 @@ def test_provider_config_parsing(tmp_path):
     assert cfg.gen.model == "gen-1"
     assert cfg.gen.temperature == 0.0
     assert cfg.inflight == 2
+    # A float field takes an int, and keeps it as a float.
+    cfg = ProviderConfig.from_dict({"gen": {"temperature": 1, "max_tokens": 1}})
+    assert type(cfg.gen.temperature) is float and cfg.gen.temperature == 1.0
+    assert cfg.gen.max_tokens == 1
 
 
 def test_provider_config_errors(tmp_path):
@@ -336,13 +346,25 @@ def test_provider_config_errors(tmp_path):
     cfg_path = tmp_path / "providers.json"
     for text, message in [
         ('{"embed": ', "is not valid JSON"),
-        ('{"embed": {"dimension": "wide"}}', "invalid literal"),
+        ('{"embed": {"dimension": "wide"}}', "embed.dimension must be an integer, not 'wide'"),
         ('{"gen": []}', "has no attribute"),
         ('{"concurrency": {"inflight": 0}}', "inflight must be at least 1, not 0"),
         ('{"embed": {"dimension": -4}}', "embed.dimension must be at least 1, not -4"),
         ('{"embed": {"dimension": 0}}', "embed.dimension must be at least 1, not 0"),
         ('{"gen": {"endpoint": 5}}', "gen.endpoint must be a string, not 5"),
         ('{"embed": {"model": ["m"]}}', r"embed.model must be a string, not \['m'\]"),
+        ('{"concurrency": {"inflight": true}}', "inflight must be an integer, not True"),
+        ('{"concurrency": {"inflight": null}}', "inflight must be an integer, not None"),
+        ('{"embed": {"dimension": 2.7}}', "embed.dimension must be an integer, not 2.7"),
+        ('{"gen": {"max_tokens": "12"}}', "gen.max_tokens must be an integer, not '12'"),
+        ('{"gen": {"max_tokens": 0}}', "gen.max_tokens must be at least 1, not 0"),
+        ('{"gen": {"temperature": true}}', "gen.temperature must be a number, not True"),
+        ('{"gen": {"temperature": "0.2"}}', "gen.temperature must be a number, not '0.2'"),
+        ('{"gen": {"temperature": NaN}}', "gen.temperature must be a finite number, not nan"),
+        ('{"gen": {"temperature": -Infinity}}', "temperature must be a finite number, not -inf"),
+        ('{"gen": {"temperature": 1e400}}', "gen.temperature must be a finite number, not inf"),
+        # An int past the float range: float() of it would overflow.
+        ('{"gen": {"temperature": 1%s}}' % ("0" * 400), "temperature must be a finite number"),
     ]:
         cfg_path.write_text(text)
         with pytest.raises(ConfigError, match=message):
