@@ -357,6 +357,8 @@ def run_k_sweep(config: ExperimentConfig, ks=range(1, MAX_EXAMPLES + 1)) -> list
     The runs' comparison goes to out_dir/report.md.
     """
     ks = list(ks)
+    if not ks:
+        raise ConfigError("k sweep lists no k")
     repeated = sorted({k for k in ks if ks.count(k) > 1})
     if repeated:
         raise ConfigError(f"k sweep lists k {', '.join(map(str, repeated))} more than once")

@@ -8,7 +8,7 @@ min-max normalization over the candidate set.  A leakage guard skips any
 candidate whose diff is byte-identical to the query, promoting the
 next-ranked pair.
 
-The index persists to a directory of four files (version 5) whose number
+The index persists to a directory of four files (version 6) whose number
 and layout do not depend on the project count; partitions are stored in
 sorted project order and documents in partition order:
 
@@ -26,11 +26,12 @@ sorted project order and documents in partition order:
   ``bounds[4*d + f]:bounds[4*d + f + 1]``), ``table`` (int64, one row of
   document, term and posting starts per project plus a row of totals), one
   CSR over all projects (``offsets``, int64 posting starts of every term;
+  ``lengths``, int64 tokens per document; ``tiebreak``, int64
+  partition-local rank under (date desc, sha asc), computed at build;
   ``ids``, int32 partition-local document ids, ascending within each term;
-  ``tfs``, float64; ``lengths``, int64 tokens per document; ``tiebreak``,
-  int64 partition-local rank under (date desc, sha asc), computed at
-  build), and the UTF-8 term table ``terms`` with its int64 byte
-  ``term_bounds``, in posting-row order
+  ``tfs``, int32 term frequencies, each at least 1), and the UTF-8 term
+  table ``terms`` with its int64 byte ``term_bounds``, in posting-row
+  order; the 8-byte sections come first, then the 4-byte ones
 * ``vectors.bin``: 16-byte header (magic ``CMGV``, version, count,
   dimension; little-endian uint32) followed by row-major float32 vectors
 
@@ -44,15 +45,17 @@ that the counts and the size of ``vectors.bin`` agree across files, that
 ``docs.txt`` and the term table are UTF-8 (``surrogatepass``) and their
 bounds rise from 0 to their length without cutting a character, that the
 project table agrees with the manifest and with ``offsets``, that the CSR
-arrays index only their own partition and that each partition's tie-break
-is a permutation; these checks run on all projects at once, and any
-failure is a ``CorruptIndex``.  A query decodes only the fields it cuts.
-A partition builds its term lookup, its BM25 length norms and its sha
-lookup, and reads its rows of ``vectors.bin`` and converts them to
-float64, on its first query.  A ``vectors.bin`` that changed after load,
-or reads short, is a ``CorruptIndex`` at that query.  Saving over a
+arrays index only their own partition, that every term frequency is at
+least 1 and that each partition's tie-break is a permutation; these checks
+run on all projects at once, and any failure is a ``CorruptIndex``.  A
+query decodes only the fields it cuts, and finds an excluded sha in the
+``docs.txt`` bytes, with no per-document lookup.  A partition builds its
+term lookup and its BM25 length norms, and reads its rows of
+``vectors.bin`` into float64 a fixed-size chunk at a time, with no whole
+float32 copy, on its first query.  A ``vectors.bin`` that changed after
+load, or reads short, is a ``CorruptIndex`` at that query.  Saving over a
 version-4 directory leaves its ``postings.npz`` and ``terms.json`` in
-place; version 5 never reads them.
+place; version 6 never reads them.
 
 After construction the index is immutable and queries may run
 concurrently: each piece of lazily built state is computed whole and then
@@ -86,24 +89,24 @@ log = logging.getLogger(__name__)
 
 VECTORS_MAGIC = b"CMGV"
 POSTINGS_MAGIC = b"CMGP"
-INDEX_VERSION = 5
+INDEX_VERSION = 6
 # Okapi BM25 term-frequency saturation and length normalization.
 K1 = 1.2
 B = 0.75
 # The sections of postings.bin in file order.  The 8-byte types come first,
-# so after the 8-byte-aligned header every section starts at a multiple of
-# its item size.
+# then the 4-byte ones, so after the 8-byte-aligned header every section
+# starts at a multiple of its item size.
 _SECTIONS = tuple(
     (name, np.dtype(dtype))
     for name, dtype in (
         ("bounds", "<i8"),
         ("table", "<i8"),
         ("offsets", "<i8"),
-        ("tfs", "<f8"),
         ("lengths", "<i8"),
         ("tiebreak", "<i8"),
         ("term_bounds", "<i8"),
         ("ids", "<i4"),
+        ("tfs", "<i4"),
         ("terms", "u1"),
     )
 )
@@ -111,6 +114,8 @@ _SECTIONS = tuple(
 _POSTINGS_HEADER = struct.Struct(f"<4sIQ{len(_SECTIONS)}Q")
 # Bytes decoded at a time when a non-ASCII text is checked for UTF-8.
 _UTF8_CHUNK = 1 << 16
+# float32 values read at a time when a partition's rows become float64.
+_ROWS_CHUNK = 1 << 15
 # The four fields of each document, in docs.txt order.
 _SHA, _DATE, _MESSAGE, _DIFF = range(4)
 
@@ -153,13 +158,14 @@ class _Partition:
     ``ids[offsets[t]:offsets[t + 1]]`` with term frequencies ``tfs`` over the
     same slice; ``lengths`` holds each document's token count and
     ``tiebreak`` its rank under (date desc, sha asc), the order after the
-    hybrid score.
+    hybrid score.  ``tfs`` are int32: BM25 promotes them to float64 exactly.
 
     ``rows`` are the (n, dim) float32 unit vectors, or for a loaded index a
-    function that reads them.  ``vectors``, ``terms``, ``length_norm`` and
-    ``sha_index`` are built on first use.  Each is computed whole and then
+    function that reads them as float64.  ``vectors``, ``terms`` and
+    ``length_norm`` are built on first use.  Each is computed whole and then
     published by one attribute assignment, so concurrent first queries see
-    either nothing or the finished value.
+    either nothing or the finished value.  ``row`` keeps no state: it reads
+    the sha fields of ``docs`` on each call.
     """
 
     def __init__(self, docs, rows, sections: dict[str, np.ndarray], docs_at, terms_at):
@@ -183,20 +189,18 @@ class _Partition:
         return _text(self.docs[self.bounds[4 * i + f] : self.bounds[4 * i + f + 1]])
 
     def rows(self) -> np.ndarray:
-        """The unit rows as stored: float32, or float64 once a query converted them."""
+        """The unit rows: float32 as built until a query converts them, float64 as read."""
         vectors = self._vectors
         return vectors() if callable(vectors) else vectors
 
     @property
     def vectors(self) -> np.ndarray:
-        """The unit rows as float64, converted from the stored float32 on first use."""
-        rows = self.rows()
-        if rows.dtype == np.float64:
-            return rows
+        """The unit rows as float64, read or converted on first use."""
         # float64 keeps the dot products, and so hybrid_score, bit-identical.
-        vectors = np.frombuffer(_mapped(8 * rows.size), np.float64, rows.size).reshape(rows.shape)
-        np.copyto(vectors, rows)
-        self._vectors = vectors  # publishes the copy and drops the float32 rows
+        vectors = self.rows()
+        if vectors.dtype != np.float64:
+            vectors = _float64_rows(vectors.shape, [vectors.ravel()])
+        self._vectors = vectors  # publishes the rows, dropping a reader or float32 rows
         return vectors
 
     @cached_property
@@ -214,17 +218,28 @@ class _Partition:
             return K1 * (1.0 - B + B * (self.lengths / avgdl))
         return np.full(n, K1, dtype=np.float64)
 
-    @cached_property
-    def sha_index(self) -> dict[bytes, int]:
-        """Row of each sha's UTF-8 (the last, for a repeated one), built on first use."""
-        starts = self.bounds[_SHA:-1:4].tolist()
-        ends = self.bounds[_SHA + 1 :: 4].tolist()
-        docs = self.docs
-        return {docs[lo:hi]: i for i, (lo, hi) in enumerate(zip(starts, ends))}
-
     def row(self, sha: str) -> int | None:
-        """Row of ``sha`` (the last, for a repeated one), or None for an unknown sha."""
-        return self.sha_index.get(_utf8(sha))
+        """Row of ``sha`` (the last, for a repeated one), or None for an unknown sha.
+
+        Only sha fields are compared, never text inside a message or diff: the
+        rows whose sha field has the key's length are narrowed a byte at a
+        time, last byte first (shas that count up share their leading bytes),
+        until at most one is left, and the survivors are checked whole.
+        """
+        key = _utf8(sha)
+        starts = self.bounds[_SHA:-1:4]
+        rows = np.flatnonzero(self.bounds[_SHA + 1 :: 4] - starts == len(key))
+        text = np.frombuffer(self.docs, np.uint8)
+        for j in reversed(range(len(key))):
+            if len(rows) < 2:
+                break
+            rows = rows[text[starts[rows] + j] == key[j]]
+        docs = self.docs
+        for i in reversed(rows.tolist()):
+            lo = int(starts[i])
+            if docs[lo : lo + len(key)] == key:
+                return i
+        return None
 
     def posting(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """(ids, tfs) views of a term's postings, or None for an unseen term."""
@@ -278,9 +293,9 @@ def _fuse_arrays(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
 def _mapped(nbytes: int) -> mmap.mmap:
     """Private memory of ``nbytes`` outside the malloc heap, faulted in by one call.
 
-    The text, the postings and a partition's float32 and float64 rows live
-    here: the pages go back to the system as soon as they are dropped,
-    whatever the heap keeps.
+    The text, the postings and a partition's float64 rows live here: the
+    pages go back to the system as soon as they are dropped, whatever the
+    heap keeps.
     """
     flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)  # MAP_POPULATE: Linux only
     return mmap.mmap(-1, max(nbytes, 1), flags=flags)  # a mapping cannot be empty
@@ -348,21 +363,42 @@ def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
     return dimension, readers
 
 
+def _float64_rows(shape: tuple[int, int], chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """A float64 ``shape`` array in ``_mapped`` memory, filled from flat float32 ``chunks``."""
+    size = shape[0] * shape[1]
+    out = np.frombuffer(_mapped(8 * size), np.float64, size)
+    filled = 0
+    for chunk in chunks:
+        out[filled : filled + len(chunk)] = chunk  # exact: every float32 is a float64
+        filled += len(chunk)
+    return out.reshape(shape)
+
+
 def _read_rows(path: Path, checked: os.stat_result, offset: int, shape: tuple[int, int]):
-    """One partition's float32 rows, from the ``vectors.bin`` that load checked."""
-    nbytes = 4 * shape[0] * shape[1]
-    staging = _mapped(nbytes)
+    """One partition's rows as float64, from the ``vectors.bin`` that load checked.
+
+    The float32 rows pass through one ``_ROWS_CHUNK`` buffer on their way into
+    the float64 array, so no whole float32 copy is made.
+    """
     try:
         with open(path, "rb") as fh:
             now = os.fstat(fh.fileno())
             if (now.st_size, now.st_mtime_ns) != (checked.st_size, checked.st_mtime_ns):
                 raise CorruptIndex(f"{path} changed after the index was loaded; load it again")
             fh.seek(offset)
-            if fh.readinto(memoryview(staging)[:nbytes]) != nbytes:
-                raise CorruptIndex("vectors.bin changed while it was read")
+            return _float64_rows(shape, _read_floats(fh, shape[0] * shape[1]))
     except OSError as exc:
         raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
-    return np.frombuffer(staging, dtype="<f4", count=nbytes // 4).reshape(shape)
+
+
+def _read_floats(fh, count: int):
+    """The next ``count`` little-endian float32 of ``fh``, in chunks of one reused buffer."""
+    buffer = np.empty(min(count, _ROWS_CHUNK), "<f4")
+    for start in range(0, count, _ROWS_CHUNK):
+        chunk = buffer[: min(_ROWS_CHUNK, count - start)]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise CorruptIndex("vectors.bin changed while it was read")
+        yield chunk
 
 
 def _read_postings(path: Path) -> dict[str, np.ndarray]:
@@ -469,8 +505,12 @@ def _check_postings(arrays: dict[str, np.ndarray], counts: list[int], text: np.n
     if len(arrays["term_bounds"]) != n_terms + 1:
         raise bad(f"has {len(arrays['term_bounds'])} term bounds for {n_terms} terms")
     _check_text("the term table", "term", arrays["terms"], arrays["term_bounds"])
-    if len(arrays["tfs"]) != len(ids):
-        raise bad(f"has {len(arrays['tfs'])} term frequencies for {len(ids)} postings")
+    tfs = arrays["tfs"]
+    if len(tfs) != len(ids):
+        raise bad(f"has {len(tfs)} term frequencies for {len(ids)} postings")
+    # A tf below 1 could make tfs + length_norm zero or negative in _batch_lexical.
+    if len(tfs) and tfs.min() < 1:
+        raise bad("has a term frequency below 1")
     if len(arrays["lengths"]) != n_docs:
         raise bad(f"has {len(arrays['lengths'])} lengths for {n_docs} documents")
     tiebreak = arrays["tiebreak"]
@@ -566,7 +606,7 @@ class RetrievalIndex:
             nnz, lists = sum(sizes), postings.values()
             # Arrays now, so that each project's Python posting lists die with it.
             ids.append(np.fromiter(chain.from_iterable(i for i, _ in lists), np.int32, nnz))
-            tfs.append(np.fromiter(chain.from_iterable(t for _, t in lists), np.float64, nnz))
+            tfs.append(np.fromiter(chain.from_iterable(t for _, t in lists), np.int32, nnz))
             tiebreak.append(_tiebreak(recs))
             table.append((len(recs), len(postings), nnz))
             rows[repo] = vectors  # its own array: converting the partition frees it
@@ -577,11 +617,11 @@ class RetrievalIndex:
             "bounds": np.concatenate(bounds),
             "table": np.cumsum(table, axis=0, dtype=np.int64).ravel(),
             "offsets": offsets,
-            "tfs": np.concatenate(tfs),
             "lengths": np.array(lengths, dtype=np.int64),
             "tiebreak": np.concatenate(tiebreak),
             "term_bounds": term_bounds,
             "ids": np.concatenate(ids),
+            "tfs": np.concatenate(tfs),
             "terms": np.frombuffer(term_text, np.uint8),
         }
         embedder_id = getattr(embedder, "identifier", type(embedder).__name__)

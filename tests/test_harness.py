@@ -576,6 +576,22 @@ def test_k_sweep_and_report(tmp_path):
             assert got == expected
 
 
+def test_k_sweep_of_no_k_runs_nothing(tmp_path):
+    records = synthetic_corpus(1, 5, seed=71)
+    corpus_path, index_dir = _materialize(tmp_path, records)
+    base = ExperimentConfig(
+        corpus=str(corpus_path),
+        out_dir=str(tmp_path / "sweep"),
+        method="rag",
+        k=1,
+        generator="echo-mock",
+        index=str(index_dir),
+    )
+    with pytest.raises(ConfigError, match="k sweep lists no k"):
+        run_k_sweep(base, ks=[])
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_report_manifest_mismatch(tmp_path):
     records = synthetic_corpus(2, 8, seed=81)
     corpus_path, index_dir = _materialize(tmp_path, records)

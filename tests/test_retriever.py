@@ -17,7 +17,7 @@ from coracmg.errors import CorruptIndex, DimensionMismatch, EmptyScope
 from coracmg.providers import HashingEmbedder
 from coracmg.retriever import RetrievalIndex, _fuse_arrays
 from coracmg.tokenizer import tokenize
-from helpers import make_record, stored_docs, synthetic_corpus, twin_corpus
+from helpers import make_diff, make_record, sha_of, stored_docs, synthetic_corpus, twin_corpus
 from oracles import (
     index_bm25_one_doc,
     oracle_bm25,
@@ -635,10 +635,11 @@ _CORRUPTIONS = {
         lambda root: _edit_file(root, "docs.txt", lambda raw: raw + b"x"),
         "field bounds must rise from 0 to the",
     ),
-    "version-3": (_as_version(3), "version 3 index; this release reads version 5"),
-    "version-4": (_as_version(4), "version 4 index; this release reads version 5"),
-    "vectors-version-4": (
-        lambda root: _set_vectors_version(root, 4), "vectors.bin has version 4"
+    "version-3": (_as_version(3), "version 3 index; this release reads version 6"),
+    "version-4": (_as_version(4), "version 4 index; this release reads version 6"),
+    "version-5": (_as_version(5), "version 5 index; this release reads version 6"),
+    "vectors-version-5": (
+        lambda root: _set_vectors_version(root, 5), "vectors.bin has version 5"
     ),
     "postings-bad-magic": (
         lambda root: _edit_header(root, _set(0, b"CMGV")),  # magic
@@ -648,13 +649,13 @@ _CORRUPTIONS = {
         lambda root: _edit_file(root, "postings.bin", lambda raw: raw[:20]),
         "postings.bin has a bad magic number",
     ),
-    "postings-version-4": (
-        lambda root: _edit_header(root, _set(1, 4)),  # version
-        "postings.bin has version 4; this release reads version 5",
+    "postings-version-5": (
+        lambda root: _edit_header(root, _set(1, 5)),  # version
+        "postings.bin has version 5; this release reads version 6",
     ),
     "postings-section-count": (
         lambda root: _edit_header(root, _set(2, 8)),  # section count
-        "postings.bin has 8 sections; version 5 has 9",
+        "postings.bin has 8 sections; version 6 has 9",
     ),
     "postings-short": (
         lambda root: _edit_file(root, "postings.bin", lambda raw: raw[:-1]),
@@ -729,6 +730,14 @@ _CORRUPTIONS = {
     "tfs-count": (
         lambda root: _edit_postings(root, lambda a: a.update(tfs=a["tfs"][:-1])),
         "term frequencies for [0-9]+ postings",
+    ),
+    "tfs-zero": (
+        lambda root: _edit_postings(root, lambda a: _set(-1, 0)(a["tfs"])),
+        "has a term frequency below 1",
+    ),
+    "tfs-negative": (
+        lambda root: _edit_postings(root, lambda a: _set(0, -2)(a["tfs"])),
+        "has a term frequency below 1",
     ),
     "ids-out-of-range": (
         lambda root: _edit_postings(root, lambda a: a.update(ids=a["ids"] + np.int32(3))),
@@ -848,6 +857,55 @@ def test_first_query_rejects_vectors_changed_after_load(tmp_path):
     index.retrieve("x", 1, records[0].repo_full_name, embedder=EMBEDDER)
 
 
+def _built_and_loaded(records, root):
+    index = build_index(records)
+    index.save(root)
+    return index, RetrievalIndex.load(root)
+
+
+def test_row_compares_only_sha_fields(tmp_path):
+    first, dup, unseen = make_record(0), make_record(1), sha_of(50)
+    mention = make_record(
+        2,
+        message=f"revert {dup.sha} and {unseen}",
+        diff=make_diff(added=[f"ref = '{unseen}{dup.sha}'"]),
+    )
+    last = make_record(4, message=f"see {dup.sha}")
+    records = [first, dup, mention, dataclasses.replace(dup, message="reapply"), last]
+    for index in _built_and_loaded(records, tmp_path / "idx"):
+        part = index.partitions[first.repo_full_name]
+        assert part.row(first.sha) == 0  # the first document
+        assert part.row(last.sha) == 4  # the last document
+        assert part.row(mention.sha) == 2
+        assert part.row(dup.sha) == 3  # repeated: the last row, not one that names it
+        assert part.row(unseen) is None  # in a message and a diff, never a sha field
+        assert part.row(first.sha[:-1]) is None and part.row(first.sha + "0") is None
+        assert part.row("") is None
+
+
+def test_row_of_an_empty_sha(tmp_path):
+    records = [dataclasses.replace(make_record(i), sha="" if i else "a") for i in range(3)]
+    for index in _built_and_loaded(records, tmp_path / "idx"):
+        part = index.partitions[records[0].repo_full_name]
+        assert part.row("") == 2
+        assert part.row("a") == 0
+        pairs = index.retrieve("x", 3, "acme/widgets", exclude_sha="", embedder=EMBEDDER)
+        assert [p.handle.sha for p in pairs] == ["", "a"]  # row 2 excluded, newest first
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 1 << 15])
+def test_loaded_rows_are_the_built_rows_in_float64(tmp_path, monkeypatch, chunk):
+    # 5 x 64 and 1 x 64 floats: chunks of 7 leave a partial last chunk in both.
+    records = synthetic_corpus(1, 5, seed=3) + [make_record(0, repo="acme/solo")]
+    monkeypatch.setattr(retriever, "_ROWS_CHUNK", chunk)
+    built, loaded = _built_and_loaded(records, tmp_path / "idx")
+    for repo, part in built.partitions.items():
+        expected = part.rows().astype(np.float64)
+        assert loaded.partitions[repo].vectors.dtype == np.float64
+        assert loaded.partitions[repo].vectors.tobytes() == expected.tobytes()
+        assert part.vectors.tobytes() == expected.tobytes()
+
+
 def test_k_must_be_positive():
     records = [make_record(0)]
     index = build_index(records)
@@ -863,20 +921,22 @@ def test_vectors_bin_layout(tmp_path):
     raw = (root / "vectors.bin").read_bytes()
     assert raw[:4] == b"CMGV"
     version, count, dim = struct.unpack("<III", raw[4:16])
-    assert (version, count, dim) == (5, 8, 64)
+    assert (version, count, dim) == (6, 8, 64)
     assert len(raw) == 16 + count * dim * 4
     matrix = np.frombuffer(raw[16:], dtype="<f4").reshape(count, dim)
     assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, atol=1e-6)
     files = sorted(p.name for p in root.iterdir())
     assert files == ["docs.txt", "manifest.json", "postings.bin", "vectors.bin"]
-    assert json.loads((root / "manifest.json").read_text())["version"] == 5
+    assert json.loads((root / "manifest.json").read_text())["version"] == 6
 
     postings = (root / "postings.bin").read_bytes()
     magic, version, sections = struct.unpack_from("<4sIQ", postings)
-    assert (magic, version, sections) == (b"CMGP", 5, 9)
+    assert (magic, version, sections) == (b"CMGP", 6, 9)
     sizes = struct.unpack_from(f"<{sections}Q", postings, 16)
     assert len(postings) == 16 + 8 * sections + sum(sizes)
     arrays = retriever._read_postings(root / "postings.bin")
+    assert [name for name, _ in retriever._SECTIONS][-3:] == ["ids", "tfs", "terms"]
+    assert arrays["tfs"].dtype == np.int32 and arrays["tfs"].min() >= 1
     text = (root / "docs.txt").read_bytes()
     bounds = arrays["bounds"].tolist()
     assert len(bounds) == 4 * count + 1 and bounds[-1] == len(text)
@@ -941,24 +1001,26 @@ def test_loaded_index_retrieves_what_the_built_one_does(tmp_path):
     index = build_index(records)
     index.save(tmp_path / "idx")
     loaded = RetrievalIndex.load(tmp_path / "idx")
-    # Load reads no vectors and builds no sha lookup; the first query does.
+    # Load reads no vectors; the first query does.
     for part in loaded.partitions.values():
-        assert callable(part._vectors) and "sha_index" not in vars(part)
+        assert callable(part._vectors)
     for query in records:
         for exclude in (query.sha, None):  # the twins' leakage guard skips a pair
             args = (query.diff, 3, query.repo_full_name, exclude)
             got = loaded.retrieve(*args, embedder=EMBEDDER)
             assert got == index.retrieve(*args, embedder=EMBEDDER)  # every field, exact
     for part in loaded.partitions.values():
-        assert part._vectors.dtype == np.float64 and "sha_index" in vars(part)
+        assert part._vectors.dtype == np.float64
+        # The excluded shas were found in the text: the only dict is the term lookup.
+        assert [name for name, v in vars(part).items() if isinstance(v, dict)] == ["terms"]
 
 
 def test_concurrent_first_queries_on_a_loaded_index(tmp_path):
-    # Lazy per-partition state (float64 vectors, sha lookup) is built by
-    # whichever query comes first; racing first queries must agree with a
-    # sequential run, scores bit for bit.  The excluded shas sit at the end
-    # of large partitions, so a lookup published before it is complete
-    # shows as an excluded commit in the answer.
+    # Lazy per-partition state (float64 vectors, term lookup, length norms)
+    # is built by whichever query comes first; racing first queries must
+    # agree with a sequential run, scores bit for bit, so rows published
+    # before they are complete show as changed scores.  The excluded shas
+    # sit at the end of large partitions.
     import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
