@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import EmptyCorpus, InvalidInput, MalformedDiff
 
@@ -80,7 +80,42 @@ class ParsedDiff:
 
 _RECORD_FIELDS = ("diff", "message", "repo_full_name", "sha", "author_name", "files", "date", "loc")
 _RECORD_KINDS = (str, str, str, str, str, list, str, int)  # exact, so true/false is no loc
-_record_values = itemgetter(*_RECORD_FIELDS)
+_field_values = itemgetter(*_RECORD_FIELDS)
+
+
+def _checked_values(obj) -> tuple:
+    """The eight field values of one parsed corpus line, in ``CommitRecord`` order.
+
+    A missing or mistyped field, a lone surrogate in any text or a date
+    that does not parse is a ValueError.
+    """
+    if type(obj) is not dict:
+        raise ValueError(f"holds a JSON {type(obj).__name__}, not an object")
+    try:
+        values = _field_values(obj)
+    except KeyError:
+        values = ()  # the loop below names the missing field
+    if tuple(map(type, values)) != _RECORD_KINDS:  # one C-level check on the common path
+        for name, kind in zip(_RECORD_FIELDS, _RECORD_KINDS):
+            if type(obj.get(name)) is not kind:
+                found = type(obj[name]).__name__ if name in obj else "nothing"
+                raise ValueError(f"field {name!r} holds {found}, not {kind.__name__}")
+    try:
+        paths = "".join(values[5])
+    except TypeError:  # JSON makes no str subclass, so only a non-string stops the join
+        raise ValueError("field 'files' holds a non-string path") from None
+    try:  # a JSON escape can hold half a surrogate pair, which no UTF-8 file can
+        "".join(values[:5]).encode("utf-8")
+        paths.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(
+            f"holds a lone surrogate U+{ord(exc.object[exc.start]):04X}, not UTF-8 text"
+        ) from None
+    try:
+        datetime.fromisoformat(values[6])
+    except ValueError:
+        raise ValueError(f"field 'date' holds {values[6]!r}, not an ISO-8601 date") from None
+    return values
 
 
 @dataclass(frozen=True)
@@ -117,36 +152,8 @@ class CommitRecord:
 
     @classmethod
     def from_dict(cls, obj) -> "CommitRecord":
-        """Record from one parsed corpus line.
-
-        A missing or mistyped field, a lone surrogate in any text or a date
-        that does not parse is a ValueError.
-        """
-        if type(obj) is not dict:
-            raise ValueError(f"holds a JSON {type(obj).__name__}, not an object")
-        try:
-            values = _record_values(obj)
-        except KeyError:
-            values = ()  # the loop below names the missing field
-        if tuple(map(type, values)) != _RECORD_KINDS:  # one C-level check on the common path
-            for name, kind in zip(_RECORD_FIELDS, _RECORD_KINDS):
-                if type(obj.get(name)) is not kind:
-                    found = type(obj[name]).__name__ if name in obj else "nothing"
-                    raise ValueError(f"field {name!r} holds {found}, not {kind.__name__}")
-        if not {str}.issuperset(map(type, values[5])):
-            raise ValueError("field 'files' holds a non-string path")
-        try:  # a JSON escape can hold half a surrogate pair, which no UTF-8 file can
-            "".join(values[:5]).encode("utf-8")
-            "".join(values[5]).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ValueError(
-                f"holds a lone surrogate U+{ord(exc.object[exc.start]):04X}, not UTF-8 text"
-            ) from None
-        try:
-            datetime.fromisoformat(values[6])
-        except ValueError:
-            raise ValueError(f"field 'date' holds {values[6]!r}, not an ISO-8601 date") from None
-        return cls(*values)
+        """Record from one parsed corpus line, checked by ``_checked_values``."""
+        return cls(*_checked_values(obj))
 
     def validate(self) -> None:
         """Check the record invariants; raises ValueError on the first violation."""
@@ -165,32 +172,93 @@ class CommitRecord:
         datetime.fromisoformat(self.date)
 
 
-def read_jsonl(path, parse: Callable = CommitRecord.from_dict, digest=None) -> Iterator:
-    """``parse`` of each non-blank line's JSON value, a ``CommitRecord`` by default.
+_scan_once = json.JSONDecoder().scan_once  # json.loads's C scanner, without its wrapper
+_BLOCK = 1 << 18  # bytes of whole lines decoded at once, so no text copy of the file is held
 
-    A missing file, a non-JSON line or a ``ValueError`` from ``parse`` is an ``InvalidInput``.
-    A ``hashlib`` ``digest`` is updated with every byte as it is read, so it
-    hashes exactly the bytes that were parsed.
+
+def _read_lines(path, parse: Callable, digest) -> Iterator:
+    """``parse(value, line)`` of each non-blank line, as ``read_jsonl`` reads it.
+
+    ``line`` is the line's bytes, newline included.
     """
     try:
-        fh = open(path, "rb")  # decoded per line, so a bad byte names its line
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            if digest is not None:
-                digest.update(raw)
-            if not raw.strip():
-                continue
+    if digest is not None:
+        digest.update(data)
+    lineno = start = 0
+    while start < len(data):
+        cut = data.find(b"\n", start + _BLOCK) + 1 or len(data)  # after a newline, or at the end
+        try:
+            text = data[start:cut].decode("utf-8")
+        except UnicodeDecodeError:
+            text = ""  # a line is not UTF-8: every line of the block is decoded alone
+        pos = 0  # where the line at ``start`` starts in ``text``
+        while start < cut:
+            end = data.find(b"\n", start, cut) + 1 or cut
+            line = data[start:end]
+            start = end
+            lineno += 1
+            stop = text.find("\n", pos)
+            if stop == -1:  # the last line has no newline, or the block is not text
+                stop = len(text)
             try:
-                obj = json.loads(raw.decode("utf-8"))
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise InvalidInput(f"{path} line {lineno} is not JSON: {exc}") from None
+                value, at = _scan_once(text, pos)
+            except (StopIteration, ValueError):  # blank, leading whitespace, or not JSON
+                at = -1
+            pos = stop + 1
+            if at != stop:
+                if not line.strip():
+                    continue
+                try:
+                    value = json.loads(line.decode("utf-8"))
+                except ValueError as exc:  # not UTF-8, or not JSON
+                    raise InvalidInput(f"{path} line {lineno} is not JSON: {exc}") from None
             try:
-                value = parse(obj)
+                value = parse(value, line)
             except ValueError as exc:
                 raise InvalidInput(f"{path} line {lineno} {exc}") from None
             yield value
+
+
+def read_jsonl(path, parse: Callable = CommitRecord.from_dict, digest=None) -> Iterator:
+    """``parse`` of each non-blank line's JSON value, a ``CommitRecord`` by default.
+
+    A missing file, a non-JSON line or a ``ValueError`` from ``parse`` is an
+    ``InvalidInput`` naming the line.  The file's bytes are read once, and a
+    ``hashlib`` ``digest`` is updated with exactly those bytes.
+
+    Fast path: each block of lines is decoded once, and each line's value is
+    read in place by ``json``'s C scanner and kept only if it spans the whole
+    line.  Fallback: any other line (blank, with surrounding whitespace, not
+    UTF-8, not JSON, or a value that ends early or runs into the next line)
+    is decoded and parsed alone by ``json.loads``, so every value and every
+    error is that of a per-line reader.
+    """
+    return _read_lines(path, lambda value, line: parse(value), digest)
+
+
+class CorpusLine(NamedTuple):
+    """A checked corpus record kept as its paths and its raw line until it is needed."""
+
+    files: list[str]
+    line: bytes
+
+    @classmethod
+    def checked(cls, value, line: bytes) -> "CorpusLine":
+        # tuple.__new__ is the C constructor that NamedTuple's own __new__ calls
+        return tuple.__new__(cls, (_checked_values(value)[5], line))
+
+    def record(self) -> CommitRecord:
+        return CommitRecord(*_field_values(json.loads(self.line.decode("utf-8"))))
+
+
+def _nonempty(path, records: list) -> list:
+    if not records:
+        raise EmptyCorpus(f"{path} holds no commit records")
+    return records
 
 
 def read_corpus(path, digest=None) -> list[CommitRecord]:
@@ -198,10 +266,16 @@ def read_corpus(path, digest=None) -> list[CommitRecord]:
 
     ``digest`` is as for ``read_jsonl``.
     """
-    records = list(read_jsonl(path, digest=digest))
-    if not records:
-        raise EmptyCorpus(f"{path} holds no commit records")
-    return records
+    return _nonempty(path, list(read_jsonl(path, digest=digest)))
+
+
+def read_corpus_lines(path, digest=None) -> list[CorpusLine]:
+    """Every record of a corpus file as a ``CorpusLine``, checked as ``read_corpus`` checks it.
+
+    No ``CommitRecord`` is built: ``CorpusLine.record`` builds one when it
+    is needed.  ``digest`` is as for ``read_jsonl``.
+    """
+    return _nonempty(path, list(_read_lines(path, CorpusLine.checked, digest)))
 
 
 def write_jsonl(path, records: Iterable[CommitRecord]) -> int:

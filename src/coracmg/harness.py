@@ -15,6 +15,11 @@ seed, then the run's label, means and commits with the failed ones in
 brackets), the comparison :func:`run_k_sweep` writes to
 ``<out_dir>/report.md``, and ``coracmg report``'s table.
 
+The corpus file's bytes are read once, and ``corpus_sha256`` is their
+digest.  Every line is checked as ``read_corpus`` checks it, but a record is
+kept only as its paths and its raw line (``diffs.CorpusLine``) until the
+subset is drawn; ``CommitRecord``s are built for the sampled commits only.
+
 Queries are embedded by the embedder the index was built with, which a
 ``provider_config`` must describe exactly (``providers.query_embedder``).
 The index, provider config, template and ``out_dir`` are checked before the
@@ -36,13 +41,15 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Sequence, TypeVar
 
 from . import metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, MAX_EXAMPLES, PromptTemplate
-from .diffs import CommitRecord, language_of, read_corpus, read_jsonl
+from .diffs import CommitRecord, language_of, read_corpus_lines, read_jsonl
 from .errors import ConfigError, CorpusTooSmall, InvalidInput, ManifestMismatch, check_type
 from .providers import (
     GenerationClient,
@@ -54,6 +61,7 @@ from .providers import (
 from .retriever import RetrievalIndex
 
 GENERATORS = ("provider", "echo-mock", "constant-mock", "retrieval-copy")
+R = TypeVar("R")  # a record type of sample_subset: CommitRecord or CorpusLine
 
 
 @dataclass
@@ -131,23 +139,25 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def record_languages(record: CommitRecord) -> set[str]:
-    return {language_of(path) for path in record.files} - {"other"}
-
-
-def sample_subset(records: list[CommitRecord], n: int, seed: int) -> list[CommitRecord]:
+def sample_subset(records: Sequence[R], n: int, seed: int) -> list[R]:
     """Seeded sample of ``n`` records covering every language in the corpus.
 
-    One record is drawn per uncovered language first; the remainder is a
-    uniform draw.  Output preserves corpus order, and a given seed always
-    selects the same subset.
+    A record is anything with a ``files`` list of paths: a ``CommitRecord``
+    or a ``CorpusLine``.  One record is drawn per uncovered language first;
+    the remainder is a uniform draw.  Output preserves corpus order, and a
+    given seed always selects the same subset.
     """
     if n > len(records):
         raise CorpusTooSmall(f"requested {n} records from a corpus of {len(records)}")
-    holders: dict[str, list[int]] = {}  # language -> ascending indices of its records
+    touching: dict[str, list[int]] = {}  # path -> ascending indices of the records with it
     for i, record in enumerate(records):
-        for lang in record_languages(record):
-            holders.setdefault(lang, []).append(i)
+        for path in record.files:
+            touching.setdefault(path, []).append(i)
+    holders: dict[str, set[int]] = {}  # language -> indices of its records
+    for path, indices in touching.items():  # one language lookup per distinct path
+        lang = language_of(path)
+        if lang != "other":
+            holders.setdefault(lang, set()).update(indices)
     present = sorted(holders)
     if n < len(present):
         raise CorpusTooSmall(
@@ -159,9 +169,9 @@ def sample_subset(records: list[CommitRecord], n: int, seed: int) -> list[Commit
     for lang in present:
         if lang in covered:
             continue
-        pick = rng.choice([i for i in holders[lang] if i not in chosen])
+        pick = rng.choice(sorted(holders[lang] - chosen))
         chosen.add(pick)
-        covered.update(record_languages(records[pick]))
+        covered.update(map(language_of, records[pick].files))
     rest = [i for i in range(len(records)) if i not in chosen]
     chosen.update(rng.sample(rest, n - len(chosen)))
     return [records[i] for i in sorted(chosen)]
@@ -258,10 +268,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out_dir = Path(config.out_dir)
     _check_out_dir(out_dir)
     corpus_digest = hashlib.sha256()  # of the bytes the records are parsed from
-    records = read_corpus(config.corpus, corpus_digest)
-    n = config.subset_size or len(records)
-    subset = sample_subset(records, n, config.seed)
-    del records  # rows read only the subset: the rest of the corpus can go
+    lines = read_corpus_lines(config.corpus, corpus_digest)
+    sampled = sample_subset(lines, config.subset_size or len(lines), config.seed)
+    del lines  # rows read only the subset: the rest of the corpus can go
+    subset = [line.record() for line in sampled]
 
     def process(record: CommitRecord) -> dict:
         row = {
@@ -395,7 +405,9 @@ def render_report(results: list[ExperimentResult]) -> str:
 
     A run's ``report.md``, a k sweep's and ``coracmg report``'s table are
     all drawn here.  All runs must share the same corpus, seed and subset
-    size; mismatches raise :class:`ManifestMismatch`.
+    size; mismatches raise :class:`ManifestMismatch`.  Rows of runs that
+    share a label (a standalone run and a sweep's run of the same k) also
+    name each run's directory.
     """
     if not results:
         raise ManifestMismatch("no experiment results to report on")
@@ -406,6 +418,14 @@ def render_report(results: list[ExperimentResult]) -> str:
             )
     direct = [r for r in results if r.manifest["config"]["method"] == "direct"]
     augmented = [r for r in results if r.manifest["config"]["method"] != "direct"]
+    shared = {label for label, n in Counter(r.label for r in results).items() if n > 1}
+
+    def named(res: ExperimentResult, cell) -> str:
+        """``cell``, naming the run's directory when another run has its label."""
+        if res.label not in shared:
+            return str(cell)
+        return f"{cell} ({res.out_dir or res.manifest['config']['out_dir']})"
+
     titles = " | ".join(title for _, title in metrics.METRICS)
     lines = ["# Experiment runs", "", f"- seed: {results[0].manifest['seed']}", ""]
     lines += [f"| Run | {titles} | Commits (failed) |", "|" + "---|" * (len(metrics.METRICS) + 2)]
@@ -413,7 +433,8 @@ def render_report(results: list[ExperimentResult]) -> str:
     for res in direct + sorted(augmented, key=lambda r: (r.manifest["config"]["k"] or 0, r.label)):
         against = None if res in direct else base
         counts = f"{res.manifest['subset_size']} ({res.manifest['failed_count']})"
-        lines.append(f"| {res.label} | {_cells(res.manifest['metrics'], against)} | {counts} |")
+        cells = _cells(res.manifest["metrics"], against)
+        lines.append(f"| {named(res, res.label)} | {cells} | {counts} |")
     lines.append("")
 
     sweep = sorted(
@@ -424,6 +445,7 @@ def render_report(results: list[ExperimentResult]) -> str:
         lines += ["## Scores by number of example pairs", ""]
         lines += [f"| k | {titles} |", "|" + "---|" * (len(metrics.METRICS) + 1)]
         for res in sweep:
-            lines.append(f"| {res.manifest['config']['k']} | {_cells(res.manifest['metrics'])} |")
+            k = named(res, res.manifest["config"]["k"])
+            lines.append(f"| {k} | {_cells(res.manifest['metrics'])} |")
         lines.append("")
     return "\n".join(lines)

@@ -12,13 +12,16 @@ bit-exact reference for the batched scorer.  So are the ``reference_*``
 metric kernels: the slice-by-slice n-gram counting, CIDEr and two-row LCS
 table the metrics used before, kept as they were so that the production
 kernels can be held to equal them exactly.  ``reference_sample_subset`` is the
-subset sampler as it was before it built per-language pools in one pass.
+subset sampler as it was before it built per-language pools in one pass,
+and ``oracle_read_jsonl`` the JSON Lines reader as it was before it read
+the file whole: one ``json.loads`` per line, decoded line by line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -27,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from coracmg.errors import CorpusTooSmall
-from coracmg.harness import record_languages
+from coracmg.diffs import CommitRecord, language_of
+from coracmg.errors import CorpusTooSmall, InvalidInput
 
 # Punctuation isolation, 13a style. The character class covers the ASCII
 # punctuation blocks; period, comma and dash are handled by the
@@ -386,6 +389,10 @@ def oracle_stats(values):
     return statistics.mean(values), max(values), statistics.median_low(values)
 
 
+def record_languages(record):
+    return {language_of(path) for path in record.files} - {"other"}
+
+
 def reference_sample_subset(records, n, seed):
     """Seeded sample of ``n`` records covering every language in the corpus.
 
@@ -414,3 +421,31 @@ def reference_sample_subset(records, n, seed):
     rest = [i for i in range(len(records)) if i not in chosen]
     chosen.update(rng.sample(rest, n - len(chosen)))
     return [records[i] for i in sorted(chosen)]
+
+
+def oracle_read_jsonl(path, parse=CommitRecord.from_dict, digest=None):
+    """``parse`` of each non-blank line's JSON value, a ``CommitRecord`` by default.
+
+    A missing file, a non-JSON line or a ``ValueError`` from ``parse`` is an ``InvalidInput``.
+    A ``hashlib`` ``digest`` is updated with every byte as it is read, so it
+    hashes exactly the bytes that were parsed.
+    """
+    try:
+        fh = open(path, "rb")  # decoded per line, so a bad byte names its line
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from None
+    with fh:
+        for lineno, raw in enumerate(fh, 1):
+            if digest is not None:
+                digest.update(raw)
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw.decode("utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise InvalidInput(f"{path} line {lineno} is not JSON: {exc}") from None
+            try:
+                value = parse(obj)
+            except ValueError as exc:
+                raise InvalidInput(f"{path} line {lineno} {exc}") from None
+            yield value

@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coracmg import diffs
 from coracmg.diffs import (
     CommitRecord,
     count_loc,
     diff_line_count,
     language_of,
     parse_diff,
+    read_corpus_lines,
+    read_jsonl,
 )
-from coracmg.errors import MalformedDiff
-from helpers import git, make_diff
+from coracmg.errors import InvalidInput, MalformedDiff
+from helpers import git, make_diff, make_record
+from oracles import oracle_read_jsonl
 
 FIXTURE_DIFF = make_diff(
     path="src/main.py",
@@ -215,6 +223,109 @@ def test_commit_record_validate_rejects_bad_fields():
     ]:
         with pytest.raises(ValueError):
             CommitRecord(**{**good.__dict__, **bad}).validate()
+
+
+# -- JSON Lines reader: the per-line reader's values and errors ----------------
+
+
+def _json_line(i: int, **changes) -> bytes:
+    obj = {**json.loads(make_record(i, path=f"src/m{i}.py").to_json()), **changes}
+    return json.dumps(obj).encode("utf-8") + b"\n"  # ensure_ascii: "\ud800" stays an escape
+
+
+_GOOD = _json_line(1)
+_LINES = {  # name -> a file's bytes; each is read by both readers
+    "blank-and-whitespace-lines": _GOOD + b"\n  \n\t\x0c\x0b\r\n" + _json_line(2) + b"\x0c\n",
+    "crlf-line-ends": _GOOD.replace(b"\n", b"\r\n") + _json_line(2).replace(b"\n", b"\r\n"),
+    "no-final-newline": _GOOD + _json_line(2).rstrip(b"\n"),
+    "leading-and-trailing-whitespace": b"  " + _GOOD.rstrip() + b" \t\n" + b"\t" + _json_line(2),
+    "utf8-bom": b"\xef\xbb\xbf" + _GOOD,
+    "utf8-bom-on-line-2": _GOOD + b"\xef\xbb\xbf" + _json_line(2),
+    "record-split-across-two-lines": _GOOD + _json_line(2)[:40] + b"\n" + _json_line(2)[40:],
+    "two-records-on-one-line": _GOOD.rstrip(b"\n") + _json_line(2) + _json_line(3),
+    "two-records-one-space-apart": _GOOD.rstrip(b"\n") + b" " + _json_line(2),
+    "non-utf8-byte-on-line-3": _GOOD + _json_line(2) + _json_line(3).replace(b"shared", b"sh\xffred"),
+    "escaped-lone-surrogate": _GOOD + _json_line(2, message="half \ud800 a pair"),
+    "escaped-surrogate-pair": _GOOD + _json_line(2, message="whole \U0001f600 pair"),
+    "extra-key": _GOOD + _json_line(2, extra=[1, 2]),
+    "array-line": _GOOD + b"[1, 2]\n",
+    "value-then-garbage": _GOOD + b'{"a": 1}x\n',
+    "raw-newline-in-a-string": _GOOD + _json_line(2).replace(b"shared", b"sh\nred"),
+    "empty-file": b"",
+    "only-blank-lines": b"\n \n\r\n",
+}
+_BLOCKS = (1, 16, diffs._BLOCK)  # block sizes: a line per block, a few lines, the default
+
+
+def _outcome(reader, path, parse):
+    """The values and the digest of the bytes read, or the ``InvalidInput`` text."""
+    digest = hashlib.sha256()
+    try:
+        return list(reader(path, parse, digest)), digest.hexdigest()
+    except InvalidInput as exc:
+        return "error", str(exc)
+
+
+def _assert_reads_as_the_oracle(path, data: bytes, block: int):
+    path.write_bytes(data)
+    with mock.patch.object(diffs, "_BLOCK", block):
+        for parse in (CommitRecord.from_dict, lambda value: value):
+            got = _outcome(read_jsonl, path, parse)
+            assert got == _outcome(oracle_read_jsonl, path, parse), (data, block)
+            if got[0] != "error":
+                assert got[1] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize("case", sorted(_LINES))
+def test_read_jsonl_reads_what_the_per_line_reader_reads(tmp_path, case, block):
+    _assert_reads_as_the_oracle(tmp_path / "lines.jsonl", _LINES[case], block)
+
+
+def test_read_jsonl_errors_name_the_line(tmp_path):
+    for case, expected in [
+        ("utf8-bom", "line 1 is not JSON: Unexpected UTF-8 BOM"),
+        ("record-split-across-two-lines", "line 2 is not JSON"),
+        ("two-records-on-one-line", "line 1 is not JSON: Extra data"),
+        ("non-utf8-byte-on-line-3", "line 3 is not JSON: 'utf-8' codec can't decode byte 0xff"),
+        ("escaped-lone-surrogate", "line 2 holds a lone surrogate U+D800"),
+    ]:
+        path = tmp_path / f"{case}.jsonl"
+        path.write_bytes(_LINES[case])
+        with pytest.raises(InvalidInput) as exc:
+            list(read_jsonl(path))
+        assert str(exc.value).startswith(f"{path} {expected}")
+
+
+_FRAGMENTS = sorted({*_LINES.values(), _GOOD[:40] + b"\n", _GOOD[40:], b"\x0c\n", b"  \n"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=6),
+    st.booleans(),
+    st.sampled_from(_BLOCKS),
+)
+def test_read_jsonl_on_mixed_lines_reads_what_the_per_line_reader_reads(
+    tmp_path_factory, fragments, final_newline, block
+):
+    data = b"".join(fragments)
+    if not final_newline:
+        data = data.rstrip(b"\n")
+    _assert_reads_as_the_oracle(tmp_path_factory.getbasetemp() / "mixed.jsonl", data, block)
+
+
+@pytest.mark.parametrize("case", ["extra-key", "crlf-line-ends", "leading-and-trailing-whitespace"])
+def test_corpus_lines_build_the_records_read_corpus_builds(tmp_path, case):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(_LINES[case])
+    digest = hashlib.sha256()
+    lines = read_corpus_lines(path, digest)
+    records = list(read_jsonl(path))
+    assert [line.record() for line in lines] == records
+    assert [line.files for line in lines] == [rec.files for rec in records]
+    assert b"".join(line.line for line in lines) == path.read_bytes()
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # -- git oracle: per-file added/deleted counts must match --numstat ---------

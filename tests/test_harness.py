@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from coracmg import harness
-from coracmg.diffs import write_jsonl
+from coracmg.diffs import read_corpus, write_jsonl
 from coracmg.errors import ConfigError, CorpusTooSmall, ManifestMismatch
 from coracmg.harness import (
     ExperimentConfig,
@@ -22,7 +22,7 @@ from coracmg.providers import EmbeddingClient, HashingEmbedder
 from coracmg.retriever import RetrievalIndex
 from fake_provider import Reply
 from helpers import make_diff, make_record, stored_docs, synthetic_corpus, twin_corpus
-from oracles import oracle_rank, reference_sample_subset
+from oracles import oracle_rank, record_languages, reference_sample_subset
 
 
 def _materialize(tmp_path, records, name="corpus"):
@@ -60,16 +60,16 @@ def test_sample_covers_all_languages():
     subset = sample_subset(records, 20, seed=3)
     covered = set()
     for rec in subset:
-        from coracmg.harness import record_languages
-
         covered |= record_languages(rec)
     assert len(covered) == 9
 
 
 def test_sample_too_small():
     records = synthetic_corpus(1, 5)
-    with pytest.raises(CorpusTooSmall):
+    with pytest.raises(CorpusTooSmall, match="^requested 6 records from a corpus of 5$"):
         sample_subset(records, 6, seed=0)
+    with pytest.raises(CorpusTooSmall, match="^3 records cannot cover the 4 languages in the corpus$"):
+        sample_subset(records, 3, seed=0)
 
 
 _LANGUAGE_EXTS = [".java", ".cpp", ".scala", ".ts", ".py", ".lua", ".go", ".rs"]
@@ -89,7 +89,7 @@ def _language_corpus(n_langs: int) -> list:
 def test_sample_subset_picks_what_the_reference_picks():
     for n_langs in range(1, len(_LANGUAGE_EXTS) + 1):
         records = _language_corpus(n_langs)
-        assert len(set().union(*map(harness.record_languages, records))) == n_langs
+        assert len(set().union(*map(record_languages, records))) == n_langs
         for n in (n_langs, n_langs + 3, len(records)):
             for seed in range(50):
                 assert sample_subset(records, n, seed) == reference_sample_subset(records, n, seed)
@@ -99,6 +99,30 @@ def test_sample_subset_picks_what_the_reference_picks():
             with pytest.raises(CorpusTooSmall) as expected:
                 reference_sample_subset(records, n, 0)
             assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_experiment_samples_what_sample_subset_draws_from_read_corpus(tmp_path, seed):
+    records = synthetic_corpus(4, 10, seed=seed)
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus_path, records)
+    languages = len(set().union(*map(record_languages, records)))
+    assert languages == 5
+    for n in (1, languages, 24, len(records), len(records) + 1):
+        config = ExperimentConfig(
+            corpus=str(corpus_path), out_dir=str(tmp_path / f"n{n}"), subset_size=n, seed=seed
+        )
+        try:
+            expected = sample_subset(read_corpus(corpus_path), n, seed)
+        except CorpusTooSmall as exc:
+            with pytest.raises(CorpusTooSmall) as got:
+                run_experiment(config)
+            assert str(got.value) == str(exc)
+            continue
+        rows = run_experiment(config).rows
+        assert [(r["sha"], r["reference"]) for r in rows] == sorted(
+            (rec.sha, rec.message) for rec in expected
+        )
 
 
 # -- experiments ---------------------------------------------------------------
@@ -115,8 +139,8 @@ def test_manifest_hashes_the_corpus_bytes_the_run_parsed(tmp_path, monkeypatch):
     run_experiment(ExperimentConfig(out_dir=str(tmp_path / "before"), **config))
     sample = harness.sample_subset
 
-    def rewrite_then_sample(parsed, n, seed):
-        write_jsonl(corpus_path, parsed[:-1])  # the file changes once it has been read
+    def rewrite_then_sample(parsed, n, seed):  # the file changes once it has been read
+        corpus_path.write_bytes(b"".join(entry.line for entry in parsed[:-1]))
         return sample(parsed, n, seed)
 
     monkeypatch.setattr(harness, "sample_subset", rewrite_then_sample)
@@ -574,6 +598,26 @@ def test_k_sweep_and_report(tmp_path):
             expected = round(100 * (enhanced[key] - direct_means[key]) / direct_means[key])
             got = int(m.group(3)) * (1 if m.group(2) == "↑" else -1)
             assert got == expected
+
+
+def test_report_names_the_directories_of_runs_that_share_a_label(tmp_path):
+    corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(2, 10, seed=5))
+    config = dict(
+        corpus=str(corpus_path), index=str(index_dir), method="rag", generator="echo-mock", seed=42
+    )
+    alone = run_experiment(ExperimentConfig(out_dir=str(tmp_path / "runs" / "rag-k3"), k=3, **config))
+    sweep = run_k_sweep(ExperimentConfig(out_dir=str(tmp_path / "sweep"), k=1, **config), ks=[1, 2, 3])
+    unique = render_report(sweep)
+    report = render_report([alone, *sweep])
+    assert unique.count("| rag-k3-echo-mock |") == 1
+    for run in (alone, sweep[2]):
+        assert report.count(f"| rag-k3-echo-mock ({run.out_dir}) |") == 1
+        assert report.count(f"| 3 ({run.out_dir}) |") == 1
+    assert "| rag-k3-echo-mock |" not in report and "| 3 |" not in report
+    kept = [line for line in unique.splitlines() if "k3" not in line and not line.startswith("| 3 |")]
+    assert [line for line in report.splitlines() if line in kept] == kept
+    loaded = [ExperimentResult.load(run.out_dir) for run in (alone, *sweep)]
+    assert render_report(loaded) == report
 
 
 def test_k_sweep_of_no_k_runs_nothing(tmp_path):
