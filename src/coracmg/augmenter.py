@@ -7,9 +7,9 @@ with zero examples drops the region entirely, which is exactly the direct
 (no-augmentation) prompt.
 
 Examples render in ascending relevance order so the strongest pair sits
-next to the query.  When the rendered prompt exceeds the character budget,
-whole examples are evicted starting from the least relevant; the query diff
-is never truncated.
+next to the query.  ``fit`` keeps what fits a character budget, evicting
+whole examples from the least relevant, never the query diff; ``render``
+formats exactly the examples it is given.
 """
 
 from __future__ import annotations
@@ -77,29 +77,36 @@ class PromptTemplate:
         )
         return cls.from_text(text)
 
-    def render(
-        self,
-        query_diff: str,
-        examples: list[ExamplePair],
-        max_chars: int = DEFAULT_MAX_PROMPT_CHARS,
-    ) -> str:
-        if not query_diff:
-            raise EmptyQuery("query diff is empty")
-        if len(examples) > MAX_EXAMPLES:
-            raise TooManyExamples(f"{len(examples)} examples exceed the maximum of {MAX_EXAMPLES}")
+    def fit(self, query_diff: str, examples: list[ExamplePair], max_chars: int) -> list:
+        """The examples a prompt of at most ``max_chars`` keeps, strongest first."""
+        _check(query_diff, examples)
         ordered = sorted(examples, key=lambda ex: ex.hybrid_score)  # least relevant first
-        while True:
-            blocks = [
-                _EXAMPLE_SLOT.sub(
-                    lambda m, ex=ex: ex.diff if m.group(1) == "retrieved_diff" else ex.message,
-                    self.example_block,
-                )
-                for ex in ordered
-            ]
-            rendered = self.preamble + "".join(blocks) + _QUERY_SLOT.sub(
-                lambda _: query_diff, self.tail
-            )
-            if len(rendered) <= max_chars or not ordered:
-                return rendered
-            ordered = ordered[1:]  # evict the least relevant example
+        # Each slot marker gives way to its text, so the rendered length adds up.
+        block = len(self.example_block) - len("{{retrieved_diff}}{{retrieved_msg}}")
+        sizes = [block + len(ex.diff) + len(ex.message) for ex in ordered]
+        fixed = len(self.preamble) + len(self.tail) - len("{{query_diff}}") + len(query_diff)
+        length = fixed + sum(sizes)
+        while length > max_chars and ordered:
+            ordered.pop(0)  # evict the least relevant example
+            length -= sizes.pop(0)
+        # A stable sort keeps tied examples in the order they render in.
+        return sorted(ordered, key=lambda ex: ex.hybrid_score, reverse=True)
 
+    def render(self, query_diff: str, examples: list[ExamplePair]) -> str:
+        """The prompt holding every one of ``examples``, least relevant first."""
+        _check(query_diff, examples)
+        blocks = [
+            _EXAMPLE_SLOT.sub(
+                lambda m, ex=ex: ex.diff if m.group(1) == "retrieved_diff" else ex.message,
+                self.example_block,
+            )
+            for ex in sorted(examples, key=lambda ex: ex.hybrid_score)
+        ]
+        return self.preamble + "".join(blocks) + _QUERY_SLOT.sub(lambda _: query_diff, self.tail)
+
+
+def _check(query_diff: str, examples: list[ExamplePair]) -> None:
+    if not query_diff:
+        raise EmptyQuery("query diff is empty")
+    if len(examples) > MAX_EXAMPLES:
+        raise TooManyExamples(f"{len(examples)} examples exceed the maximum of {MAX_EXAMPLES}")

@@ -274,10 +274,9 @@ def _cmd_suggest(args) -> int:
     if args.provider_config:
         pc = ProviderConfig.from_file(args.provider_config)
         client = GenerationClient(pc.gen)
-        prompt = (template or PromptTemplate.default()).render(
-            query, pairs, max_chars=args.max_prompt_chars
-        )
-        print(client.generate(prompt, pairs))
+        template = template or PromptTemplate.default()
+        kept = template.fit(query, pairs, args.max_prompt_chars)
+        print(client.generate(template.render(query, kept), kept))
     else:
         # Offline default: the retrieval-copy baseline.
         print(pairs[0].message)

@@ -2,7 +2,8 @@
 commit, score against the developer-written references, and render reports.
 
 Each sampled commit goes through an independent pipeline run with retrieval
-scoped to its own project and its own sha excluded.  Per-commit failures are
+scoped to its own project and its own sha excluded; only ``rag`` and
+``retrieval-copy`` runs retrieve.  Per-commit failures are
 recorded in the result rows rather than aborting the run.  Result files are
 ``results.jsonl`` (rows sorted by sha), ``manifest.json`` and ``report.md``;
 identical configurations and seeds reproduce ``results.jsonl`` byte for
@@ -60,7 +61,7 @@ from .providers import (
 )
 from .retriever import RetrievalIndex
 
-GENERATORS = ("provider", "echo-mock", "constant-mock", "retrieval-copy")
+GENERATORS = ("provider", "echo-mock", "retrieval-copy")
 R = TypeVar("R")  # a record type of sample_subset: CommitRecord or CorpusLine
 
 
@@ -72,7 +73,7 @@ class ExperimentConfig:
     k: int | None = None
     subset_size: int = 0  # 0 means the whole corpus
     seed: int = 0
-    generator: str = "constant-mock"
+    generator: str = "echo-mock"
     generator_text: str = "update code"
     index: str | None = None
     embed_cache: str | None = None  # default: "<corpus>.embed_cache"
@@ -103,7 +104,8 @@ class ExperimentConfig:
         if self.method not in ("direct", "rag"):
             raise ConfigError(f"unknown method {self.method!r}")
         if self.generator not in GENERATORS:
-            raise ConfigError(f"unknown generator {self.generator!r}")
+            choices = ", ".join(GENERATORS)
+            raise ConfigError(f"unknown generator {self.generator!r}; choose one of {choices}")
         if self.method == "rag":
             if self.k is None or not 1 <= self.k <= MAX_EXAMPLES:
                 raise ConfigError(f"method 'rag' requires k between 1 and {MAX_EXAMPLES}")
@@ -119,7 +121,7 @@ class ExperimentConfig:
 
     @property
     def needs_retrieval(self) -> bool:
-        return self.method == "rag" or self.generator in ("echo-mock", "retrieval-copy")
+        return self.method == "rag" or self.generator == "retrieval-copy"
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -227,9 +229,7 @@ class ExperimentResult:
 
 def _build_generator(config: ExperimentConfig, pc: ProviderConfig | None):
     if config.generator == "echo-mock":
-        return MockGenerator("echo", config.generator_text)
-    if config.generator == "constant-mock":
-        return MockGenerator("constant", config.generator_text)
+        return MockGenerator(config.generator_text)
     if config.generator == "provider":
         return GenerationClient(pc.gen)
     return None  # retrieval-copy needs no generator object
@@ -286,13 +286,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         try:
             examples = []
             if index is not None:
-                k = config.k if config.method == "rag" else 1
+                k = config.k or 1  # a direct retrieval-copy run copies the top example
                 examples = index.retrieve(
-                    record.diff,
-                    k,
-                    record.repo_full_name,
-                    exclude_sha=record.sha,
-                    embedder=embedder,
+                    record.diff, k, record.repo_full_name, exclude_sha=record.sha, embedder=embedder
                 )
                 row["retrieved"] = [
                     {
@@ -304,14 +300,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 ]
             if config.generator == "retrieval-copy":
                 row["generated"] = examples[0].message
-            else:
-                if config.method == "rag":
-                    prompt = template.render(
-                        record.diff, examples, max_chars=config.max_prompt_chars
-                    )
-                else:
-                    prompt = template.render(record.diff, [], max_chars=config.max_prompt_chars)
-                row["generated"] = generator.generate(prompt, examples)
+            else:  # only a rag run retrieves for a prompt
+                kept = template.fit(record.diff, examples, config.max_prompt_chars)
+                row["generated"] = generator.generate(template.render(record.diff, kept), kept)
         except Exception as exc:  # recorded, never fatal to the run
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         return row

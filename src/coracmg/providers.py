@@ -5,8 +5,10 @@ provider produces commit messages from augmented prompts.  Request and
 response shapes are documented in docs/providers.md.  API keys come from the
 ``CORACMG_EMBED_KEY`` / ``CORACMG_GEN_KEY`` environment variables.
 
-``HashingEmbedder`` and ``MockGenerator`` make the whole pipeline runnable
-offline and deterministically, which is what the test harness uses.
+``HashingEmbedder`` and ``MockGenerator`` (which copies the strongest example
+its prompt kept) make the whole pipeline runnable offline and
+deterministically, which is what the test harness uses.  Requests follow no
+redirect: ``urllib`` would re-send a POST as a bodyless GET, key and all.
 """
 
 from __future__ import annotations
@@ -139,12 +141,20 @@ def unit_normalize(values, dimension: int) -> np.ndarray:
     return vec
 
 
+class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None  # the 3xx reaches the caller as an HTTPError
+
+
+_OPENER = urllib.request.build_opener(_RefuseRedirects)
+
+
 def _post(url: str, payload: dict, key_env: str):
     """POST ``payload`` as JSON and return the decoded JSON answer.
 
     Failures a retry can cure are retried under the module's policy: no
     connection, a timeout, a dropped connection, 5xx, 408, 429, or a body
-    that is not JSON.  Any other error status is refused at once.
+    that is not JSON.  Any other error status, a 3xx included, is refused at once.
     """
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(key_env)
@@ -157,7 +167,7 @@ def _post(url: str, payload: dict, key_env: str):
         if attempt:
             time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 1))
         try:
-            with urllib.request.urlopen(request, timeout=TIMEOUT_SECONDS) as resp:
+            with _OPENER.open(request, timeout=TIMEOUT_SECONDS) as resp:
                 return json.loads(resp.read())
         except urllib.error.HTTPError as exc:
             exc.close()
@@ -369,20 +379,12 @@ def _extract_text(body, url: str) -> str:
     return text
 
 
+@dataclass(frozen=True)
 class MockGenerator:
-    """Offline generator: echoes the top retrieved message, or a constant."""
+    """Offline generator: the strongest example its prompt kept, else ``text``."""
 
-    def __init__(self, mode: str = "echo", text: str = "update code"):
-        if mode not in ("echo", "constant"):
-            raise ValueError(f"unknown mock mode {mode!r}")
-        self.mode = mode
-        self.text = text
-
-    @property
-    def identifier(self) -> str:
-        return f"mock-{self.mode}"
+    text: str = "update code"
+    identifier = "mock-echo"  # not a field: unannotated
 
     def generate(self, prompt: str, examples=None) -> str:
-        if self.mode == "echo" and examples:
-            return examples[0].message
-        return self.text
+        return examples[0].message if examples else self.text

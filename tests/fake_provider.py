@@ -16,7 +16,7 @@ import hashlib
 import json
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -28,7 +28,8 @@ class Reply:
 
     ``drop`` closes the connection without a response.  ``hold`` keeps the
     request open that many seconds first; ``body=None`` and ``raw=None`` send
-    the normal answer.
+    the normal answer.  ``headers`` are sent besides the content headers,
+    such as the ``Location`` of a redirect.
     """
 
     status: int = 200
@@ -36,6 +37,7 @@ class Reply:
     raw: bytes | None = None
     drop: bool = False
     hold: float = 0.0
+    headers: dict = field(default_factory=dict)
 
 
 class FakeProvider:
@@ -43,7 +45,8 @@ class FakeProvider:
         self.dimension = dimension
         # The chat answer: a string, or a function of the prompt.
         self.message = message
-        self.requests: list[dict] = []  # {"path", "headers", "payload"} in arrival order
+        # {"method", "path", "headers", "payload"} in arrival order
+        self.requests: list[dict] = []
         self.active = 0
         self.peak = 0  # most requests open at once
         self._replies: list[Reply] = []
@@ -96,17 +99,18 @@ class FakeProvider:
             seed = hashlib.sha256(payload["input"].encode("utf-8")).digest()
             vector = np.random.default_rng(list(seed)).standard_normal(self.dimension)
             return {"data": [{"embedding": vector.tolist()}]}
-        prompt = payload["messages"][0]["content"]
+        prompt = payload["messages"][0]["content"] if payload else ""  # a GET has no body
         text = self.message(prompt) if callable(self.message) else self.message
         return {"choices": [{"message": {"content": text}}]}
 
     def _serve(self, handler: BaseHTTPRequestHandler) -> None:
         length = int(handler.headers.get("Content-Length", 0))
-        payload = json.loads(handler.rfile.read(length))
+        payload = json.loads(handler.rfile.read(length)) if length else {}
         with self._lock:
-            self.requests.append(
-                {"path": handler.path, "headers": dict(handler.headers), "payload": payload}
-            )
+            self.requests.append({
+                "method": handler.command, "path": handler.path,
+                "headers": dict(handler.headers), "payload": payload,
+            })
             reply = self._replies.pop(0) if self._replies else Reply()
             self.active += 1
             self.peak = max(self.peak, self.active)
@@ -125,6 +129,8 @@ class FakeProvider:
         handler.send_response(reply.status)
         handler.send_header("Content-Type", "application/json")
         handler.send_header("Content-Length", str(len(data)))
+        for name, value in reply.headers.items():
+            handler.send_header(name, value)
         handler.end_headers()
         handler.wfile.write(data)
 
@@ -135,6 +141,8 @@ def _handler(fake: FakeProvider) -> type[BaseHTTPRequestHandler]:
 
         def do_POST(self):
             fake._serve(self)
+
+        do_GET = do_POST  # where a followed redirect would land
 
         def log_message(self, *args):
             pass

@@ -13,8 +13,10 @@ metric kernels: the slice-by-slice n-gram counting, CIDEr and two-row LCS
 table the metrics used before, kept as they were so that the production
 kernels can be held to equal them exactly.  ``reference_sample_subset`` is the
 subset sampler as it was before it built per-language pools in one pass,
-and ``oracle_read_jsonl`` the JSON Lines reader as it was before it read
-the file whole: one ``json.loads`` per line, decoded line by line.
+``oracle_read_jsonl`` the JSON Lines reader as it was before it read
+the file whole: one ``json.loads`` per line, decoded line by line, and
+``oracle_render`` the prompt renderer as it was when it applied the budget
+itself, re-rendering after each eviction.
 """
 
 from __future__ import annotations
@@ -449,3 +451,30 @@ def oracle_read_jsonl(path, parse=CommitRecord.from_dict, digest=None):
             except ValueError as exc:
                 raise InvalidInput(f"{path} line {lineno} {exc}") from None
             yield value
+
+
+_EXAMPLE_SLOT = re.compile(r"\{\{(retrieved_diff|retrieved_msg)\}\}")
+_QUERY_SLOT = re.compile(r"\{\{query_diff\}\}")
+
+
+def oracle_render(template, query_diff, examples, max_chars):
+    """``template``'s prompt for ``examples`` under a budget of ``max_chars``.
+
+    Whole examples are evicted, least relevant first, and the prompt is
+    rendered again after each, until it fits or none is left.
+    """
+    ordered = sorted(examples, key=lambda ex: ex.hybrid_score)  # least relevant first
+    while True:
+        blocks = [
+            _EXAMPLE_SLOT.sub(
+                lambda m, ex=ex: ex.diff if m.group(1) == "retrieved_diff" else ex.message,
+                template.example_block,
+            )
+            for ex in ordered
+        ]
+        rendered = template.preamble + "".join(blocks) + _QUERY_SLOT.sub(
+            lambda _: query_diff, template.tail
+        )
+        if len(rendered) <= max_chars or not ordered:
+            return rendered
+        ordered = ordered[1:]  # evict the least relevant example

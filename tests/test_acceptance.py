@@ -262,7 +262,7 @@ def test_c7_paper_scale_substitute(tmp_path):
                 corpus=str(corpus_path),
                 out_dir=str(tmp_path / "direct"),
                 method="direct",
-                generator="constant-mock",
+                generator="echo-mock",
                 generator_text="update parser cache retry logic",
                 subset_size=40,
                 seed=11,

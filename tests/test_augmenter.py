@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from coracmg.augmenter import PromptTemplate
 from coracmg.errors import ConfigError, EmptyQuery, TooManyExamples
 from coracmg.retriever import DocHandle, ExamplePair
+from oracles import oracle_render
 
 
 def pair(idx: int, score: float, diff: str | None = None, message: str | None = None):
@@ -18,6 +21,10 @@ def pair(idx: int, score: float, diff: str | None = None, message: str | None = 
 
 QUERY = "diff --git a/q b/q\n+the query change"
 DEFAULT = PromptTemplate.default()
+# Slots side by side and the query slot mid-line: the lengths must still add up.
+MARKED = PromptTemplate.from_text(
+    "P {{\n{{#examples}}\n<{{retrieved_msg}}{{retrieved_diff}}>\n{{/examples}}\nQ{{query_diff}}}}"
+)
 
 
 def test_direct_prompt_contains_diff_once():
@@ -36,6 +43,8 @@ def test_empty_query_rejected():
         DEFAULT.render("", [])
     with pytest.raises(EmptyQuery):
         DEFAULT.render("", [pair(1, 0.5)])
+    with pytest.raises(EmptyQuery):
+        DEFAULT.fit("", [], 1_000)
 
 
 def test_rag_prompt_structure():
@@ -62,6 +71,8 @@ def test_examples_render_in_ascending_score_order():
 def test_too_many_examples():
     with pytest.raises(TooManyExamples):
         DEFAULT.render(QUERY, [pair(i, 0.1 * i) for i in range(6)])
+    with pytest.raises(TooManyExamples):  # even when the budget would evict some
+        DEFAULT.fit(QUERY, [pair(i, 0.1 * i) for i in range(6)], 500)
 
 
 def test_budget_evicts_lowest_scored_first():
@@ -71,15 +82,40 @@ def test_budget_evicts_lowest_scored_first():
         pair(2, 0.2, diff=big + "low"),
         pair(3, 0.5, diff=big + "mid"),
     ]
-    full = DEFAULT.render(QUERY, examples, max_chars=1_000_000)
+    kept = DEFAULT.fit(QUERY, examples, 1_000_000)
+    assert [ex.handle for ex in kept] == [examples[i].handle for i in (0, 2, 1)]  # strongest first
+    full = DEFAULT.render(QUERY, kept)
     assert "low" in full and "mid" in full and "high" in full
-    trimmed = DEFAULT.render(QUERY, examples, max_chars=10_000)
+    trimmed = DEFAULT.render(QUERY, DEFAULT.fit(QUERY, examples, 10_000))
     assert "low" not in trimmed  # score 0.2 went first
     assert "mid" in trimmed and "high" in trimmed
     assert QUERY in trimmed
-    tiny = DEFAULT.render(QUERY, examples, max_chars=500)
+    assert DEFAULT.fit(QUERY, examples, 500) == []
+    tiny = DEFAULT.render(QUERY, [])
     assert QUERY in tiny  # the query survives even when every example is gone
     assert "high" not in tiny
+
+
+@pytest.mark.parametrize("template", [DEFAULT, MARKED], ids=["default", "slots-side-by-side"])
+def test_fit_then_render_equals_the_eviction_loop(template):
+    rng = random.Random(0)
+    for trial in range(400):
+        examples = [
+            pair(
+                i,
+                rng.choice([0.1, 0.4, 0.4, 0.7, 0.9]),  # ties evict in a fixed order too
+                diff="d" * rng.randrange(1, 400) + f"#{i}",
+                message="m" * rng.randrange(0, 60) + f"#{i}",
+            )
+            for i in range(rng.randrange(0, 6))
+        ]
+        query = "q" * rng.randrange(1, 300)
+        full = len(template.render(query, examples))
+        budget = rng.randrange(1, full + 50)
+        kept = template.fit(query, examples, budget)
+        assert template.render(query, kept) == oracle_render(template, query, examples, budget)
+        scores = [ex.hybrid_score for ex in kept]
+        assert scores == sorted(scores, reverse=True)
 
 
 def test_template_round_trip_and_validation(tmp_path):

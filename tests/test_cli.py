@@ -106,7 +106,7 @@ def test_experiment_and_report_commands(tmp_path, capsys):
     direct_cfg = tmp_path / "direct.json"
     direct_cfg.write_text(json.dumps({
         "corpus": str(corpus), "out_dir": str(runs / "direct"), "method": "direct",
-        "generator": "constant-mock", "generator_text": "adjust compute path for stability",
+        "generator": "echo-mock", "generator_text": "adjust compute path for stability",
         "seed": 3,
     }))
     copy_cfg = tmp_path / "copy.json"
@@ -122,7 +122,7 @@ def test_experiment_and_report_commands(tmp_path, capsys):
     table = tmp_path / "table.md"
     assert main(["report", "--in", str(runs), "--out", str(table)]) == 0
     text = table.read_text()
-    assert "direct-constant-mock" in text
+    assert "direct-echo-mock" in text
     assert "rag-k1-retrieval-copy" in text
     assert "↑" in text or "↓" in text
 
@@ -581,6 +581,10 @@ def _argument_case(case, tmp_path, repo):
         "report manifest generator list": lambda: edited_manifest(
             "config", "generator", value=["echo-mock"]
         ),
+        # Runs of older releases could name the generator since folded into echo-mock.
+        "report manifest constant-mock": lambda: edited_manifest(
+            "config", "generator", value="constant-mock"
+        ),
         "report manifest seed string": lambda: edited_manifest("seed", value="1"),
         "report manifest subset_size 2.5": lambda: edited_manifest("subset_size", value=2.5),
         "report manifest failed_count true": lambda: edited_manifest("failed_count", value=True),
@@ -638,6 +642,11 @@ def _argument_case(case, tmp_path, repo):
         ("report manifest k 9", "method 'rag' requires k between 1 and 5"),
         ("report manifest method 7", "method must be a string, not 7"),
         ("report manifest generator list", "generator must be a string, not ['echo-mock']"),
+        (
+            "report manifest constant-mock",
+            "r/manifest.json is not an experiment manifest: unknown generator 'constant-mock'; "
+            "choose one of provider, echo-mock, retrieval-copy",
+        ),
         ("report manifest seed string", "seed must be an integer, not '1'"),
         ("report manifest subset_size 2.5", "subset_size must be an integer, not 2.5"),
         ("report manifest failed_count true", "failed_count must be an integer, not True"),

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from coracmg import harness
+from coracmg.augmenter import PromptTemplate
 from coracmg.diffs import read_corpus, write_jsonl
 from coracmg.errors import ConfigError, CorpusTooSmall, ManifestMismatch
 from coracmg.harness import (
@@ -162,7 +163,16 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(corpus="c", out_dir="o", generator="gpt9000")
     with pytest.raises(ConfigError, match="needs an index directory"):
-        ExperimentConfig(corpus="c", out_dir="o", generator="echo-mock")
+        ExperimentConfig(corpus="c", out_dir="o", generator="retrieval-copy")
+    with pytest.raises(ConfigError, match="needs an index directory"):
+        ExperimentConfig(corpus="c", out_dir="o", method="rag", k=3)
+    # A direct echo-mock run, the default, retrieves nothing.
+    assert ExperimentConfig(corpus="c", out_dir="o").generator == "echo-mock"
+    with pytest.raises(
+        ConfigError,
+        match="unknown generator 'constant-mock'; choose one of provider, echo-mock, retrieval-copy",
+    ):
+        ExperimentConfig(corpus="c", out_dir="o", generator="constant-mock")
     for scale in (float("nan"), float("inf"), -1.0, 0, 10**400):
         with pytest.raises(ConfigError, match="cider_scale must be a finite number above 0"):
             ExperimentConfig(corpus="c", out_dir="o", cider_scale=scale)
@@ -176,7 +186,7 @@ def test_direct_constant_mock_smoke(tmp_path):
         corpus=str(corpus_path),
         out_dir=str(tmp_path / "run"),
         method="direct",
-        generator="constant-mock",
+        generator="echo-mock",
         generator_text="apply the standard fix",
         subset_size=10,
         seed=5,
@@ -192,6 +202,65 @@ def test_direct_constant_mock_smoke(tmp_path):
     assert manifest["config"]["method"] == "direct"
     shas = [r["sha"] for r in result.rows]
     assert shas == sorted(shas)
+    # A direct prompt keeps no example, so the mock writes its text.
+    assert {r["generated"] for r in result.rows} == {"apply the standard fix"}
+    assert all(r["retrieved"] == [] for r in result.rows)
+    assert manifest["embedder_id"] is None
+
+
+def _run(config: dict, out_dir) -> tuple[ExperimentResult, bytes]:
+    result = run_experiment(ExperimentConfig(**config, out_dir=str(out_dir)))
+    return result, (out_dir / "results.jsonl").read_bytes()
+
+
+def test_direct_and_rag_echo_mock_differ_offline(tmp_path, monkeypatch):
+    corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(4, 30, seed=3))
+    direct_config = dict(corpus=str(corpus_path), subset_size=40, seed=3)
+    rag_config = dict(direct_config, method="rag", k=3, index=str(index_dir))
+    rag, rag_bytes = _run(rag_config, tmp_path / "rag")
+    copy, copy_bytes = _run(dict(rag_config, generator="retrieval-copy"), tmp_path / "copy")
+    assert rag_bytes == copy_bytes  # every prompt kept its strongest example
+
+    def no_index(*args):
+        raise AssertionError("a direct echo-mock run loaded an index")
+
+    monkeypatch.setattr(RetrievalIndex, "load", no_index)
+    direct, direct_bytes = _run(direct_config, tmp_path / "direct")
+    assert direct.manifest["config"]["index"] is None
+    assert all(r["retrieved"] == [] and r["generated"] == "update code" for r in direct.rows)
+    assert [r["sha"] for r in direct.rows] == [r["sha"] for r in rag.rows]  # one subset
+    assert direct_bytes != rag_bytes
+    for key in ("bleu", "rouge_l", "meteor", "cider"):
+        assert direct.manifest["metrics"][key] != rag.manifest["metrics"][key]
+
+
+def test_prompt_budget_decides_what_echo_mock_copies(tmp_path, monkeypatch):
+    corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(2, 20, seed=3))
+    config = dict(
+        corpus=str(corpus_path), method="rag", k=3, index=str(index_dir), seed=3,
+        generator_text="no example was kept",
+    )
+    full, _ = _run(config, tmp_path / "full")
+    kept_counts = []
+    fit = PromptTemplate.fit
+
+    def counting_fit(self, *args):
+        kept = fit(self, *args)
+        kept_counts.append(len(kept))
+        return kept
+
+    monkeypatch.setattr(PromptTemplate, "fit", counting_fit)
+    # Below the zero-example prompt: every example is evicted, as in a direct run.
+    none, _ = _run(dict(config, max_prompt_chars=10), tmp_path / "none")
+    assert set(kept_counts) == {0}
+    assert all(len(r["retrieved"]) == 3 for r in none.rows)
+    assert {r["generated"] for r in none.rows if r["status"] == "ok"} == {"no example was kept"}
+    # Room for one or two of the three: the strongest is still the one copied.
+    kept_counts.clear()
+    some, _ = _run(dict(config, max_prompt_chars=1_200), tmp_path / "some")
+    assert set(kept_counts) == {1, 2}
+    assert [r["generated"] for r in some.rows] == [r["generated"] for r in full.rows]
+    assert "no example was kept" not in {r["generated"] for r in full.rows}
 
 
 def test_retrieval_copy_on_twin_corpus_scores_100(tmp_path):
@@ -339,13 +408,13 @@ def test_failures_recorded_not_fatal(tmp_path):
             corpus=str(corpus_path),
             out_dir=str(tmp_path / "direct"),
             method="direct",
-            generator="constant-mock",
+            generator="echo-mock",
             seed=1,
         )
     )
     assert direct.manifest["failed_count"] == 0
     both = render_report([result, direct])
-    assert _report_cells(both, "direct-constant-mock")[-1] == "7 (0)"
+    assert _report_cells(both, "direct-echo-mock")[-1] == "7 (0)"
     assert _report_cells(both, "rag-k1-echo-mock")[-1] == "7 (1)"
 
 
@@ -572,7 +641,7 @@ def test_k_sweep_and_report(tmp_path):
             corpus=str(corpus_path),
             out_dir=str(tmp_path / "direct"),
             method="direct",
-            generator="constant-mock",
+            generator="echo-mock",
             subset_size=20,
             seed=13,
         )
@@ -646,7 +715,7 @@ def test_report_manifest_mismatch(tmp_path):
                 corpus=str(corpus_path),
                 out_dir=str(tmp_path / out),
                 method="direct",
-                generator="constant-mock",
+                generator="echo-mock",
                 subset_size=10,
                 seed=seed,
             )
@@ -668,7 +737,7 @@ def test_result_load_round_trip(tmp_path):
             corpus=str(corpus_path),
             out_dir=str(tmp_path / "run"),
             method="direct",
-            generator="constant-mock",
+            generator="echo-mock",
             seed=4,
         )
     )

@@ -105,6 +105,18 @@ def test_client_errors_fail_at_once(fake_provider, slept, status):
     assert slept == []
 
 
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_redirects_are_refused_at_once(fake_provider, slept, monkeypatch, status):
+    # Followed, a POST would go on as a bodyless GET with the key, its answer taken as ours.
+    monkeypatch.setenv("CORACMG_GEN_KEY", "gen-secret")
+    fake_provider.script(Reply(status=status, headers={"Location": f"{fake_provider.url}/moved"}))
+    client = GenerationClient(GenerationConfig(endpoint=f"{fake_provider.url}/gen"))
+    with pytest.raises(ProviderUnavailable, match=f"refused with status {status}"):
+        client.generate("p")
+    assert [(r["method"], r["path"]) for r in fake_provider.requests] == [("POST", "/gen")]
+    assert slept == []
+
+
 @pytest.mark.parametrize("status", [408, 429])
 def test_timeout_and_rate_limit_are_retried(fake_provider, status):
     fake_provider.script(Reply(status=status, body={}), Reply(body={"text": "Fix the bug"}))
@@ -307,13 +319,13 @@ def _pair(message: str, score: float) -> ExamplePair:
 
 
 def test_mock_generators():
-    echo = MockGenerator("echo")
+    echo = MockGenerator()
     assert echo.generate("prompt", [_pair("top message", 0.9), _pair("second", 0.5)]) == "top message"
     assert echo.generate("prompt", []) == "update code"
-    constant = MockGenerator("constant", "fixed output")
-    assert constant.generate("prompt", [_pair("x", 1.0)]) == "fixed output"
-    with pytest.raises(ValueError):
-        MockGenerator("nonsense")
+    assert MockGenerator("fixed output").generate("prompt", []) == "fixed output"
+    assert MockGenerator("fixed output").generate("prompt", [_pair("x", 1.0)]) == "x"
+    with pytest.raises(TypeError):
+        MockGenerator("echo", "fixed output")  # the mode argument is gone
 
 
 def test_provider_config_parsing(tmp_path):
