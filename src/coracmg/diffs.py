@@ -7,16 +7,24 @@ deleted line counts of each changed file, checking every hunk against its
 header; ``count_loc`` and ``diff_line_count`` are the two line counters used
 by the corpus filters.
 
-All types are immutable after construction and the parse operations are
-pure, so everything here is safe to use from concurrent workers.
+``read_corpus_lines`` remembers, in this process, the sha256 and the
+records' paths of the last corpus bytes it checked, so a later read of the
+same bytes (the next run of a sweep) parses no JSON.  Nothing is written
+to disk, and the paths are never used for other bytes.
+
+All types are immutable after construction, the parse operations are pure
+and the kept digest and paths are replaced whole, never changed in place,
+so everything here is safe to use from concurrent workers.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -176,18 +184,20 @@ _scan_once = json.JSONDecoder().scan_once  # json.loads's C scanner, without its
 _BLOCK = 1 << 18  # bytes of whole lines decoded at once, so no text copy of the file is held
 
 
-def _read_lines(path, parse: Callable, digest) -> Iterator:
-    """``parse(value, line)`` of each non-blank line, as ``read_jsonl`` reads it.
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``; one that cannot be read is an ``InvalidInput``."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _parse_lines(path, data: bytes, parse: Callable) -> Iterator:
+    """``parse(value, line)`` of each non-blank line of ``data``, the bytes of ``path``.
 
     ``line`` is the line's bytes, newline included.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from None
-    if digest is not None:
-        digest.update(data)
     lineno = start = 0
     while start < len(data):
         cut = data.find(b"\n", start + _BLOCK) + 1 or len(data)  # after a newline, or at the end
@@ -210,7 +220,7 @@ def _read_lines(path, parse: Callable, digest) -> Iterator:
                 at = -1
             pos = stop + 1
             if at != stop:
-                if not line.strip():
+                if line.isspace():
                     continue
                 try:
                     value = json.loads(line.decode("utf-8"))
@@ -237,7 +247,10 @@ def read_jsonl(path, parse: Callable = CommitRecord.from_dict, digest=None) -> I
     is decoded and parsed alone by ``json.loads``, so every value and every
     error is that of a per-line reader.
     """
-    return _read_lines(path, lambda value, line: parse(value), digest)
+    data = _read_bytes(path)
+    if digest is not None:
+        digest.update(data)
+    yield from _parse_lines(path, data, lambda value, line: parse(value))
 
 
 class CorpusLine(NamedTuple):
@@ -252,7 +265,28 @@ class CorpusLine(NamedTuple):
         return tuple.__new__(cls, (_checked_values(value)[5], line))
 
     def record(self) -> CommitRecord:
-        return CommitRecord(*_field_values(json.loads(self.line.decode("utf-8"))))
+        """The line's record, checked again as ``read_corpus`` checks it.
+
+        A line that fails the checks, or whose paths are not ``files``, is a
+        ValueError.
+        """
+        record = CommitRecord.from_json(self.line.decode("utf-8"))
+        if record.files != self.files:
+            raise ValueError(f"holds paths {record.files!r}, not {self.files!r}")
+        return record
+
+
+class CorpusFile(NamedTuple):
+    """The checked records of a corpus file and the sha256 of the bytes they were read from.
+
+    ``source`` is ``"parsed"`` when every line was parsed and checked in
+    this read, and ``"cached"`` when this process had checked the same
+    bytes already and the paths came from that check.
+    """
+
+    lines: list[CorpusLine]
+    sha256: str
+    source: str
 
 
 def _nonempty(path, records: list) -> list:
@@ -269,13 +303,46 @@ def read_corpus(path, digest=None) -> list[CommitRecord]:
     return _nonempty(path, list(read_jsonl(path, digest=digest)))
 
 
-def read_corpus_lines(path, digest=None) -> list[CorpusLine]:
+def _record_lines(data: bytes) -> list[bytes]:
+    """The non-blank lines of ``data``, newline included, as ``_parse_lines`` splits them."""
+    lines = []
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)
+        line = data[start:end]
+        if not line.isspace():
+            lines.append(line)
+        start = end
+    return lines
+
+
+# The sha256 of the last corpus bytes every line of which passed the checks,
+# and each record's paths in line order: one entry, replaced whole.
+_checked: tuple[str, list[list[str]]] = ("", [])
+
+
+def read_corpus_lines(path) -> CorpusFile:
     """Every record of a corpus file as a ``CorpusLine``, checked as ``read_corpus`` checks it.
 
-    No ``CommitRecord`` is built: ``CorpusLine.record`` builds one when it
-    is needed.  ``digest`` is as for ``read_jsonl``.
+    No ``CommitRecord`` is built: ``CorpusLine.record`` builds one, and
+    checks it again, when it is needed.  The file's bytes are read once.
+
+    Once every line has passed, the sha256 of the bytes and each record's
+    ``files`` are kept for the process.  A later read of the same bytes
+    splits them into lines and takes the paths from there, parsing no JSON;
+    bytes with another digest are parsed and checked in full.  The lists
+    are shared between reads, so they are not to be changed.
     """
-    return _nonempty(path, list(_read_lines(path, CorpusLine.checked, digest)))
+    global _checked
+    data = _read_bytes(path)
+    sha256 = hashlib.sha256(data).hexdigest()
+    checked_sha256, paths = _checked
+    if sha256 == checked_sha256:
+        lines = zip(paths, _record_lines(data), strict=True)
+        return CorpusFile(list(map(tuple.__new__, repeat(CorpusLine), lines)), sha256, "cached")
+    lines = _nonempty(path, list(_parse_lines(path, data, CorpusLine.checked)))
+    _checked = (sha256, [line.files for line in lines])
+    return CorpusFile(lines, sha256, "parsed")
 
 
 def write_jsonl(path, records: Iterable[CommitRecord]) -> int:

@@ -19,7 +19,17 @@ brackets), the comparison :func:`run_k_sweep` writes to
 The corpus file's bytes are read once, and ``corpus_sha256`` is their
 digest.  Every line is checked as ``read_corpus`` checks it, but a record is
 kept only as its paths and its raw line (``diffs.CorpusLine``) until the
-subset is drawn; ``CommitRecord``s are built for the sampled commits only.
+subset is drawn; ``CommitRecord``s are built, and checked again, for the
+sampled commits only.  A later run in the same process on the same bytes,
+such as the next run of a k sweep, takes the paths from the first run's
+check (``diffs.read_corpus_lines``) and parses no other line.
+``manifest["corpus_lines"]`` says which read a run made: ``"parsed"`` or
+``"cached"``.
+
+Two counts in the manifest say what a run's prompts lost, and stay out of
+``results.jsonl``: ``short_retrieval_count``, the rows that retrieved fewer
+than k examples, and ``dropped_examples_count``, the rows whose prompt kept
+fewer examples than were retrieved (``PromptTemplate.fit``).
 
 Queries are embedded by the embedder the index was built with, which a
 ``provider_config`` must describe exactly (``providers.query_embedder``).
@@ -267,13 +277,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     out_dir = Path(config.out_dir)
     _check_out_dir(out_dir)
-    corpus_digest = hashlib.sha256()  # of the bytes the records are parsed from
-    lines = read_corpus_lines(config.corpus, corpus_digest)
+    lines, corpus_sha256, corpus_source = read_corpus_lines(config.corpus)
     sampled = sample_subset(lines, config.subset_size or len(lines), config.seed)
     del lines  # rows read only the subset: the rest of the corpus can go
-    subset = [line.record() for line in sampled]
+    try:
+        subset = [line.record() for line in sampled]
+    except ValueError as exc:
+        raise InvalidInput(f"{config.corpus}: a sampled record fails its check: {exc}") from None
+    k = config.k or 1  # a direct retrieval-copy run copies the top example
 
-    def process(record: CommitRecord) -> dict:
+    def process(record: CommitRecord) -> tuple[dict, bool, bool]:
+        """The row, whether it got fewer than k examples, and whether its prompt dropped some."""
         row = {
             "sha": record.sha,
             "repo_full_name": record.repo_full_name,
@@ -283,10 +297,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "scores": None,
             "status": "ok",
         }
+        short = dropped = False
         try:
             examples = []
             if index is not None:
-                k = config.k or 1  # a direct retrieval-copy run copies the top example
                 examples = index.retrieve(
                     record.diff, k, record.repo_full_name, exclude_sha=record.sha, embedder=embedder
                 )
@@ -298,19 +312,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     }
                     for ex in examples
                 ]
+                short = len(examples) < k
             if config.generator == "retrieval-copy":
                 row["generated"] = examples[0].message
             else:  # only a rag run retrieves for a prompt
                 kept = template.fit(record.diff, examples, config.max_prompt_chars)
+                dropped = len(kept) < len(examples)
                 row["generated"] = generator.generate(template.render(record.diff, kept), kept)
         except Exception as exc:  # recorded, never fatal to the run
             row["status"] = f"error: {type(exc).__name__}: {exc}"
-        return row
+        return row, short, dropped
 
     # Retrieval, rendering and mocks are CPU-bound under the GIL, so threads
     # pay only where a provider request waits on the network.
     with ThreadPoolExecutor(max_workers=pc.inflight if pc else 1) as pool:
-        rows = list(pool.map(process, subset))
+        outcomes = list(pool.map(process, subset))
+    rows = [row for row, _, _ in outcomes]
     rows.sort(key=lambda r: r["sha"])
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
@@ -326,7 +343,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     manifest = {
         "config": config.to_dict(),
         "seed": config.seed,
-        "corpus_sha256": corpus_digest.hexdigest(),
+        "corpus_sha256": corpus_sha256,
+        "corpus_lines": corpus_source,
         "template_sha256": hashlib.sha256(
             (template.preamble + template.example_block + template.tail).encode("utf-8")
         ).hexdigest(),
@@ -335,6 +353,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "subset_size": len(subset),
         "ok_count": len(ok_rows),
         "failed_count": len(rows) - len(ok_rows),
+        "short_retrieval_count": sum(short for _, short, _ in outcomes),
+        "dropped_examples_count": sum(dropped for _, _, dropped in outcomes),
         "metrics": report.means(),
         "runtime_seconds": round(time.time() - started, 3),
     }

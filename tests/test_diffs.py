@@ -19,7 +19,7 @@ from coracmg.diffs import (
     read_corpus_lines,
     read_jsonl,
 )
-from coracmg.errors import InvalidInput, MalformedDiff
+from coracmg.errors import CoracmgError, InvalidInput, MalformedDiff
 from helpers import git, make_diff, make_record
 from oracles import oracle_read_jsonl
 
@@ -237,6 +237,7 @@ _GOOD = _json_line(1)
 _LINES = {  # name -> a file's bytes; each is read by both readers
     "blank-and-whitespace-lines": _GOOD + b"\n  \n\t\x0c\x0b\r\n" + _json_line(2) + b"\x0c\n",
     "crlf-line-ends": _GOOD.replace(b"\n", b"\r\n") + _json_line(2).replace(b"\n", b"\r\n"),
+    "lone-cr-between-tokens": _GOOD.replace(b', "message"', b',\r"message"') + _json_line(2),
     "no-final-newline": _GOOD + _json_line(2).rstrip(b"\n"),
     "leading-and-trailing-whitespace": b"  " + _GOOD.rstrip() + b" \t\n" + b"\t" + _json_line(2),
     "utf8-bom": b"\xef\xbb\xbf" + _GOOD,
@@ -319,13 +320,90 @@ def test_read_jsonl_on_mixed_lines_reads_what_the_per_line_reader_reads(
 def test_corpus_lines_build_the_records_read_corpus_builds(tmp_path, case):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(_LINES[case])
-    digest = hashlib.sha256()
-    lines = read_corpus_lines(path, digest)
+    lines, sha256, _ = read_corpus_lines(path)
     records = list(read_jsonl(path))
     assert [line.record() for line in lines] == records
     assert [line.files for line in lines] == [rec.files for rec in records]
     assert b"".join(line.line for line in lines) == path.read_bytes()
-    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_corpus_line_record_checks_its_line_again():
+    good = diffs.CorpusLine(["src/m1.py"], _GOOD)
+    assert good.record() == CommitRecord.from_json(_GOOD.decode("utf-8"))
+    with pytest.raises(ValueError, match="field 'loc' holds str, not int"):
+        diffs.CorpusLine(["src/m1.py"], _json_line(1, loc="3")).record()
+    with pytest.raises(ValueError, match=r"holds paths \['src/m1.py'\], not \['src/m2.py'\]"):
+        diffs.CorpusLine(["src/m2.py"], _GOOD).record()
+
+
+# -- checked once: a process does not parse the same corpus bytes again --------
+
+
+def _assert_second_read_gives_the_lines_a_full_read_gives(path, data: bytes):
+    path.write_bytes(data)
+    with mock.patch.object(diffs, "_checked", ("", [])):
+        try:
+            first = read_corpus_lines(path)
+        except CoracmgError:  # not a corpus: nothing is kept for it
+            assert diffs._checked == ("", [])
+            return
+        second = read_corpus_lines(path)
+    assert (first.source, second.source) == ("parsed", "cached")
+    assert second.lines == first.lines
+    assert second.sha256 == first.sha256 == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_LINES))
+def test_a_second_read_gives_the_lines_a_full_read_gives(tmp_path, case):
+    _assert_second_read_gives_the_lines_a_full_read_gives(tmp_path / "corpus.jsonl", _LINES[case])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=6), st.booleans())
+def test_a_second_read_of_mixed_lines_gives_the_lines_a_full_read_gives(
+    tmp_path_factory, fragments, final_newline
+):
+    data = b"".join(fragments)
+    if not final_newline:
+        data = data.rstrip(b"\n")
+    path = tmp_path_factory.mktemp("mixed") / "corpus.jsonl"
+    _assert_second_read_gives_the_lines_a_full_read_gives(path, data)
+
+
+def _corpus(tmp_path, name="corpus.jsonl", last=3):
+    path = tmp_path / name
+    path.write_bytes(_GOOD + b"\n" + _json_line(2) + b"  \n" + _json_line(last, files=[]))
+    return path
+
+
+def test_only_the_last_corpus_checked_is_kept(tmp_path, monkeypatch):
+    monkeypatch.setattr(diffs, "_checked", ("", []))
+    first, other = _corpus(tmp_path), _corpus(tmp_path, "other.jsonl", last=4)
+    sources = [read_corpus_lines(path).source for path in (first, first, other, other, first)]
+    assert sources == ["parsed", "cached", "parsed", "cached", "parsed"]
+
+
+def test_a_corpus_edited_after_a_read_still_names_its_bad_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(diffs, "_checked", ("", []))
+    path = _corpus(tmp_path)
+    read_corpus_lines(path)
+    assert read_corpus_lines(path).source == "cached"
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b'{"diff": '
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(InvalidInput, match=r"corpus\.jsonl line 3 is not JSON"):
+        read_corpus_lines(path)
+
+
+def test_a_corpus_with_a_bad_last_line_is_not_kept(tmp_path, monkeypatch):
+    monkeypatch.setattr(diffs, "_checked", ("", []))
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(_GOOD + _json_line(2) + _json_line(3, date="yesterday"))
+    for _ in range(2):  # the second read checks every line again
+        with pytest.raises(InvalidInput, match="line 3 field 'date' holds 'yesterday'"):
+            read_corpus_lines(path)
+    assert diffs._checked == ("", [])
 
 
 # -- git oracle: per-file added/deleted counts must match --numstat ---------

@@ -7,10 +7,10 @@ import threading
 
 import pytest
 
-from coracmg import harness
+from coracmg import diffs, harness
 from coracmg.augmenter import PromptTemplate
 from coracmg.diffs import read_corpus, write_jsonl
-from coracmg.errors import ConfigError, CorpusTooSmall, ManifestMismatch
+from coracmg.errors import ConfigError, CorpusTooSmall, InvalidInput, ManifestMismatch
 from coracmg.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -366,6 +366,70 @@ def test_deterministic_results_files(tmp_path):
     a = (tmp_path / "one" / "results.jsonl").read_bytes()
     b = (tmp_path / "two" / "results.jsonl").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_second_run_on_the_same_corpus_writes_the_rows_a_full_read_writes(
+    tmp_path, monkeypatch, seed
+):
+    for n in (1, 5, 24, 0):
+        monkeypatch.setattr(diffs, "_checked", ("", []))
+        work = tmp_path / f"n{n}"
+        work.mkdir()
+        # One subset commit covers one language only.
+        records = synthetic_corpus(4, 10, seed=seed, languages=[".py"] if n == 1 else None)
+        corpus_path, index_dir = _materialize(work, records)
+        config = dict(
+            corpus=str(corpus_path), method="rag", k=3, index=str(index_dir),
+            subset_size=n, seed=seed,
+        )
+        cold, cold_bytes = _run(config, work / "cold")
+        warm, warm_bytes = _run(config, work / "warm")
+        assert [r.manifest["corpus_lines"] for r in (cold, warm)] == ["parsed", "cached"]
+        assert warm_bytes == cold_bytes
+        assert len(warm.rows) == (n or len(records))
+        assert warm.manifest["corpus_sha256"] == cold.manifest["corpus_sha256"]
+        assert sorted(p.name for p in work.iterdir()) == [  # nothing is written beside the corpus
+            "cold", "corpus.index", "corpus.jsonl", "warm",
+        ]
+
+
+def test_a_sampled_record_that_fails_its_check_again_is_invalid_input(tmp_path, monkeypatch):
+    corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(2, 4, seed=7))
+    config = dict(corpus=str(corpus_path), method="rag", k=3, index=str(index_dir), seed=7)
+    monkeypatch.setattr(diffs, "_checked", ("", []))
+    _run(config, tmp_path / "first")
+    sha256, paths = diffs._checked
+    monkeypatch.setattr(diffs, "_checked", (sha256, [[*files, "moved.py"] for files in paths]))
+    with pytest.raises(InvalidInput, match=r"corpus\.jsonl: a sampled record fails its check: "
+                       r"holds paths \[.*\], not \[.*'moved\.py'\]"):
+        _run(config, tmp_path / "second")
+
+
+def test_manifest_counts_the_examples_rows_went_without(tmp_path):
+    corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(2, 4, seed=7))
+    config = dict(corpus=str(corpus_path), method="rag", index=str(index_dir), seed=7)
+    full, _ = _run(dict(config, k=3), tmp_path / "full")
+    starved, _ = _run(dict(config, k=3, max_prompt_chars=10), tmp_path / "starved")
+    short, _ = _run(dict(config, k=4), tmp_path / "short")  # a project holds 3 other commits
+    counts = [
+        (r.manifest["ok_count"], r.manifest["short_retrieval_count"],
+         r.manifest["dropped_examples_count"])
+        for r in (full, starved, short)
+    ]
+    assert counts == [(8, 0, 0), (8, 0, 8), (8, 8, 0)]
+    # The counts stay out of the rows, which a manifest without them still reports.
+    assert {key for row in full.rows for key in row} == {
+        "sha", "repo_full_name", "reference", "generated", "retrieved", "scores", "status",
+    }
+    manifest_path = tmp_path / "full" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for key in ("corpus_lines", "short_retrieval_count", "dropped_examples_count"):
+        del manifest[key]
+    manifest_path.write_text(json.dumps(manifest))
+    loaded = ExperimentResult.load(tmp_path / "full")
+    assert loaded.rows == full.rows
+    assert render_report([loaded]) == render_report([full])
 
 
 def test_failures_recorded_not_fatal(tmp_path):
