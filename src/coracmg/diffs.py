@@ -7,13 +7,17 @@ deleted line counts of each changed file, checking every hunk against its
 header; ``count_loc`` and ``diff_line_count`` are the two line counters used
 by the corpus filters.
 
-``read_corpus_lines`` remembers, in this process, the sha256 and the
-records' paths of the last corpus bytes it checked, so a later read of the
-same bytes (the next run of a sweep) parses no JSON.  Nothing is written
-to disk, and the paths are never used for other bytes.
+Corpus files are read one line at a time straight from the file's bytes.
+``read_corpus_lines`` keeps each checked record as its paths and the byte
+range of its line, and copies no line: ``CorpusFile.record`` builds a
+record from those bytes when it is needed.  It remembers, in this process,
+the sha256 of the last corpus bytes it checked and the lines that check
+returned, so a later read of the same bytes (the next run of a sweep)
+parses nothing.  Nothing is written to disk, and the lines are never used
+for other bytes.
 
 All types are immutable after construction, the parse operations are pure
-and the kept digest and paths are replaced whole, never changed in place,
+and the kept digest and lines are replaced whole, never changed in place,
 so everything here is safe to use from concurrent workers.
 """
 
@@ -24,7 +28,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -181,7 +184,6 @@ class CommitRecord:
 
 
 _scan_once = json.JSONDecoder().scan_once  # json.loads's C scanner, without its wrapper
-_BLOCK = 1 << 18  # bytes of whole lines decoded at once, so no text copy of the file is held
 
 
 def _read_bytes(path) -> bytes:
@@ -194,99 +196,81 @@ def _read_bytes(path) -> bytes:
 
 
 def _parse_lines(path, data: bytes, parse: Callable) -> Iterator:
-    """``parse(value, line)`` of each non-blank line of ``data``, the bytes of ``path``.
+    """``parse(value, start, end)`` of each non-blank line of ``data``, the bytes of ``path``.
 
-    ``line`` is the line's bytes, newline included.
+    ``data[start:end]`` is the line, newline included.  Fast path: the
+    decoded line's value is read by ``json``'s C scanner and kept if it ends
+    where the line ends.  Fallback: any other line (blank, with surrounding
+    whitespace, not UTF-8 or not JSON) is parsed by ``json.loads``, so every
+    value and every error is that of ``json.loads`` on each line.
     """
     lineno = start = 0
     while start < len(data):
-        cut = data.find(b"\n", start + _BLOCK) + 1 or len(data)  # after a newline, or at the end
+        end = data.find(b"\n", start) + 1 or len(data)  # after a newline, or at the end
+        line = data[start:end]
+        lineno += 1
         try:
-            text = data[start:cut].decode("utf-8")
-        except UnicodeDecodeError:
-            text = ""  # a line is not UTF-8: every line of the block is decoded alone
-        pos = 0  # where the line at ``start`` starts in ``text``
-        while start < cut:
-            end = data.find(b"\n", start, cut) + 1 or cut
-            line = data[start:end]
-            start = end
-            lineno += 1
-            stop = text.find("\n", pos)
-            if stop == -1:  # the last line has no newline, or the block is not text
-                stop = len(text)
+            text = line.decode("utf-8")
+            value, at = _scan_once(text, 0)
+            whole = at == len(text) - text.endswith("\n")
+        except (StopIteration, ValueError):  # not UTF-8, blank, leading whitespace, or not JSON
+            whole = False
+        if not whole:
+            if line.isspace():
+                start = end
+                continue
             try:
-                value, at = _scan_once(text, pos)
-            except (StopIteration, ValueError):  # blank, leading whitespace, or not JSON
-                at = -1
-            pos = stop + 1
-            if at != stop:
-                if line.isspace():
-                    continue
-                try:
-                    value = json.loads(line.decode("utf-8"))
-                except ValueError as exc:  # not UTF-8, or not JSON
-                    raise InvalidInput(f"{path} line {lineno} is not JSON: {exc}") from None
-            try:
-                value = parse(value, line)
-            except ValueError as exc:
-                raise InvalidInput(f"{path} line {lineno} {exc}") from None
-            yield value
+                value = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise InvalidInput(f"{path} line {lineno} is not JSON: {exc}") from None
+        try:
+            value = parse(value, start, end)
+        except ValueError as exc:
+            raise InvalidInput(f"{path} line {lineno} {exc}") from None
+        start = end
+        yield value
 
 
-def read_jsonl(path, parse: Callable = CommitRecord.from_dict, digest=None) -> Iterator:
+def read_jsonl(path, parse: Callable = CommitRecord.from_dict) -> Iterator:
     """``parse`` of each non-blank line's JSON value, a ``CommitRecord`` by default.
 
     A missing file, a non-JSON line or a ``ValueError`` from ``parse`` is an
-    ``InvalidInput`` naming the line.  The file's bytes are read once, and a
-    ``hashlib`` ``digest`` is updated with exactly those bytes.
-
-    Fast path: each block of lines is decoded once, and each line's value is
-    read in place by ``json``'s C scanner and kept only if it spans the whole
-    line.  Fallback: any other line (blank, with surrounding whitespace, not
-    UTF-8, not JSON, or a value that ends early or runs into the next line)
-    is decoded and parsed alone by ``json.loads``, so every value and every
-    error is that of a per-line reader.
+    ``InvalidInput`` naming the line.  The file's bytes are read once.
     """
-    data = _read_bytes(path)
-    if digest is not None:
-        digest.update(data)
-    yield from _parse_lines(path, data, lambda value, line: parse(value))
+    yield from _parse_lines(path, _read_bytes(path), lambda value, start, end: parse(value))
 
 
 class CorpusLine(NamedTuple):
-    """A checked corpus record kept as its paths and its raw line until it is needed."""
+    """A checked corpus record: its paths, and where its line is in the corpus bytes."""
 
     files: list[str]
-    line: bytes
-
-    @classmethod
-    def checked(cls, value, line: bytes) -> "CorpusLine":
-        # tuple.__new__ is the C constructor that NamedTuple's own __new__ calls
-        return tuple.__new__(cls, (_checked_values(value)[5], line))
-
-    def record(self) -> CommitRecord:
-        """The line's record, checked again as ``read_corpus`` checks it.
-
-        A line that fails the checks, or whose paths are not ``files``, is a
-        ValueError.
-        """
-        record = CommitRecord.from_json(self.line.decode("utf-8"))
-        if record.files != self.files:
-            raise ValueError(f"holds paths {record.files!r}, not {self.files!r}")
-        return record
+    start: int
+    end: int
 
 
 class CorpusFile(NamedTuple):
-    """The checked records of a corpus file and the sha256 of the bytes they were read from.
+    """A corpus file's bytes, the checked lines of its records and the bytes' sha256.
 
     ``source`` is ``"parsed"`` when every line was parsed and checked in
     this read, and ``"cached"`` when this process had checked the same
-    bytes already and the paths came from that check.
+    bytes already and the lines came from that check.
     """
 
+    data: bytes
     lines: list[CorpusLine]
     sha256: str
     source: str
+
+    def record(self, line: CorpusLine) -> CommitRecord:
+        """The record on ``line``, checked again as ``read_corpus`` checks it.
+
+        A line that fails the checks is a ValueError.
+        """
+        return CommitRecord.from_json(self.data[line.start : line.end].decode("utf-8"))
+
+
+def _corpus_line(value, start: int, end: int) -> CorpusLine:
+    return CorpusLine(_checked_values(value)[5], start, end)
 
 
 def _nonempty(path, records: list) -> list:
@@ -295,54 +279,38 @@ def _nonempty(path, records: list) -> list:
     return records
 
 
-def read_corpus(path, digest=None) -> list[CommitRecord]:
-    """Every record of a corpus file; a file that holds none is an ``EmptyCorpus``.
-
-    ``digest`` is as for ``read_jsonl``.
-    """
-    return _nonempty(path, list(read_jsonl(path, digest=digest)))
-
-
-def _record_lines(data: bytes) -> list[bytes]:
-    """The non-blank lines of ``data``, newline included, as ``_parse_lines`` splits them."""
-    lines = []
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start) + 1 or len(data)
-        line = data[start:end]
-        if not line.isspace():
-            lines.append(line)
-        start = end
-    return lines
+def read_corpus(path) -> list[CommitRecord]:
+    """Every record of a corpus file; a file that holds none is an ``EmptyCorpus``."""
+    return _nonempty(path, list(read_jsonl(path)))
 
 
 # The sha256 of the last corpus bytes every line of which passed the checks,
-# and each record's paths in line order: one entry, replaced whole.
-_checked: tuple[str, list[list[str]]] = ("", [])
+# and those lines: one entry, replaced whole.
+_checked: tuple[str, list[CorpusLine]] = ("", [])
 
 
 def read_corpus_lines(path) -> CorpusFile:
     """Every record of a corpus file as a ``CorpusLine``, checked as ``read_corpus`` checks it.
 
-    No ``CommitRecord`` is built: ``CorpusLine.record`` builds one, and
-    checks it again, when it is needed.  The file's bytes are read once.
+    No ``CommitRecord`` is built: ``CorpusFile.record`` builds one, and
+    checks it again, when it is needed.  The file's bytes are read once,
+    and no line is copied out of them.
 
-    Once every line has passed, the sha256 of the bytes and each record's
-    ``files`` are kept for the process.  A later read of the same bytes
-    splits them into lines and takes the paths from there, parsing no JSON;
-    bytes with another digest are parsed and checked in full.  The lists
-    are shared between reads, so they are not to be changed.
+    Once every line has passed, the sha256 of the bytes and the lines are
+    kept for the process.  A later read of bytes with the same digest
+    returns those lines and parses no JSON; bytes with another digest are
+    parsed and checked in full.  The lines are shared between reads, so
+    they are not to be changed.
     """
     global _checked
     data = _read_bytes(path)
     sha256 = hashlib.sha256(data).hexdigest()
-    checked_sha256, paths = _checked
+    checked_sha256, lines = _checked
     if sha256 == checked_sha256:
-        lines = zip(paths, _record_lines(data), strict=True)
-        return CorpusFile(list(map(tuple.__new__, repeat(CorpusLine), lines)), sha256, "cached")
-    lines = _nonempty(path, list(_parse_lines(path, data, CorpusLine.checked)))
-    _checked = (sha256, [line.files for line in lines])
-    return CorpusFile(lines, sha256, "parsed")
+        return CorpusFile(data, lines, sha256, "cached")
+    lines = _nonempty(path, list(_parse_lines(path, data, _corpus_line)))
+    _checked = (sha256, lines)
+    return CorpusFile(data, lines, sha256, "parsed")
 
 
 def write_jsonl(path, records: Iterable[CommitRecord]) -> int:

@@ -18,13 +18,14 @@ brackets), the comparison :func:`run_k_sweep` writes to
 
 The corpus file's bytes are read once, and ``corpus_sha256`` is their
 digest.  Every line is checked as ``read_corpus`` checks it, but a record is
-kept only as its paths and its raw line (``diffs.CorpusLine``) until the
-subset is drawn; ``CommitRecord``s are built, and checked again, for the
-sampled commits only.  A later run in the same process on the same bytes,
-such as the next run of a k sweep, takes the paths from the first run's
-check (``diffs.read_corpus_lines``) and parses no other line.
-``manifest["corpus_lines"]`` says which read a run made: ``"parsed"`` or
-``"cached"``.
+kept only as its paths and the byte range of its line (``diffs.CorpusLine``)
+until the subset is drawn; ``CommitRecord``s are built, and checked again,
+from the bytes of the sampled commits' lines only.  A run keeps the corpus
+bytes until its subset is built and copies no line out of them.  A later
+run in the same process on the same bytes, such as the next run of a k
+sweep, reuses the first run's checked lines (``diffs.read_corpus_lines``)
+and parses nothing but the lines it samples.  ``manifest["corpus_lines"]``
+says which read a run made: ``"parsed"`` or ``"cached"``.
 
 Two counts in the manifest say what a run's prompts lost, and stay out of
 ``results.jsonl``: ``short_retrieval_count``, the rows that retrieved fewer
@@ -256,7 +257,7 @@ def _check_out_dir(out_dir: Path) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    started = time.time()
+    started = time.perf_counter()
     index = RetrievalIndex.load(config.index) if config.needs_retrieval else None
     hashed = index is None or index.embedder_id == HashingEmbedder(index.dimension).identifier
     pc = None
@@ -277,13 +278,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     out_dir = Path(config.out_dir)
     _check_out_dir(out_dir)
-    lines, corpus_sha256, corpus_source = read_corpus_lines(config.corpus)
-    sampled = sample_subset(lines, config.subset_size or len(lines), config.seed)
-    del lines  # rows read only the subset: the rest of the corpus can go
-    try:
-        subset = [line.record() for line in sampled]
-    except ValueError as exc:
-        raise InvalidInput(f"{config.corpus}: a sampled record fails its check: {exc}") from None
+    corpus = read_corpus_lines(config.corpus)
+    sampled = sample_subset(corpus.lines, config.subset_size or len(corpus.lines), config.seed)
+    subset = [corpus.record(line) for line in sampled]
+    corpus_sha256, corpus_source = corpus.sha256, corpus.source
+    del corpus  # rows read only the subset: the corpus bytes can go
     k = config.k or 1  # a direct retrieval-copy run copies the top example
 
     def process(record: CommitRecord) -> tuple[dict, bool, bool]:
@@ -356,7 +355,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "short_retrieval_count": sum(short for _, short, _ in outcomes),
         "dropped_examples_count": sum(dropped for _, _, dropped in outcomes),
         "metrics": report.means(),
-        "runtime_seconds": round(time.time() - started, 3),
+        "runtime_seconds": round(time.perf_counter() - started, 3),
     }
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -194,8 +194,10 @@ class EmbeddingClient:
     """HTTP embedding provider with a content-hash disk cache.
 
     Vectors are unit-normalized before storage, so a warm cache makes
-    re-indexing idempotent and fully offline.  Reads are lock-free; writes
-    are serialized.
+    re-indexing idempotent and fully offline.  A cache file that does not
+    hold ``dimension`` float32 values (truncated, empty, or not a ``.npy``
+    file) is a miss: the vector is fetched again and the file rewritten.
+    Reads are lock-free; writes are serialized.
     """
 
     def __init__(
@@ -230,9 +232,14 @@ class EmbeddingClient:
             return cached
         path = self.cache_dir / f"{key}.npy" if self.cache_dir else None
         if path is not None and path.exists():
-            vec = np.load(path)
-            self._memory[key] = vec
-            return vec
+            try:
+                with open(path, "rb") as fh:
+                    vec = np.lib.format.read_array(fh)  # a .npy file and nothing else
+            except (OSError, ValueError):  # truncated, empty or not a .npy file
+                vec = None
+            if vec is not None and vec.shape == (self.dimension,) and vec.dtype == np.float32:
+                self._memory[key] = vec
+                return vec
         payload = {"model": self.model, "input": text}
         body = _post(self.endpoint, payload, EMBED_KEY_ENV)
         vec = unit_normalize(_extract_embedding(body, self.endpoint), self.dimension)

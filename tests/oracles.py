@@ -425,12 +425,10 @@ def reference_sample_subset(records, n, seed):
     return [records[i] for i in sorted(chosen)]
 
 
-def oracle_read_jsonl(path, parse=CommitRecord.from_dict, digest=None):
+def oracle_read_jsonl(path, parse=CommitRecord.from_dict):
     """``parse`` of each non-blank line's JSON value, a ``CommitRecord`` by default.
 
     A missing file, a non-JSON line or a ``ValueError`` from ``parse`` is an ``InvalidInput``.
-    A ``hashlib`` ``digest`` is updated with every byte as it is read, so it
-    hashes exactly the bytes that were parsed.
     """
     try:
         fh = open(path, "rb")  # decoded per line, so a bad byte names its line
@@ -438,8 +436,6 @@ def oracle_read_jsonl(path, parse=CommitRecord.from_dict, digest=None):
         raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from None
     with fh:
         for lineno, raw in enumerate(fh, 1):
-            if digest is not None:
-                digest.update(raw)
             if not raw.strip():
                 continue
             try:

@@ -255,32 +255,28 @@ _LINES = {  # name -> a file's bytes; each is read by both readers
     "empty-file": b"",
     "only-blank-lines": b"\n \n\r\n",
 }
-_BLOCKS = (1, 16, diffs._BLOCK)  # block sizes: a line per block, a few lines, the default
+_LEADS = (1, 16, 1 << 18)  # bytes of a blank line put before a case: one newline, up to 256 KiB
 
 
 def _outcome(reader, path, parse):
-    """The values and the digest of the bytes read, or the ``InvalidInput`` text."""
-    digest = hashlib.sha256()
+    """The values read, or the ``InvalidInput`` text."""
     try:
-        return list(reader(path, parse, digest)), digest.hexdigest()
+        return list(reader(path, parse))
     except InvalidInput as exc:
         return "error", str(exc)
 
 
-def _assert_reads_as_the_oracle(path, data: bytes, block: int):
+def _assert_reads_as_the_oracle(path, data: bytes):
     path.write_bytes(data)
-    with mock.patch.object(diffs, "_BLOCK", block):
-        for parse in (CommitRecord.from_dict, lambda value: value):
-            got = _outcome(read_jsonl, path, parse)
-            assert got == _outcome(oracle_read_jsonl, path, parse), (data, block)
-            if got[0] != "error":
-                assert got[1] == hashlib.sha256(data).hexdigest()
+    for parse in (CommitRecord.from_dict, lambda value: value):
+        assert _outcome(read_jsonl, path, parse) == _outcome(oracle_read_jsonl, path, parse), data
 
 
-@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize("lead", _LEADS)
 @pytest.mark.parametrize("case", sorted(_LINES))
-def test_read_jsonl_reads_what_the_per_line_reader_reads(tmp_path, case, block):
-    _assert_reads_as_the_oracle(tmp_path / "lines.jsonl", _LINES[case], block)
+def test_read_jsonl_reads_what_the_per_line_reader_reads(tmp_path, case, lead):
+    # After the lead every line number and offset is one the case alone never has.
+    _assert_reads_as_the_oracle(tmp_path / "lines.jsonl", b"\n".rjust(lead) + _LINES[case])
 
 
 def test_read_jsonl_errors_name_the_line(tmp_path):
@@ -302,42 +298,57 @@ _FRAGMENTS = sorted({*_LINES.values(), _GOOD[:40] + b"\n", _GOOD[40:], b"\x0c\n"
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.sampled_from(_FRAGMENTS), max_size=6),
-    st.booleans(),
-    st.sampled_from(_BLOCKS),
-)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=6), st.booleans())
 def test_read_jsonl_on_mixed_lines_reads_what_the_per_line_reader_reads(
-    tmp_path_factory, fragments, final_newline, block
+    tmp_path_factory, fragments, final_newline
 ):
     data = b"".join(fragments)
     if not final_newline:
         data = data.rstrip(b"\n")
-    _assert_reads_as_the_oracle(tmp_path_factory.getbasetemp() / "mixed.jsonl", data, block)
+    _assert_reads_as_the_oracle(tmp_path_factory.getbasetemp() / "mixed.jsonl", data)
+
+
+def _assert_lines_follow_each_other(data: bytes, lines):
+    """Each line starts where the one before it ended, or past the blank lines between them.
+
+    Only blank lines follow the last one.
+    """
+    at = 0
+    for line in lines:
+        gap = data[at : line.start]
+        assert not gap or (gap.isspace() and gap.endswith(b"\n")), (data, line)
+        assert b"\n" not in data[line.start : line.end - 1], (data, line)
+        assert data[line.end - 1 : line.end] == b"\n" or line.end == len(data), (data, line)
+        at = line.end
+    assert not data[at:].strip(), data
 
 
 @pytest.mark.parametrize("case", ["extra-key", "crlf-line-ends", "leading-and-trailing-whitespace"])
 def test_corpus_lines_build_the_records_read_corpus_builds(tmp_path, case):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(_LINES[case])
-    lines, sha256, _ = read_corpus_lines(path)
+    corpus = read_corpus_lines(path)
     records = list(read_jsonl(path))
-    assert [line.record() for line in lines] == records
-    assert [line.files for line in lines] == [rec.files for rec in records]
-    assert b"".join(line.line for line in lines) == path.read_bytes()
-    assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert [corpus.record(line) for line in corpus.lines] == records
+    assert [line.files for line in corpus.lines] == [rec.files for rec in records]
+    assert corpus.data == path.read_bytes()
+    assert corpus.sha256 == hashlib.sha256(corpus.data).hexdigest()
 
 
 def test_corpus_line_record_checks_its_line_again():
-    good = diffs.CorpusLine(["src/m1.py"], _GOOD)
-    assert good.record() == CommitRecord.from_json(_GOOD.decode("utf-8"))
+    bad = _json_line(1, loc="3")
+    corpus = diffs.CorpusFile(_GOOD + bad, [], "", "parsed")
+    good = diffs.CorpusLine(["src/m1.py"], 0, len(_GOOD))
+    assert corpus.record(good) == CommitRecord.from_json(_GOOD.decode("utf-8"))
     with pytest.raises(ValueError, match="field 'loc' holds str, not int"):
-        diffs.CorpusLine(["src/m1.py"], _json_line(1, loc="3")).record()
-    with pytest.raises(ValueError, match=r"holds paths \['src/m1.py'\], not \['src/m2.py'\]"):
-        diffs.CorpusLine(["src/m2.py"], _GOOD).record()
+        corpus.record(diffs.CorpusLine(["src/m1.py"], len(_GOOD), len(_GOOD + bad)))
 
 
 # -- checked once: a process does not parse the same corpus bytes again --------
+
+
+def _no_parse(*args):
+    raise AssertionError("a cached read parsed the corpus")
 
 
 def _assert_second_read_gives_the_lines_a_full_read_gives(path, data: bytes):
@@ -348,10 +359,14 @@ def _assert_second_read_gives_the_lines_a_full_read_gives(path, data: bytes):
         except CoracmgError:  # not a corpus: nothing is kept for it
             assert diffs._checked == ("", [])
             return
-        second = read_corpus_lines(path)
+        with mock.patch.object(diffs, "_parse_lines", _no_parse):
+            second = read_corpus_lines(path)
     assert (first.source, second.source) == ("parsed", "cached")
-    assert second.lines == first.lines
+    assert second.lines is first.lines
     assert second.sha256 == first.sha256 == hashlib.sha256(data).hexdigest()
+    _assert_lines_follow_each_other(data, first.lines)
+    records = list(read_jsonl(path))
+    assert [second.record(line) for line in second.lines] == records
 
 
 @pytest.mark.parametrize("case", sorted(_LINES))

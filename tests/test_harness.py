@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import threading
+import time
 
 import pytest
 
@@ -141,7 +142,7 @@ def test_manifest_hashes_the_corpus_bytes_the_run_parsed(tmp_path, monkeypatch):
     sample = harness.sample_subset
 
     def rewrite_then_sample(parsed, n, seed):  # the file changes once it has been read
-        corpus_path.write_bytes(b"".join(entry.line for entry in parsed[:-1]))
+        corpus_path.write_bytes(original[: parsed[-1].start])
         return sample(parsed, n, seed)
 
     monkeypatch.setattr(harness, "sample_subset", rewrite_then_sample)
@@ -394,16 +395,12 @@ def test_a_second_run_on_the_same_corpus_writes_the_rows_a_full_read_writes(
         ]
 
 
-def test_a_sampled_record_that_fails_its_check_again_is_invalid_input(tmp_path, monkeypatch):
-    corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(2, 4, seed=7))
-    config = dict(corpus=str(corpus_path), method="rag", k=3, index=str(index_dir), seed=7)
-    monkeypatch.setattr(diffs, "_checked", ("", []))
-    _run(config, tmp_path / "first")
-    sha256, paths = diffs._checked
-    monkeypatch.setattr(diffs, "_checked", (sha256, [[*files, "moved.py"] for files in paths]))
-    with pytest.raises(InvalidInput, match=r"corpus\.jsonl: a sampled record fails its check: "
-                       r"holds paths \[.*\], not \[.*'moved\.py'\]"):
-        _run(config, tmp_path / "second")
+def test_runtime_seconds_is_not_moved_by_a_wall_clock_step(tmp_path, monkeypatch):
+    corpus_path, _ = _materialize(tmp_path, synthetic_corpus(2, 4, seed=7))
+    clock = iter(range(10**6, 0, -3600))  # the wall clock goes back an hour at each read
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    result, _ = _run(dict(corpus=str(corpus_path), seed=7), tmp_path / "run")
+    assert 0 <= result.manifest["runtime_seconds"] < 3600
 
 
 def test_manifest_counts_the_examples_rows_went_without(tmp_path):

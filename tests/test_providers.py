@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import os
 import re
@@ -65,6 +66,40 @@ def test_embed_caches_by_content(fake_provider, tmp_path):
     third = warm.embed("some diff text")
     assert third.tobytes() == first.tobytes()
     assert len(fake_provider.requests) == 1
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        _npy(np.float32([0.0, 0.6, 0.8, 0.0]))[:-3],
+        b"",
+        b"not a numpy file\n",
+        _npy(np.float32([0.6, 0.8])),
+        _npy(np.array(["a", "b", "c", "d"])),
+    ],
+    ids=["truncated", "empty", "garbage", "two-values", "four-strings"],
+)
+def test_a_bad_cache_file_is_a_miss_that_is_fetched_and_rewritten(fake_provider, tmp_path, content):
+    fake_provider.script(Reply(body={"embedding": [1.0, 2.0, 2.0, 0.0]}))
+    endpoint = f"{fake_provider.url}/embed"
+    client = EmbeddingClient(endpoint, 4, cache_dir=tmp_path / "cache")
+    path = tmp_path / "cache" / f"{client._key('some diff text')}.npy"
+    path.parent.mkdir()
+    path.write_bytes(content)
+    vec = client.embed("some diff text")
+    assert len(fake_provider.requests) == 1
+    assert vec.tolist() == pytest.approx([1 / 3, 2 / 3, 2 / 3, 0.0])
+    # The file is whole again: a fresh client reads it and asks for nothing.
+    again = EmbeddingClient(endpoint, 4, cache_dir=tmp_path / "cache").embed("some diff text")
+    assert again.tobytes() == vec.tobytes()
+    assert len(fake_provider.requests) == 1
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
 
 
 def test_embed_retries_then_succeeds(fake_provider, slept):
