@@ -12,9 +12,9 @@ Corpus files are read one line at a time straight from the file's bytes.
 range of its line, and copies no line: ``CorpusFile.record`` builds a
 record from those bytes when it is needed.  It remembers, in this process,
 the sha256 of the last corpus bytes it checked and the lines that check
-returned, so a later read of the same bytes (the next run of a sweep)
-parses nothing.  Nothing is written to disk, and the lines are never used
-for other bytes.
+returned, so a later read of the same bytes (a later run in the same
+process) parses nothing.  Nothing is written to disk, and the lines are
+never used for other bytes.
 
 All types are immutable after construction, the parse operations are pure
 and the kept digest and lines are replaced whole, never changed in place,

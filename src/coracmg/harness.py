@@ -3,13 +3,24 @@ commit, score against the developer-written references, and render reports.
 
 Each sampled commit goes through an independent pipeline run with retrieval
 scoped to its own project and its own sha excluded; only ``rag`` and
-``retrieval-copy`` runs retrieve.  Per-commit failures are
-recorded in the result rows rather than aborting the run.  Result files are
+``retrieval-copy`` runs retrieve.  A commit fails only for a named reason, a
+``CoracmgError``, which is recorded in its row.  Any other exception is a bug:
+it propagates, and the run writes nothing.  Result files are
 ``results.jsonl`` (rows sorted by sha), ``manifest.json`` and ``report.md``;
 identical configurations and seeds reproduce ``results.jsonl`` byte for
 byte.  An :class:`ExperimentResult` is the manifest and the rows: the means
 are ``manifest["metrics"]``, keyed as ``metrics.METRICS``, and there is no
 other copy of them.
+
+An experiment is one pass over its arms: configs that differ only in ``k``
+and ``out_dir``.  :func:`run_experiment` is one arm and :func:`run_k_sweep`
+one per k.  The index, embedder, generator and template are built once,
+every ``out_dir`` is checked, the corpus is read and the subset drawn once,
+and each commit is retrieved once, at the largest k.  ``retrieve(k)`` is the
+first k of ``retrieve(max k)``, so each arm takes its first k examples, then
+fits, renders, generates and scores on its own and writes the files a
+standalone run of that arm writes.  An arm's ``runtime_seconds`` runs from
+the start of the pass to that arm's write.
 
 Every report is drawn by :func:`render_report`: a run's ``report.md`` (the
 seed, then the run's label, means and commits with the failed ones in
@@ -22,8 +33,8 @@ kept only as its paths and the byte range of its line (``diffs.CorpusLine``)
 until the subset is drawn; ``CommitRecord``s are built, and checked again,
 from the bytes of the sampled commits' lines only.  A run keeps the corpus
 bytes until its subset is built and copies no line out of them.  A later
-run in the same process on the same bytes, such as the next run of a k
-sweep, reuses the first run's checked lines (``diffs.read_corpus_lines``)
+run in the same process on the same bytes, such as a rerun of one config,
+reuses the first run's checked lines (``diffs.read_corpus_lines``)
 and parses nothing but the lines it samples.  ``manifest["corpus_lines"]``
 says which read a run made: ``"parsed"`` or ``"cached"``.
 
@@ -40,8 +51,8 @@ corpus is read, so a mismatch stops the run before any row and before
 
 Commits run one at a time unless a model provider is called: then up to the
 provider config's ``concurrency.inflight`` commits run at once, since only
-provider requests wait on I/O.  A commit makes one request at a time, so
-this also bounds the requests in flight.
+provider requests wait on I/O.  A commit makes one request at a time, its
+arms one after another, so this also bounds the requests in flight.
 """
 
 from __future__ import annotations
@@ -62,7 +73,14 @@ from typing import Sequence, TypeVar
 from . import metrics
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, MAX_EXAMPLES, PromptTemplate
 from .diffs import CommitRecord, language_of, read_corpus_lines, read_jsonl
-from .errors import ConfigError, CorpusTooSmall, InvalidInput, ManifestMismatch, check_type
+from .errors import (
+    ConfigError,
+    CoracmgError,
+    CorpusTooSmall,
+    InvalidInput,
+    ManifestMismatch,
+    check_type,
+)
 from .providers import (
     GenerationClient,
     HashingEmbedder,
@@ -256,14 +274,16 @@ def _check_out_dir(out_dir: Path) -> None:
             raise OSError(code, os.strerror(code), str(out_dir))
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def _run(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
+    """One pass over configs that differ only in ``k`` and ``out_dir``: one result each."""
     started = time.perf_counter()
+    config = configs[0]
     index = RetrievalIndex.load(config.index) if config.needs_retrieval else None
     hashed = index is None or index.embedder_id == HashingEmbedder(index.dimension).identifier
     pc = None
     if config.provider_config and (config.generator == "provider" or not hashed):
         pc = ProviderConfig.from_file(config.provider_config)
-    # The embed cache lives beside the corpus so reruns and k sweeps reuse it.
+    # The embed cache lives beside the corpus so reruns reuse it.
     cache = config.embed_cache or f"{config.corpus}.embed_cache"
     try:
         embedder = query_embedder(index.embedder_id, index.dimension, pc, cache) if index else None
@@ -276,59 +296,89 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.template
         else PromptTemplate.default()
     )
-    out_dir = Path(config.out_dir)
-    _check_out_dir(out_dir)
+    for arm in configs:
+        _check_out_dir(Path(arm.out_dir))
     corpus = read_corpus_lines(config.corpus)
     sampled = sample_subset(corpus.lines, config.subset_size or len(corpus.lines), config.seed)
     subset = [corpus.record(line) for line in sampled]
-    corpus_sha256, corpus_source = corpus.sha256, corpus.source
+    shared = {
+        "corpus_sha256": corpus.sha256,
+        "corpus_lines": corpus.source,
+        "template_sha256": hashlib.sha256(
+            (template.preamble + template.example_block + template.tail).encode("utf-8")
+        ).hexdigest(),
+        "generator_id": getattr(generator, "identifier", config.generator),
+        "embedder_id": index.embedder_id if index else None,
+        "subset_size": len(subset),
+    }
     del corpus  # rows read only the subset: the corpus bytes can go
-    k = config.k or 1  # a direct retrieval-copy run copies the top example
+    # retrieve(k) is retrieve(top)[:k], so one retrieval serves every arm.
+    top = max(arm.k or 1 for arm in configs)  # a direct retrieval-copy run copies the top example
 
-    def process(record: CommitRecord) -> tuple[dict, bool, bool]:
-        """The row, whether it got fewer than k examples, and whether its prompt dropped some."""
-        row = {
-            "sha": record.sha,
-            "repo_full_name": record.repo_full_name,
-            "reference": record.message,
-            "generated": None,
-            "retrieved": [],
-            "scores": None,
-            "status": "ok",
-        }
-        short = dropped = False
+    def process(record: CommitRecord) -> list[tuple[dict, bool, bool]]:
+        """Per arm: the row, whether it got under k examples, and whether its prompt lost some."""
+        found, failure = [], None
         try:
-            examples = []
             if index is not None:
-                examples = index.retrieve(
-                    record.diff, k, record.repo_full_name, exclude_sha=record.sha, embedder=embedder
+                found = index.retrieve(
+                    record.diff, top, record.repo_full_name,
+                    exclude_sha=record.sha, embedder=embedder,
                 )
-                row["retrieved"] = [
+        except CoracmgError as exc:  # the row fails in every arm
+            failure = exc
+        outcomes = []
+        for arm in configs:
+            k = arm.k or 1
+            examples = found[:k]
+            row = {
+                "sha": record.sha,
+                "repo_full_name": record.repo_full_name,
+                "reference": record.message,
+                "generated": None,
+                "retrieved": [
                     {
                         "sha": ex.handle.sha,
                         "repo_full_name": ex.handle.repo_full_name,
                         "hybrid_score": ex.hybrid_score,
                     }
                     for ex in examples
-                ]
-                short = len(examples) < k
-            if config.generator == "retrieval-copy":
-                row["generated"] = examples[0].message
-            else:  # only a rag run retrieves for a prompt
-                kept = template.fit(record.diff, examples, config.max_prompt_chars)
-                dropped = len(kept) < len(examples)
-                row["generated"] = generator.generate(template.render(record.diff, kept), kept)
-        except Exception as exc:  # recorded, never fatal to the run
-            row["status"] = f"error: {type(exc).__name__}: {exc}"
-        return row, short, dropped
+                ],
+                "scores": None,
+                "status": "ok",
+            }
+            short = dropped = False
+            try:
+                if failure is not None:
+                    raise failure
+                short = index is not None and len(examples) < k
+                if arm.generator == "retrieval-copy":
+                    row["generated"] = examples[0].message
+                else:  # only a rag run retrieves for a prompt
+                    kept = template.fit(record.diff, examples, arm.max_prompt_chars)
+                    dropped = len(kept) < len(examples)
+                    row["generated"] = generator.generate(template.render(record.diff, kept), kept)
+            except CoracmgError as exc:  # a named reason is recorded; any other error is a bug
+                row["status"] = f"error: {type(exc).__name__}: {exc}"
+            outcomes.append((row, short, dropped))
+        return outcomes
 
     # Retrieval, rendering and mocks are CPU-bound under the GIL, so threads
-    # pay only where a provider request waits on the network.
+    # pay only where a provider request waits on the network.  A commit runs
+    # its arms one after another.  When a row raises, map cancels the rows
+    # still queued.
     with ThreadPoolExecutor(max_workers=pc.inflight if pc else 1) as pool:
-        outcomes = list(pool.map(process, subset))
-    rows = [row for row, _, _ in outcomes]
-    rows.sort(key=lambda r: r["sha"])
+        per_commit = list(pool.map(process, subset))
+    return [
+        _write(arm, [outcomes[i] for outcomes in per_commit], shared, started)
+        for i, arm in enumerate(configs)
+    ]
 
+
+def _write(
+    config: ExperimentConfig, outcomes: list, shared: dict, started: float
+) -> ExperimentResult:
+    """Score one arm's rows and write its ``results.jsonl``, ``manifest.json`` and ``report.md``."""
+    rows = sorted((row for row, _, _ in outcomes), key=lambda r: r["sha"])
     ok_rows = [r for r in rows if r["status"] == "ok"]
     report = metrics.MetricReport()
     if ok_rows:
@@ -342,14 +392,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     manifest = {
         "config": config.to_dict(),
         "seed": config.seed,
-        "corpus_sha256": corpus_sha256,
-        "corpus_lines": corpus_source,
-        "template_sha256": hashlib.sha256(
-            (template.preamble + template.example_block + template.tail).encode("utf-8")
-        ).hexdigest(),
-        "generator_id": getattr(generator, "identifier", config.generator),
-        "embedder_id": index.embedder_id if index else None,
-        "subset_size": len(subset),
+        **shared,
         "ok_count": len(ok_rows),
         "failed_count": len(rows) - len(ok_rows),
         "short_retrieval_count": sum(short for _, short, _ in outcomes),
@@ -358,6 +401,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "runtime_seconds": round(time.perf_counter() - started, 3),
     }
 
+    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.jsonl", "w", encoding="utf-8") as fh:
         for row in rows:
@@ -369,6 +413,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult(manifest=manifest, rows=rows, out_dir=out_dir)
     (out_dir / "report.md").write_text(render_report([result]), encoding="utf-8")
     return result
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    return _run([config])[0]
 
 
 def run_k_sweep(config: ExperimentConfig, ks=range(1, MAX_EXAMPLES + 1)) -> list[ExperimentResult]:
@@ -389,7 +437,7 @@ def run_k_sweep(config: ExperimentConfig, ks=range(1, MAX_EXAMPLES + 1)) -> list
         )
         for k in ks
     ]
-    results = [run_experiment(sub) for sub in subs]
+    results = _run(subs)
     (base_out / "report.md").write_text(render_report(results), encoding="utf-8")
     return results
 

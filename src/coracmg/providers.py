@@ -20,7 +20,6 @@ import math
 import os
 import reprlib
 import sys
-import tempfile
 import threading
 import time
 import urllib.error
@@ -37,6 +36,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     EmptyGeneration,
+    EmptyQuery,
     InvalidInput,
     ProviderUnavailable,
     check_type,
@@ -247,9 +247,11 @@ class EmbeddingClient:
             self._memory[key] = vec
             if path is not None:
                 self.cache_dir.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".npy")
-                os.close(fd)
-                np.save(tmp, vec)
+                # Created here under a name of this process and thread, so the
+                # file gets the mode open() gives and other users can read it.
+                tmp = path.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
+                with open(tmp, "xb") as fh:
+                    np.save(fh, vec)
                 os.replace(tmp, path)
         return vec
 
@@ -358,7 +360,7 @@ class GenerationClient:
 
     def generate(self, prompt: str, examples=None) -> str:
         if not prompt:
-            raise ValueError("cannot generate from an empty prompt")
+            raise EmptyQuery("cannot generate from an empty prompt")
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],

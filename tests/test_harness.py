@@ -730,6 +730,110 @@ def test_k_sweep_and_report(tmp_path):
             assert got == expected
 
 
+# -- one pass per experiment -----------------------------------------------------
+
+
+def _sweep_corpus(tmp_path, seed):
+    """Projects of 12 and 4 commits, and one of a single commit: full, short and failed rows."""
+    records = synthetic_corpus(2, 12, seed=seed)
+    records += [
+        make_record(500 + i, repo="acme/small", added=[f"small change number {i}"])
+        for i in range(4)
+    ]
+    records.append(make_record(999, repo="acme/lonely", message="the only commit in this repo"))
+    return _materialize(tmp_path, records)
+
+
+@pytest.mark.parametrize("generator", ["echo-mock", "retrieval-copy"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_arm_of_a_sweep_writes_what_a_standalone_run_writes(tmp_path, seed, generator):
+    corpus_path, index_dir = _sweep_corpus(tmp_path, seed)
+    config = dict(
+        corpus=str(corpus_path), index=str(index_dir), method="rag", generator=generator,
+        seed=seed,
+    )
+    ks = [5, 1, 3]
+    sweep = run_k_sweep(ExperimentConfig(out_dir=str(tmp_path / "sweep"), k=1, **config), ks=ks)
+    alone = [_run(dict(config, k=k), tmp_path / f"alone{k}")[0] for k in ks]
+    for k, arm, run in zip(ks, sweep, alone):
+        for name in ("results.jsonl", "report.md"):
+            assert (arm.out_dir / name).read_bytes() == (run.out_dir / name).read_bytes(), (k, name)
+        for key in ("ok_count", "failed_count", "short_retrieval_count", "dropped_examples_count"):
+            assert arm.manifest[key] == run.manifest[key], (k, key)
+    assert (tmp_path / "sweep" / "report.md").read_text() == render_report(alone)
+    counts = [(r.manifest["failed_count"], r.manifest["short_retrieval_count"]) for r in sweep]
+    assert counts == [(1, 4), (1, 0), (1, 0)]  # acme/small holds 3 others; acme/lonely none
+
+
+def test_a_sweep_loads_reads_and_retrieves_once(tmp_path, monkeypatch):
+    corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(2, 15, seed=71))
+    calls = {"load": 0, "read": 0, "retrieve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(diffs, "_checked", ("", []))  # no earlier test's read is reused
+    monkeypatch.setattr(RetrievalIndex, "load", counted("load", RetrievalIndex.load))
+    monkeypatch.setattr(harness, "read_corpus_lines", counted("read", harness.read_corpus_lines))
+    monkeypatch.setattr(RetrievalIndex, "retrieve", counted("retrieve", RetrievalIndex.retrieve))
+    base = ExperimentConfig(
+        corpus=str(corpus_path), out_dir=str(tmp_path / "sweep"), method="rag", k=1,
+        index=str(index_dir), subset_size=20, seed=13,
+    )
+    results = run_k_sweep(base)
+    assert calls == {"load": 1, "read": 1, "retrieve": 20}
+    assert [len(r.rows) for r in results] == [20] * 5
+    assert {r.manifest["corpus_lines"] for r in results} == {"parsed"}
+
+
+def test_a_provider_sweep_embeds_each_query_once(tmp_path, fake_provider):
+    records = synthetic_corpus(2, 6, seed=101)
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus_path, records)
+    index_dir = tmp_path / "corpus.index"
+    embedder = EmbeddingClient(f"{fake_provider.url}/embed", fake_provider.dimension, model="e")
+    RetrievalIndex.build(records, embedder).save(index_dir)
+    before = len(fake_provider.requests)
+    base = ExperimentConfig(
+        corpus=str(corpus_path), out_dir=str(tmp_path / "sweep"), method="rag", k=1,
+        generator="provider", index=str(index_dir),
+        provider_config=str(fake_provider.config(tmp_path / "providers.json")),
+        embed_cache=str(tmp_path / "cache"),  # cold: every query embeds
+        subset_size=8, seed=6,
+    )
+    results = run_k_sweep(base, ks=[1, 2, 3])
+    assert all(r["status"] == "ok" for res in results for r in res.rows)
+    sent = [r["payload"] for r in fake_provider.requests[before:]]
+    assert sum("input" in p for p in sent) == 8
+    assert sum("messages" in p for p in sent) == 8 * 3
+
+
+def test_a_bug_in_a_row_stops_the_run_and_writes_nothing(tmp_path, monkeypatch):
+    corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(2, 20, seed=7))
+    calls = []
+
+    def broken_fit(self, *args):
+        calls.append(args)
+        raise AttributeError("a bug in the package")
+
+    monkeypatch.setattr(PromptTemplate, "fit", broken_fit)
+    config = ExperimentConfig(
+        corpus=str(corpus_path), out_dir=str(tmp_path / "run"), method="rag", k=2,
+        index=str(index_dir), seed=7,
+    )
+    with pytest.raises(AttributeError, match="a bug in the package"):
+        run_experiment(config)
+    assert len(calls) < 20  # the queued rows were cancelled, not run
+    calls.clear()
+    with pytest.raises(AttributeError, match="a bug in the package"):
+        run_k_sweep(ExperimentConfig(**{**config.to_dict(), "out_dir": str(tmp_path / "sweep")}))
+    assert len(calls) < 20
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.index", "corpus.jsonl"]
+
+
 def test_report_names_the_directories_of_runs_that_share_a_label(tmp_path):
     corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(2, 10, seed=5))
     config = dict(

@@ -19,6 +19,7 @@ from coracmg.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyGeneration,
+    EmptyQuery,
     InvalidInput,
     ProviderUnavailable,
 )
@@ -66,6 +67,20 @@ def test_embed_caches_by_content(fake_provider, tmp_path):
     third = warm.embed("some diff text")
     assert third.tobytes() == first.tobytes()
     assert len(fake_provider.requests) == 1
+
+
+def test_a_new_cache_file_takes_the_mode_open_gives(fake_provider, tmp_path):
+    # Another user sharing <corpus>.embed_cache reads what this one wrote.
+    fake_provider.script(Reply(body={"embedding": [1.0, 2.0, 2.0, 0.0]}))
+    client = EmbeddingClient(f"{fake_provider.url}/embed", 4, cache_dir=tmp_path / "cache")
+    old = os.umask(0o022)
+    try:
+        client.embed("some diff text")
+    finally:
+        os.umask(old)
+    (path,) = (tmp_path / "cache").iterdir()
+    assert path.name == f"{client._key('some diff text')}.npy"
+    assert path.stat().st_mode & 0o777 == 0o644
 
 
 def _npy(array) -> bytes:
@@ -225,7 +240,7 @@ def test_empty_inputs_rejected(fake_provider):
     with pytest.raises(InvalidInput, match="cannot embed an empty diff"):
         client.embed("")
     gen = GenerationClient(GenerationConfig(endpoint=f"{fake_provider.url}/gen"))
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyQuery, match="cannot generate from an empty prompt"):
         gen.generate("")
     with pytest.raises(ConfigError, match="embed.endpoint"):
         EmbeddingClient("", 2)
