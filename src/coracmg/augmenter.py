@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, EmptyQuery, TooManyExamples
+from .errors import ConfigError, EmptyQuery, TooManyExamples, read_text
 from .retriever import ExamplePair
 
 MAX_EXAMPLES = 5
@@ -63,10 +63,11 @@ class PromptTemplate:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PromptTemplate":
+        text = read_text(path, ConfigError, "template ")
         try:
-            return cls.from_text(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError, ConfigError) as exc:  # unreadable, not UTF-8, or invalid
-            raise ConfigError(f"template {path}: {getattr(exc, 'strerror', None) or exc}") from None
+            return cls.from_text(text)
+        except ConfigError as exc:
+            raise ConfigError(f"template {path}: {exc}") from None
 
     @classmethod
     def default(cls) -> "PromptTemplate":

@@ -18,7 +18,7 @@ from . import corpus as corpus_mod
 from . import harness, metrics, providers
 from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate
 from .diffs import read_corpus, read_jsonl, write_jsonl
-from .errors import ConfigError, CoracmgError, EmptyCorpus, InvalidInput
+from .errors import ConfigError, CoracmgError, EmptyCorpus, InvalidInput, read_text
 from .providers import GenerationClient, HashingEmbedder, ProviderConfig, query_embedder
 from .retriever import RetrievalIndex
 from .tokenizer import tokenize
@@ -150,10 +150,7 @@ def _read_query(path: str, k: int) -> str:
     """The query diff of ``retrieve`` or ``suggest``, read once ``-k`` is known to be valid."""
     if k < 1:
         raise ConfigError(f"-k must be at least 1, not {k}")
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # missing, unreadable, or not UTF-8
-        raise InvalidInput(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    return read_text(path, InvalidInput)
 
 
 def _cmd_tokenize(args) -> int:

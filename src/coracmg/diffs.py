@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import EmptyCorpus, InvalidInput, MalformedDiff
+from .errors import EmptyCorpus, InvalidInput, MalformedDiff, read_bytes
 
 SHA_RE = re.compile(r"^[0-9a-f]{40}$")
 
@@ -186,15 +186,6 @@ class CommitRecord:
 _scan_once = json.JSONDecoder().scan_once  # json.loads's C scanner, without its wrapper
 
 
-def _read_bytes(path) -> bytes:
-    """The bytes of the file at ``path``; one that cannot be read is an ``InvalidInput``."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
 def _parse_lines(path, data: bytes, parse: Callable) -> Iterator:
     """``parse(value, start, end)`` of each non-blank line of ``data``, the bytes of ``path``.
 
@@ -237,7 +228,7 @@ def read_jsonl(path, parse: Callable = CommitRecord.from_dict) -> Iterator:
     A missing file, a non-JSON line or a ``ValueError`` from ``parse`` is an
     ``InvalidInput`` naming the line.  The file's bytes are read once.
     """
-    yield from _parse_lines(path, _read_bytes(path), lambda value, start, end: parse(value))
+    yield from _parse_lines(path, read_bytes(path, InvalidInput), lambda value, *_: parse(value))
 
 
 class CorpusLine(NamedTuple):
@@ -303,7 +294,7 @@ def read_corpus_lines(path) -> CorpusFile:
     they are not to be changed.
     """
     global _checked
-    data = _read_bytes(path)
+    data = read_bytes(path, InvalidInput)
     sha256 = hashlib.sha256(data).hexdigest()
     checked_sha256, lines = _checked
     if sha256 == checked_sha256:

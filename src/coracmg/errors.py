@@ -1,4 +1,14 @@
-"""Exception hierarchy shared across the toolkit, and the type rule of config values."""
+"""Exception hierarchy shared across the toolkit, the reader of input files, and config types.
+
+An unreadable input file is an error of the class its reader picks, worded here only:
+``cannot read [<kind> ]<path>: <reason>`` (the system's reason, or the codec's for text
+not UTF-8), ``<path> is not valid JSON: <reason>`` or ``<path> holds a JSON list, not an
+object``.  ``InvalidInput``: corpus, query diff and run files; ``ConfigError``: experiment
+and provider configs, templates; ``CorruptIndex``: index files.
+"""
+
+import json
+from contextlib import contextmanager
 
 
 class CoracmgError(Exception):
@@ -70,6 +80,37 @@ class TooManyExamples(CoracmgError):
 
 class ManifestMismatch(CoracmgError):
     """Experiment results being combined were not produced from the same subset."""
+
+
+@contextmanager
+def reading(path, error: type[CoracmgError], what: str = ""):
+    """Raise ``error("cannot read <what><path>: <reason>")`` if the block fails to read."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:  # any other error, a named one too, passes
+        raise error(f"cannot read {what}{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def read_bytes(path, error: type[CoracmgError], what: str = "") -> bytes:
+    with reading(path, error, what), open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_text(path, error: type[CoracmgError], what: str = "") -> str:
+    with reading(path, error, what), open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def read_json(path, error: type[CoracmgError], what: str = "") -> dict:
+    """The JSON object in the file's UTF-8 text; any other content is an ``error``."""
+    try:
+        value = json.loads(read_bytes(path, error, what).decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise error(f"{what}{path} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        kinds = {list: "list", str: "string", bool: "boolean", int: "number", float: "number"}
+        raise error(f"{what}{path} holds a JSON {kinds.get(type(value), 'null')}, not an object")
+    return value
 
 
 # What a config value of each annotated type may be.  bool is a subclass of

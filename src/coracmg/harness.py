@@ -80,6 +80,7 @@ from .errors import (
     InvalidInput,
     ManifestMismatch,
     check_type,
+    read_json,
 )
 from .providers import (
     GenerationClient,
@@ -155,14 +156,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         try:
-            with open(path, encoding="utf-8") as fh:
-                values = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-        try:
-            return cls(**values)
+            return cls(**read_json(path, ConfigError))
         except TypeError as exc:  # unknown or missing keys, values of the wrong type
             raise ConfigError(f"{path}: {exc}") from None
 
@@ -218,10 +212,7 @@ class ExperimentResult:
     def load(cls, run_dir: str | Path) -> "ExperimentResult":
         run_dir = Path(run_dir)
         path = run_dir / "manifest.json"
-        try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
+        manifest = read_json(path, InvalidInput)
         # Every value render_report reads: the means, the counts, and the
         # config echo by the config's own rules.
         try:

@@ -40,6 +40,7 @@ from .errors import (
     InvalidInput,
     ProviderUnavailable,
     check_type,
+    read_json,
 )
 from .tokenizer import tokenize
 
@@ -111,14 +112,7 @@ class ProviderConfig:
 
     @classmethod
     def from_file(cls, path) -> "ProviderConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                values = json.load(fh)
-        except OSError as exc:
-            problem = exc.strerror or exc
-            raise ConfigError(f"cannot read provider config {path}: {problem}") from None
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"provider config {path} is not valid JSON: {exc}") from None
+        values = read_json(path, ConfigError, "provider config ")
         try:
             return cls.from_dict(values)
         except (AttributeError, ConfigError) as exc:  # not objects, or values of another kind

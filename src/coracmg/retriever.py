@@ -82,7 +82,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .diffs import CommitRecord
-from .errors import CorruptIndex, DimensionMismatch, EmptyCorpus, EmptyScope
+from .errors import CorruptIndex, DimensionMismatch, EmptyCorpus, EmptyScope, read_json, reading
 from .tokenizer import tokenize
 
 log = logging.getLogger(__name__)
@@ -303,24 +303,12 @@ def _mapped(nbytes: int) -> mmap.mmap:
 
 def _read_mapped(path: Path) -> tuple[mmap.mmap, int]:
     """The bytes of ``path`` in ``_mapped`` memory, and how many there are."""
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            data = _mapped(size)
-            if fh.readinto(memoryview(data)[:size]) != size:
-                raise CorruptIndex(f"{path.name} changed while it was read")
-    except OSError as exc:
-        raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
+    with reading(path, CorruptIndex), open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        data = _mapped(size)
+        if fh.readinto(memoryview(data)[:size]) != size:
+            raise CorruptIndex(f"{path.name} changed while it was read")
     return data, size
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_bytes())
-    except OSError as exc:
-        raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise CorruptIndex(f"{path} is not valid JSON: {exc}") from None
 
 
 def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
@@ -330,31 +318,28 @@ def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
     its reader on its first query, so a reopen reads only the rows a query
     touches.
     """
-    try:
-        with open(path, "rb") as fh:
-            header = fh.read(16)
-            if len(header) < 16 or header[:4] != VECTORS_MAGIC:
-                raise CorruptIndex("vectors.bin has a bad magic number")
-            version, count, dimension = struct.unpack("<III", header[4:])
-            if version != INDEX_VERSION:
-                raise CorruptIndex(
-                    f"vectors.bin has version {version}; "
-                    f"this release reads version {INDEX_VERSION}"
-                )
-            checked = os.fstat(fh.fileno())
-            size = checked.st_size
-            if size != 16 + count * dimension * 4:
-                raise CorruptIndex(
-                    f"vectors.bin has {size} bytes; a {count} x {dimension} float32 "
-                    f"matrix needs {16 + count * dimension * 4}"
-                )
-            if count != sum(counts):
-                raise CorruptIndex(
-                    f"vectors.bin holds {count} vectors, manifest.json "
-                    f"counts {sum(counts)} documents"
-                )
-    except OSError as exc:
-        raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
+    with reading(path, CorruptIndex), open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16 or header[:4] != VECTORS_MAGIC:
+            raise CorruptIndex("vectors.bin has a bad magic number")
+        version, count, dimension = struct.unpack("<III", header[4:])
+        if version != INDEX_VERSION:
+            raise CorruptIndex(
+                f"vectors.bin has version {version}; "
+                f"this release reads version {INDEX_VERSION}"
+            )
+        checked = os.fstat(fh.fileno())
+        size = checked.st_size
+        if size != 16 + count * dimension * 4:
+            raise CorruptIndex(
+                f"vectors.bin has {size} bytes; a {count} x {dimension} float32 "
+                f"matrix needs {16 + count * dimension * 4}"
+            )
+        if count != sum(counts):
+            raise CorruptIndex(
+                f"vectors.bin holds {count} vectors, manifest.json "
+                f"counts {sum(counts)} documents"
+            )
     starts = np.cumsum([0, *counts]).tolist()
     readers = [
         partial(_read_rows, path, checked, 16 + 4 * dimension * start, (n, dimension))
@@ -380,15 +365,12 @@ def _read_rows(path: Path, checked: os.stat_result, offset: int, shape: tuple[in
     The float32 rows pass through one ``_ROWS_CHUNK`` buffer on their way into
     the float64 array, so no whole float32 copy is made.
     """
-    try:
-        with open(path, "rb") as fh:
-            now = os.fstat(fh.fileno())
-            if (now.st_size, now.st_mtime_ns) != (checked.st_size, checked.st_mtime_ns):
-                raise CorruptIndex(f"{path} changed after the index was loaded; load it again")
-            fh.seek(offset)
-            return _float64_rows(shape, _read_floats(fh, shape[0] * shape[1]))
-    except OSError as exc:
-        raise CorruptIndex(f"cannot read {path}: {exc.strerror or exc}") from None
+    with reading(path, CorruptIndex), open(path, "rb") as fh:
+        now = os.fstat(fh.fileno())
+        if (now.st_size, now.st_mtime_ns) != (checked.st_size, checked.st_mtime_ns):
+            raise CorruptIndex(f"{path} changed after the index was loaded; load it again")
+        fh.seek(offset)
+        return _float64_rows(shape, _read_floats(fh, shape[0] * shape[1]))
 
 
 def _read_floats(fh, count: int):
@@ -660,8 +642,8 @@ class RetrievalIndex:
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":
         root = Path(path)
-        manifest = _read_json(root / "manifest.json")
-        if not isinstance(manifest, dict) or manifest.get("magic") != "coracmg-index":
+        manifest = read_json(root / "manifest.json", CorruptIndex)
+        if manifest.get("magic") != "coracmg-index":
             raise CorruptIndex(f"{root} is not an index directory")
         if manifest.get("version") != INDEX_VERSION:
             raise CorruptIndex(

@@ -7,8 +7,9 @@ from datetime import datetime, timezone
 
 import pytest
 
-from coracmg.cli import main
+from coracmg.cli import _COMMANDS, build_parser, main
 from coracmg.diffs import read_jsonl, write_jsonl
+from coracmg.errors import ConfigError, CorruptIndex, InvalidInput
 from coracmg.retriever import RetrievalIndex
 from helpers import commit_all, init_repo, synthetic_corpus, twin_corpus
 
@@ -496,6 +497,16 @@ def _argument_case(case, tmp_path, repo):
             (tmp_path / "runs" / "r" / fault[0]).write_text(fault[1])
         return ["report", "--in", str(tmp_path / "runs"), "--out", str(out)]
 
+    def report_without_manifest():
+        argv = report(tmp_path / "t.md")
+        (tmp_path / "runs" / "r" / "manifest.json").unlink()
+        return argv
+
+    def holding(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
     def edited_manifest(*keys, value=None):
         """Report over a run whose manifest value at ``keys`` is ``value`` (None: deleted)."""
         assert main(experiment(out_dir=str(tmp_path / "runs" / "r2"), k=2)) == 0
@@ -575,6 +586,12 @@ def _argument_case(case, tmp_path, repo):
         "report results not JSON": lambda: report(
             tmp_path / "t.md", ("results.jsonl", '{"sha": \n')
         ),
+        "report manifest missing": report_without_manifest,
+        "experiment config list": lambda: ["experiment", "--config", holding("c.json", "[1, 2]")],
+        "provider config list": lambda: [
+            "index", "--in", str(corpus), "--out", str(tmp_path / "p.dir"),
+            "--provider-config", holding("providers.json", "[1, 2]"),
+        ],
         "report manifest k two": lambda: edited_manifest("config", "k", value="two"),
         "report manifest k 9": lambda: edited_manifest("config", "k", value=9),
         "report manifest method 7": lambda: edited_manifest("config", "method", value=7),
@@ -634,6 +651,9 @@ def _argument_case(case, tmp_path, repo):
             "manifest.json is not an experiment manifest: no key 'metrics'",
         ),
         ("report manifest not JSON", "manifest.json is not valid JSON"),
+        ("report manifest missing", "cannot read"),
+        ("experiment config list", "c.json holds a JSON list, not an object"),
+        ("provider config list", "providers.json holds a JSON list, not an object"),
         ("report results not JSON", "results.jsonl line 1 is not JSON"),
         (
             "report manifest k two",
@@ -677,6 +697,103 @@ def test_bad_argument_is_an_error_not_a_traceback(
     assert not list(tmp_path.rglob("k[0-9]*"))  # no k sweep run began
     assert not (tmp_path / "p.dir").exists()
     assert retrieved == []  # rejected before any row or query ran
+
+
+# -- one table over every input file: missing, or a directory ---------------------
+
+
+def _input_case(kind, tmp_path):
+    """argv that reads its ``kind`` input from the path returned with it, where nothing is."""
+    records = synthetic_corpus(1, 10, seed=7)
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, records)
+    index_dir = tmp_path / "index.dir"
+    assert main(["index", "--in", str(corpus), "--out", str(index_dir), "--dimension", "64"]) == 0
+    diff = tmp_path / "q.diff"
+    diff.write_text(records[0].diff)
+    bad = tmp_path / "input"
+
+    def config(**values):
+        cfg = tmp_path / "cfg.json"
+        values = {"corpus": str(corpus), "out_dir": str(tmp_path / "o"), **values}
+        cfg.write_text(json.dumps(values))
+        return ["experiment", "--config", str(cfg)]
+
+    def retrieve(query=diff):
+        return [
+            "retrieve", "--index", str(index_dir), "--query-diff", str(query),
+            "--repo", records[0].repo_full_name, "-k", "1",
+        ]
+
+    if kind.startswith("index file "):
+        bad = index_dir / kind.removeprefix("index file ")
+        bad.unlink()
+        return retrieve(), bad
+    if kind == "run manifest":
+        assert main(config(out_dir=str(tmp_path / "runs" / "r"))) == 0
+        bad = tmp_path / "runs" / "r" / "manifest.json"
+        bad.unlink()
+        return ["report", "--in", str(tmp_path / "runs"), "--out", str(tmp_path / "t.md")], bad
+    rag = {"method": "rag", "k": 1, "index": str(index_dir)}
+    return {
+        "corpus for experiment": lambda: config(corpus=str(bad)),
+        "corpus for stats": lambda: ["stats", "--in", str(bad)],
+        "corpus for index": lambda: ["index", "--in", str(bad), "--out", str(tmp_path / "p.dir")],
+        "corpus for evaluate --hyp": lambda: [
+            "evaluate", "--hyp", str(bad), "--ref", str(corpus), "--out", str(tmp_path / "o"),
+        ],
+        "experiment config": lambda: ["experiment", "--config", str(bad)],
+        "provider config": lambda: [
+            "index", "--in", str(corpus), "--out", str(tmp_path / "p.dir"),
+            "--provider-config", str(bad),
+        ],
+        "template": lambda: config(template=str(bad), **rag),
+        "query diff": lambda: retrieve(query=bad),
+    }[kind](), bad
+
+
+# kind: the class its unreadable file raises, and the words before the path.
+_INPUT_KINDS = {
+    "corpus for experiment": (InvalidInput, ""),
+    "corpus for stats": (InvalidInput, ""),
+    "corpus for index": (InvalidInput, ""),
+    "corpus for evaluate --hyp": (InvalidInput, ""),
+    "experiment config": (ConfigError, ""),
+    "provider config": (ConfigError, "provider config "),
+    "template": (ConfigError, "template "),
+    "query diff": (InvalidInput, ""),
+    "index file manifest.json": (CorruptIndex, ""),
+    "index file docs.txt": (CorruptIndex, ""),
+    "index file postings.bin": (CorruptIndex, ""),
+    "index file vectors.bin": (CorruptIndex, ""),
+    "run manifest": (InvalidInput, ""),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, fault, reason",
+    [
+        pytest.param(kind, fault, reason, id=f"{kind}-{fault}")
+        for kind in _INPUT_KINDS
+        for fault, reason in [
+            ("missing", "No such file or directory"), ("directory", "Is a directory"),
+        ]
+    ],
+)
+def test_unreadable_input_is_a_named_error(tmp_path, capsys, kind, fault, reason):
+    error, what = _INPUT_KINDS[kind]
+    argv, path = _input_case(kind, tmp_path)
+    if fault == "directory":
+        path.mkdir()
+    message = f"cannot read {what}{path}: {reason}"
+    args = build_parser().parse_args(argv)
+    with pytest.raises(error) as raised:
+        _COMMANDS[args.command](args)
+    assert str(raised.value).startswith(message)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "o").exists() and not (tmp_path / "p.dir").exists()
 
 
 # -- provider-built indexes through the CLI ---------------------------------------

@@ -910,3 +910,10 @@ def test_result_load_round_trip(tmp_path):
     assert loaded.manifest == result.manifest
     assert loaded.rows == result.rows
     assert loaded.label == result.label
+
+
+def test_result_load_without_a_manifest_is_invalid_input(tmp_path):
+    (tmp_path / "results.jsonl").write_text("")
+    missing = tmp_path / "manifest.json"
+    with pytest.raises(InvalidInput, match=re.escape(f"cannot read {missing}: No such file")):
+        ExperimentResult.load(tmp_path)
