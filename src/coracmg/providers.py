@@ -191,7 +191,10 @@ class EmbeddingClient:
     re-indexing idempotent and fully offline.  A cache file that does not
     hold ``dimension`` float32 values (truncated, empty, or not a ``.npy``
     file) is a miss: the vector is fetched again and the file rewritten.
-    Reads are lock-free; writes are serialized.
+    The disk cache is the only cache: the client keeps no vector, so a
+    client without a ``cache_dir`` requests a repeated text again.  Each
+    write goes to a file of its own and is renamed into place, so
+    concurrent callers need no lock.
     """
 
     def __init__(
@@ -206,8 +209,6 @@ class EmbeddingClient:
         self.dimension = dimension
         self.model = model
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self._memory: dict[str, np.ndarray] = {}
-        self._write_lock = threading.Lock()
 
     @property
     def identifier(self) -> str:
@@ -221,9 +222,6 @@ class EmbeddingClient:
         if not text:
             raise InvalidInput("cannot embed an empty diff: a provider takes no empty text")
         key = self._key(text)
-        cached = self._memory.get(key)
-        if cached is not None:
-            return cached
         path = self.cache_dir / f"{key}.npy" if self.cache_dir else None
         if path is not None and path.exists():
             try:
@@ -232,21 +230,18 @@ class EmbeddingClient:
             except (OSError, ValueError):  # truncated, empty or not a .npy file
                 vec = None
             if vec is not None and vec.shape == (self.dimension,) and vec.dtype == np.float32:
-                self._memory[key] = vec
                 return vec
         payload = {"model": self.model, "input": text}
         body = _post(self.endpoint, payload, EMBED_KEY_ENV)
         vec = unit_normalize(_extract_embedding(body, self.endpoint), self.dimension)
-        with self._write_lock:
-            self._memory[key] = vec
-            if path is not None:
-                self.cache_dir.mkdir(parents=True, exist_ok=True)
-                # Created here under a name of this process and thread, so the
-                # file gets the mode open() gives and other users can read it.
-                tmp = path.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
-                with open(tmp, "xb") as fh:
-                    np.save(fh, vec)
-                os.replace(tmp, path)
+        if path is not None:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            # Created here under a name of this process and thread, so the
+            # file gets the mode open() gives and other users can read it.
+            tmp = path.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
+            with open(tmp, "xb") as fh:
+                np.save(fh, vec)
+            os.replace(tmp, path)
         return vec
 
 

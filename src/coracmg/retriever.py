@@ -50,12 +50,14 @@ least 1 and that each partition's tie-break is a permutation; these checks
 run on all projects at once, and any failure is a ``CorruptIndex``.  A
 query decodes only the fields it cuts, and finds an excluded sha in the
 ``docs.txt`` bytes, with no per-document lookup.  A partition builds its
-term lookup and its BM25 length norms, and reads its rows of
-``vectors.bin`` into float64 a fixed-size chunk at a time, with no whole
-float32 copy, on its first query.  A ``vectors.bin`` that changed after
-load, or reads short, is a ``CorruptIndex`` at that query.  Saving over a
-version-4 directory leaves its ``postings.npz`` and ``terms.json`` in
-place; version 6 never reads them.
+term lookup and its BM25 length norms, and reads its float32 rows of
+``vectors.bin`` as stored, with no float64 copy, on its first query.  The
+dense half of a score is numpy's own float64 ``einsum`` loop over those
+rows, which calls no BLAS, so its bits do not depend on the BLAS build or
+thread count.  A ``vectors.bin`` that changed after load, or reads short,
+is a ``CorruptIndex`` at that query.  Saving over a version-4 directory
+leaves its ``postings.npz`` and ``terms.json`` in place; version 6 never
+reads them.
 
 After construction the index is immutable and queries may run
 concurrently: each piece of lazily built state is computed whole and then
@@ -114,8 +116,6 @@ _SECTIONS = tuple(
 _POSTINGS_HEADER = struct.Struct(f"<4sIQ{len(_SECTIONS)}Q")
 # Bytes decoded at a time when a non-ASCII text is checked for UTF-8.
 _UTF8_CHUNK = 1 << 16
-# float32 values read at a time when a partition's rows become float64.
-_ROWS_CHUNK = 1 << 15
 # The four fields of each document, in docs.txt order.
 _SHA, _DATE, _MESSAGE, _DIFF = range(4)
 
@@ -161,7 +161,7 @@ class _Partition:
     hybrid score.  ``tfs`` are int32: BM25 promotes them to float64 exactly.
 
     ``rows`` are the (n, dim) float32 unit vectors, or for a loaded index a
-    function that reads them as float64.  ``vectors``, ``terms`` and
+    function that reads them.  ``vectors``, ``terms`` and
     ``length_norm`` are built on first use.  Each is computed whole and then
     published by one attribute assignment, so concurrent first queries see
     either nothing or the finished value.  ``row`` keeps no state: it reads
@@ -172,7 +172,7 @@ class _Partition:
         (d0, d1), (t0, t1) = docs_at, terms_at
         self.docs = docs  # bytes, or the mapped docs.txt: slices of either are bytes
         self.bounds = sections["bounds"][4 * d0 : 4 * d1 + 1]
-        self._vectors = rows  # float64 from the first query on
+        self._vectors = rows  # the float32 rows from the first query on
         self.term_table = sections["terms"].data  # a memoryview: slices decode without a copy
         self.term_bounds = sections["term_bounds"][t0 : t1 + 1]
         self.offsets = sections["offsets"][t0 : t1 + 1]  # posting positions in ids and tfs
@@ -188,19 +188,12 @@ class _Partition:
         """Field ``f`` of document ``i``, decoded from its bytes alone."""
         return _text(self.docs[self.bounds[4 * i + f] : self.bounds[4 * i + f + 1]])
 
-    def rows(self) -> np.ndarray:
-        """The unit rows: float32 as built until a query converts them, float64 as read."""
-        vectors = self._vectors
-        return vectors() if callable(vectors) else vectors
-
     @property
     def vectors(self) -> np.ndarray:
-        """The unit rows as float64, read or converted on first use."""
-        # float64 keeps the dot products, and so hybrid_score, bit-identical.
-        vectors = self.rows()
-        if vectors.dtype != np.float64:
-            vectors = _float64_rows(vectors.shape, [vectors.ravel()])
-        self._vectors = vectors  # publishes the rows, dropping a reader or float32 rows
+        """The float32 unit rows, read on first use."""
+        vectors = self._vectors
+        if callable(vectors):
+            vectors = self._vectors = vectors()  # publishes the rows, dropping the reader
         return vectors
 
     @cached_property
@@ -293,7 +286,7 @@ def _fuse_arrays(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
 def _mapped(nbytes: int) -> mmap.mmap:
     """Private memory of ``nbytes`` outside the malloc heap, faulted in by one call.
 
-    The text, the postings and a partition's float64 rows live here: the
+    The text, the postings and a partition's float32 rows live here: the
     pages go back to the system as soon as they are dropped, whatever the
     heap keeps.
     """
@@ -348,39 +341,19 @@ def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
     return dimension, readers
 
 
-def _float64_rows(shape: tuple[int, int], chunks: Iterable[np.ndarray]) -> np.ndarray:
-    """A float64 ``shape`` array in ``_mapped`` memory, filled from flat float32 ``chunks``."""
-    size = shape[0] * shape[1]
-    out = np.frombuffer(_mapped(8 * size), np.float64, size)
-    filled = 0
-    for chunk in chunks:
-        out[filled : filled + len(chunk)] = chunk  # exact: every float32 is a float64
-        filled += len(chunk)
-    return out.reshape(shape)
-
-
 def _read_rows(path: Path, checked: os.stat_result, offset: int, shape: tuple[int, int]):
-    """One partition's rows as float64, from the ``vectors.bin`` that load checked.
-
-    The float32 rows pass through one ``_ROWS_CHUNK`` buffer on their way into
-    the float64 array, so no whole float32 copy is made.
-    """
+    """One partition's float32 rows, read into ``_mapped`` memory from the
+    ``vectors.bin`` that load checked."""
+    size = shape[0] * shape[1]
     with reading(path, CorruptIndex), open(path, "rb") as fh:
         now = os.fstat(fh.fileno())
         if (now.st_size, now.st_mtime_ns) != (checked.st_size, checked.st_mtime_ns):
             raise CorruptIndex(f"{path} changed after the index was loaded; load it again")
         fh.seek(offset)
-        return _float64_rows(shape, _read_floats(fh, shape[0] * shape[1]))
-
-
-def _read_floats(fh, count: int):
-    """The next ``count`` little-endian float32 of ``fh``, in chunks of one reused buffer."""
-    buffer = np.empty(min(count, _ROWS_CHUNK), "<f4")
-    for start in range(0, count, _ROWS_CHUNK):
-        chunk = buffer[: min(_ROWS_CHUNK, count - start)]
-        if fh.readinto(chunk) != chunk.nbytes:
+        rows = _mapped(4 * size)
+        if fh.readinto(memoryview(rows)[: 4 * size]) != 4 * size:
             raise CorruptIndex("vectors.bin changed while it was read")
-        yield chunk
+    return np.frombuffer(rows, "<f4", size).reshape(shape)
 
 
 def _read_postings(path: Path) -> dict[str, np.ndarray]:
@@ -560,7 +533,7 @@ class RetrievalIndex:
         ids, tfs, tiebreak, table, rows = [], [], [], [(0, 0, 0)], {}
         for repo in sorted(grouped):
             recs = grouped[repo]
-            vectors = np.empty((len(recs), dimension), dtype=np.float32)
+            vectors = np.empty((len(recs), dimension), dtype="<f4")
             postings: dict[str, tuple[list[int], list[int]]] = {}  # term -> (ids, tfs)
             for i, rec in enumerate(recs):
                 counts = Counter(tokenize(rec.diff))
@@ -591,7 +564,7 @@ class RetrievalIndex:
             tfs.append(np.fromiter(chain.from_iterable(t for _, t in lists), np.int32, nnz))
             tiebreak.append(_tiebreak(recs))
             table.append((len(recs), len(postings), nnz))
-            rows[repo] = vectors  # its own array: converting the partition frees it
+            rows[repo] = vectors
         term_text, term_bounds = _packed(terms)
         offsets = np.zeros(len(df) + 1, dtype=np.int64)
         np.cumsum(df, out=offsets[1:])
@@ -612,6 +585,8 @@ class RetrievalIndex:
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        # Read before any file is written: a loaded index may be saved over its own vectors.bin.
+        rows = [part.vectors for part in self.partitions.values()]
         out = Path(path)
         out.mkdir(parents=True, exist_ok=True)
         doc_count = len(self.sections["lengths"])
@@ -635,9 +610,8 @@ class RetrievalIndex:
         with open(out / "vectors.bin", "wb") as fh:
             fh.write(VECTORS_MAGIC)
             fh.write(struct.pack("<III", INDEX_VERSION, doc_count, self.dimension))
-            for part in self.partitions.values():
-                # Exact: the stored values came from float32.
-                fh.write(part.rows().astype("<f4").tobytes())
+            for vectors in rows:
+                fh.write(vectors)
 
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":
@@ -718,7 +692,8 @@ class RetrievalIndex:
                 f"project {scope_repo!r} has no candidates besides the excluded commit"
             )
         lexical = self._batch_lexical(part, query_counts)[keep]
-        semantic = (part.vectors @ query_vec.astype(np.float64))[keep]
+        # numpy's own float64 loop, not BLAS: the bits do not follow the BLAS build or threads.
+        semantic = np.einsum("ij,j->i", part.vectors, query_vec.astype(np.float64))[keep]
         return part, keep, _fuse_arrays(lexical, semantic)
 
     def retrieve(

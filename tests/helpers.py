@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import subprocess
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from coracmg.diffs import CommitRecord, count_loc, parse_diff, utc_isoformat
 
@@ -66,6 +69,24 @@ def make_record(
         date=utc_isoformat(date),
         loc=count_loc(parsed),
     )
+
+
+class DenseEmbedder:
+    """Seeded dense unit vectors: every coordinate of every row is nonzero.
+
+    A text's vector is drawn from a generator seeded with its sha256, so it
+    depends on the text alone, and is normalized with numpy's own sum (no
+    BLAS call), so it does not depend on the BLAS thread count either.
+    """
+
+    def __init__(self, dimension: int = 256):
+        self.dimension = dimension
+        self.identifier = f"dense-{dimension}"
+
+    def embed(self, text: str) -> np.ndarray:
+        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
+        vec = np.random.default_rng(seed).standard_normal(self.dimension)
+        return (vec / np.sqrt(np.sum(vec * vec))).astype(np.float32)
 
 
 _WORDS = (

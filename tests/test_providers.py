@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,46 @@ def test_embed_caches_by_content(fake_provider, tmp_path):
     third = warm.embed("some diff text")
     assert third.tobytes() == first.tobytes()
     assert len(fake_provider.requests) == 1
+
+
+def test_a_client_keeps_no_vector_it_hands_out(fake_provider, tmp_path):
+    # The disk cache is the only cache: an index build that copies each
+    # vector into its rows holds the only copy in memory.
+    endpoint = f"{fake_provider.url}/embed"
+    cached = EmbeddingClient(endpoint, 32, cache_dir=tmp_path / "cache")
+    uncached = EmbeddingClient(endpoint, 32)
+    for client in (cached, uncached, cached):  # the last call reads the cache file
+        vec = client.embed("some diff text")
+        held = weakref.ref(vec)
+        del vec
+        assert held() is None
+    assert fake_provider.embeds == 2
+    # Without a cache_dir, a repeated text is requested again.
+    uncached.embed("some diff text")
+    assert fake_provider.embeds == 3
+
+
+def test_racing_embeds_of_one_text_leave_one_whole_cache_file(fake_provider, tmp_path):
+    # No lock: each writer fills a file of its own and renames it into place.
+    endpoint = f"{fake_provider.url}/embed"
+    client = EmbeddingClient(endpoint, 32, cache_dir=tmp_path / "cache")
+    texts = [f"diff {i % 3}" for i in range(24)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(client.embed, text) for text in texts]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    uncached = EmbeddingClient(endpoint, 32)
+    assert [v.tobytes() for v in got] == [uncached.embed(t).tobytes() for t in texts]
+    names = sorted(p.name for p in (tmp_path / "cache").iterdir())
+    assert names == sorted(f"{client._key(text)}.npy" for text in set(texts))
+    asked = fake_provider.embeds
+    warm = EmbeddingClient(endpoint, 32, cache_dir=tmp_path / "cache")
+    assert [warm.embed(t).tobytes() for t in texts] == [v.tobytes() for v in got]
+    assert fake_provider.embeds == asked  # every file loads whole
 
 
 def test_a_new_cache_file_takes_the_mode_open_gives(fake_provider, tmp_path):

@@ -80,7 +80,7 @@ def test_semantic_score_unit_vectors():
 
     def semantic(query_vec):
         # The dense half of retrieve(): stored unit rows times the query.
-        return float((part.vectors @ query_vec.astype(np.float64))[0])
+        return float(np.einsum("ij,j->i", part.vectors, query_vec.astype(np.float64))[0])
 
     assert semantic(stored.astype(np.float32)) == pytest.approx(1.0, abs=1e-6)
     orthogonal = np.zeros(64)
@@ -857,6 +857,19 @@ def test_first_query_rejects_vectors_changed_after_load(tmp_path):
     index.retrieve("x", 1, records[0].repo_full_name, embedder=EMBEDDER)
 
 
+def test_a_loaded_index_saves_over_its_own_directory(tmp_path):
+    # No query has read a row yet, so save must read them before it
+    # truncates the vectors.bin they come from.
+    records = synthetic_corpus(2, 5, seed=4)
+    built = build_index(records)
+    built.save(tmp_path / "idx")
+    RetrievalIndex.load(tmp_path / "idx").save(tmp_path / "idx")
+    again = RetrievalIndex.load(tmp_path / "idx")
+    for q in records:
+        args = (q.diff, 3, q.repo_full_name, q.sha)
+        assert again.retrieve(*args, embedder=EMBEDDER) == built.retrieve(*args, embedder=EMBEDDER)
+
+
 def _built_and_loaded(records, root):
     index = build_index(records)
     index.save(root)
@@ -893,17 +906,15 @@ def test_row_of_an_empty_sha(tmp_path):
         assert [p.handle.sha for p in pairs] == ["", "a"]  # row 2 excluded, newest first
 
 
-@pytest.mark.parametrize("chunk", [7, 64, 1 << 15])
-def test_loaded_rows_are_the_built_rows_in_float64(tmp_path, monkeypatch, chunk):
-    # 5 x 64 and 1 x 64 floats: chunks of 7 leave a partial last chunk in both.
+def test_loaded_rows_are_the_built_rows_in_float32(tmp_path):
+    # 5 x 64 and 1 x 64 floats, each partition read from its own offset.
     records = synthetic_corpus(1, 5, seed=3) + [make_record(0, repo="acme/solo")]
-    monkeypatch.setattr(retriever, "_ROWS_CHUNK", chunk)
     built, loaded = _built_and_loaded(records, tmp_path / "idx")
+    assert [p.vectors.shape for p in loaded.partitions.values()] == [(5, 64), (1, 64)]
     for repo, part in built.partitions.items():
-        expected = part.rows().astype(np.float64)
-        assert loaded.partitions[repo].vectors.dtype == np.float64
-        assert loaded.partitions[repo].vectors.tobytes() == expected.tobytes()
-        assert part.vectors.tobytes() == expected.tobytes()
+        assert loaded.partitions[repo].vectors.dtype == part.vectors.dtype == np.float32
+        assert loaded.partitions[repo].vectors.shape == part.vectors.shape
+        assert loaded.partitions[repo].vectors.tobytes() == part.vectors.tobytes()
 
 
 def test_k_must_be_positive():
@@ -1010,13 +1021,13 @@ def test_loaded_index_retrieves_what_the_built_one_does(tmp_path):
             got = loaded.retrieve(*args, embedder=EMBEDDER)
             assert got == index.retrieve(*args, embedder=EMBEDDER)  # every field, exact
     for part in loaded.partitions.values():
-        assert part._vectors.dtype == np.float64
+        assert part._vectors.dtype == np.float32
         # The excluded shas were found in the text: the only dict is the term lookup.
         assert [name for name, v in vars(part).items() if isinstance(v, dict)] == ["terms"]
 
 
 def test_concurrent_first_queries_on_a_loaded_index(tmp_path):
-    # Lazy per-partition state (float64 vectors, term lookup, length norms)
+    # Lazy per-partition state (vectors, term lookup, length norms)
     # is built by whichever query comes first; racing first queries must
     # agree with a sequential run, scores bit for bit, so rows published
     # before they are complete show as changed scores.  The excluded shas
