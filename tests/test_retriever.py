@@ -917,6 +917,26 @@ def test_loaded_rows_are_the_built_rows_in_float32(tmp_path):
         assert loaded.partitions[repo].vectors.tobytes() == part.vectors.tobytes()
 
 
+@pytest.mark.parametrize("rows", [7, 64, 1 << 15])
+def test_loaded_rows_are_the_built_rows_in_float64(tmp_path, rows):
+    # A partition of ``rows`` x 64 floats, then one of 5 x 64 at the offset it ends on:
+    # the rows read back are the written float32 bits, and widen to the same float64
+    # the dense score multiplies.
+    written = [
+        np.random.default_rng(rows).standard_normal((n, 64)).astype(np.float32) for n in (rows, 5)
+    ]
+    path = tmp_path / "vectors.bin"
+    header = retriever.VECTORS_MAGIC + struct.pack("<III", retriever.INDEX_VERSION, rows + 5, 64)
+    path.write_bytes(header + b"".join(w.astype("<f4").tobytes() for w in written))
+    dimension, readers = retriever._read_vectors(path, [rows, 5])
+    assert dimension == 64
+    for reader, expected in zip(readers, written):
+        loaded = reader()
+        assert loaded.dtype == np.float32 and loaded.shape == expected.shape
+        assert loaded.tobytes() == expected.tobytes()
+        assert loaded.astype(np.float64).tobytes() == expected.astype(np.float64).tobytes()
+
+
 def test_k_must_be_positive():
     records = [make_record(0)]
     index = build_index(records)
