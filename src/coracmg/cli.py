@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help=f"hashing embedder size (default {providers.DEFAULT_DIMENSION})",
     )
-    idx.add_argument("--cache-dir", default=None)
+    idx.add_argument("--cache-dir", default=None, help="embedding cache (default <in>.embed_cache)")
 
     ret = sub.add_parser("retrieve", help="query the index for example pairs")
     ret.add_argument("--index", required=True)
@@ -195,7 +195,8 @@ def _cmd_index(args) -> int:
     if args.provider_config:
         if args.dimension is not None:
             raise ConfigError("--dimension sizes the hashing embedder, not a provider's")
-        embedder = ProviderConfig.from_file(args.provider_config).embedder(args.cache_dir)
+        cache = providers.embed_cache_dir(args.input, args.cache_dir)
+        embedder = ProviderConfig.from_file(args.provider_config).embedder(cache)
     elif args.dimension is not None and args.dimension < 1:
         raise ConfigError(f"--dimension must be at least 1, not {args.dimension}")
     else:

@@ -321,31 +321,25 @@ def utc_isoformat(dt: datetime) -> str:
 _HUNK_HEADER = re.compile(r"^@@ -\d+(?:,(\d+))? \+\d+(?:,(\d+))? @@")
 
 
-_C_ESCAPES = {"n": 10, "t": 9, "r": 13, "a": 7, "b": 8, "f": 12, "v": 11, "\\": 92, '"': 34}
+# The escapes git's quote_c_style writes besides \ooo, and the byte each stands for.
+_C_ESCAPES = {
+    b"a": b"\a", b"b": b"\b", b"t": b"\t", b"n": b"\n", b"v": b"\v",
+    b"f": b"\f", b"r": b"\r", b'"': b'"', b"\\": b"\\",
+}
+_C_ESCAPE = re.compile(rb"\\([0-3][0-7][0-7]|[" + re.escape(b"".join(_C_ESCAPES)) + rb"])")
 
 
 def _unquote_git_path(path: str) -> str:
-    """Undo git's C-style path quoting ("caf\\303\\251.py" and friends)."""
+    """Undo git's C-style path quoting ("caf\\303\\251.py" and friends).
+
+    Only the escapes git writes are decoded; any other backslash is kept as text.
+    """
     if len(path) < 2 or path[0] != '"' or path[-1] != '"':
         return path
-    body = path[1:-1]
-    out = bytearray()
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            if nxt in "01234567":
-                out.append(int(body[i + 1 : i + 4], 8))
-                i += 4
-                continue
-            if nxt in _C_ESCAPES:
-                out.append(_C_ESCAPES[nxt])
-                i += 2
-                continue
-        out.extend(ch.encode("utf-8"))
-        i += 1
-    return out.decode("utf-8", errors="replace")
+    body = _C_ESCAPE.sub(
+        lambda m: _C_ESCAPES.get(m[1]) or bytes([int(m[1], 8)]), path[1:-1].encode("utf-8")
+    )
+    return body.decode("utf-8", errors="replace")
 
 
 def _strip_prefix(path: str) -> str | None:
@@ -358,20 +352,19 @@ def _strip_prefix(path: str) -> str | None:
 
 
 def _git_header_paths(line: str) -> tuple[str, str]:
-    # "diff --git a/<old> b/<new>"; paths with spaces are resolved by
-    # scanning for the " b/" separator, quoted paths by C-style unquoting.
+    # "diff --git a/<old> b/<new>": quoted paths are split as git quoted them,
+    # others at the " b/" separator (so paths may hold spaces), else the first space.
     body = line[len("diff --git ") :]
     if '"' in body:
         parts = re.findall(r'"(?:[^"\\]|\\.)*"|\S+', body)
         if len(parts) == 2:
             return _strip_prefix(parts[0]) or "", _strip_prefix(parts[1]) or ""
     marker = body.find(" b/")
-    if marker != -1:
-        return body[:marker][2:] if body.startswith("a/") else body[:marker], body[marker + 3 :]
-    halves = body.split(" ", 1)
-    if len(halves) == 2:
-        return _strip_prefix(halves[0]) or "", _strip_prefix(halves[1]) or ""
-    return body, body
+    if marker == -1:
+        marker = body.find(" ")
+    if marker == -1:
+        return body, body
+    return _strip_prefix(body[:marker]) or "", _strip_prefix(body[marker + 1 :]) or ""
 
 
 def _malformed(message: str, lines: list[str], j: int) -> MalformedDiff:
@@ -385,7 +378,10 @@ def parse_diff(raw: str) -> ParsedDiff:
     Empty input yields an empty change list.  A hunk whose header cannot be
     parsed, that holds a line of no known kind, or that ends before its
     header's line counts raises :class:`MalformedDiff` naming the byte offset.
-    Binary file sections and pure renames count zero lines.
+    Binary file sections and pure renames count zero lines.  A quoted path
+    is decoded as git's C-style quoting writes it (``\\ooo`` bytes up to
+    ``\\377`` and ``\\a \\b \\t \\n \\v \\f \\r \\" \\\\``); any other backslash is
+    kept as text.
     """
     changes: list[FileChange] = []
     lines = raw.split("\n")

@@ -87,6 +87,7 @@ from .providers import (
     HashingEmbedder,
     MockGenerator,
     ProviderConfig,
+    embed_cache_dir,
     query_embedder,
 )
 from .retriever import RetrievalIndex
@@ -106,7 +107,7 @@ class ExperimentConfig:
     generator: str = "echo-mock"
     generator_text: str = "update code"
     index: str | None = None
-    embed_cache: str | None = None  # default: "<corpus>.embed_cache"
+    embed_cache: str | None = None  # default: "<corpus>.embed_cache", as for index
     template: str | None = None
     max_prompt_chars: int = DEFAULT_MAX_PROMPT_CHARS
     provider_config: str | None = None
@@ -274,8 +275,7 @@ def _run(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     pc = None
     if config.provider_config and (config.generator == "provider" or not hashed):
         pc = ProviderConfig.from_file(config.provider_config)
-    # The embed cache lives beside the corpus so reruns reuse it.
-    cache = config.embed_cache or f"{config.corpus}.embed_cache"
+    cache = embed_cache_dir(config.corpus, config.embed_cache)
     try:
         embedder = query_embedder(index.embedder_id, index.dimension, pc, cache) if index else None
         generator = _build_generator(config, pc)
@@ -449,18 +449,29 @@ def _cells(means: dict, base: dict | None = None) -> str:
     )
 
 
+def _cider_scale(res: ExperimentResult) -> float:
+    return res.manifest["config"].get("cider_scale", metrics.CIDER_SCALE)
+
+
 def render_report(results: list[ExperimentResult]) -> str:
     """Mean scores of each run against the direct baseline, plus a k-sweep series.
 
     A run's ``report.md``, a k sweep's and ``coracmg report``'s table are
-    all drawn here.  All runs must share the same corpus, seed and subset
-    size; mismatches raise :class:`ManifestMismatch`.  Rows of runs that
+    all drawn here.  All runs must share the same corpus, seed, subset size
+    and CIDEr scale (``metrics.CIDER_SCALE`` when a manifest has none);
+    mismatches raise :class:`ManifestMismatch`.  Rows of runs that
     share a label (a standalone run and a sweep's run of the same k) also
     name each run's directory.
     """
     if not results:
         raise ManifestMismatch("no experiment results to report on")
+    scale = _cider_scale(results[0])
     for res in results:
+        if _cider_scale(res) != scale:
+            raise ManifestMismatch(
+                f"run {res.label} scores CIDEr on a scale of {_cider_scale(res):g}, "
+                f"run {results[0].label} on a scale of {scale:g}"
+            )
         if res.fingerprint != results[0].fingerprint:
             raise ManifestMismatch(
                 f"run {res.label} was made from a different subset than the others"

@@ -304,6 +304,15 @@ class HashingEmbedder:
         return unit_normalize(np.array(vec, dtype=np.float64), self.dimension)
 
 
+def embed_cache_dir(corpus, cache_dir=None) -> str:
+    """Where the vectors of ``corpus``'s diffs are cached: ``cache_dir``, else beside the corpus.
+
+    ``index`` and ``experiment`` both cache here, so a run over the corpus an
+    index was built from requests none of its diffs again.
+    """
+    return str(cache_dir) if cache_dir else f"{corpus}.embed_cache"
+
+
 def query_embedder(embedder_id: str, dimension: int, pc: ProviderConfig | None, cache_dir=None):
     """The embedder that made an index's vectors; any other scores queries in another space."""
     hashing = HashingEmbedder(dimension)

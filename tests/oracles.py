@@ -34,6 +34,8 @@ import numpy as np
 
 from coracmg.diffs import CommitRecord, language_of
 from coracmg.errors import CorpusTooSmall, InvalidInput
+from coracmg.tokenizer import tokenize
+from helpers import stored_docs
 
 # Punctuation isolation, 13a style. The character class covers the ASCII
 # punctuation blocks; period, comma and dash are handled by the
@@ -376,6 +378,22 @@ def oracle_rank(docs, query_tokens, query_vec, exclude_sha=None, k1=1.2, b=0.75)
     ]
     ranked.sort(key=lambda d: (-d["hybrid"], -_date_key(d["date"]), d["sha"]))
     return ranked
+
+
+def oracle_docs(index, repo):
+    """The documents of ``index``'s ``repo`` partition as ``oracle_rank`` reads them."""
+    part = index.partitions[repo]
+    return [
+        {
+            "sha": doc.sha,
+            "date": doc.date,
+            "diff": doc.diff,
+            "message": doc.message,
+            "tokens": tokenize(doc.diff),
+            "vector": [float(v) for v in part.vectors[i]],
+        }
+        for i, doc in enumerate(stored_docs(part))
+    ]
 
 
 def _date_key(date_iso):

@@ -22,11 +22,12 @@ from coracmg.metrics import build_idf, cider, gleu, meteor, rouge_l
 from coracmg.providers import HashingEmbedder
 from coracmg.retriever import RetrievalIndex
 from coracmg.tokenizer import tokenize
-from helpers import git, stored_docs, synthetic_corpus, twin_corpus
+from helpers import git, synthetic_corpus, twin_corpus
 from oracles import (
     oracle_cider,
     oracle_gleu,
     oracle_idf,
+    oracle_docs,
     oracle_meteor,
     oracle_rank,
     oracle_rouge_l,
@@ -118,18 +119,7 @@ def test_c3_retrieval_matches_bruteforce():
             by_repo.setdefault(rec.repo_full_name, []).append(rec)
 
         for part_idx, (repo, members) in enumerate(sorted(by_repo.items())):
-            part = index.partitions[repo]
-            docs = [
-                {
-                    "sha": d.sha,
-                    "date": d.date,
-                    "diff": d.diff,
-                    "message": d.message,
-                    "tokens": tokenize(d.diff),
-                    "vector": [float(v) for v in part.vectors[i]],
-                }
-                for i, d in enumerate(stored_docs(part))
-            ]
+            docs = oracle_docs(index, repo)
             query = members[part_idx % len(members)]
             qvec = [float(v) for v in embedder.embed(query.diff)]
             expected = oracle_rank(docs, tokenize(query.diff), qvec, exclude_sha=query.sha)

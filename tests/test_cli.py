@@ -439,6 +439,18 @@ def test_bad_corpus_file_is_an_error_not_a_traceback(tmp_path, capsys, command, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("path", ["x\\1z.py", "x\\400.py", "x\\q.py"])
+def test_filter_counts_a_diff_whose_quoted_path_holds_a_stray_backslash(tmp_path, capsys, path):
+    old, new = f'"a/{path}"', f'"b/{path}"'
+    diff = f"diff --git {old} {new}\n--- {old}\n+++ {new}\n@@ -1 +1 @@\n-a\n+b\n"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(_corpus_line(diff=diff, files=[path], loc=2))
+    command = _corpus_command("filter", str(corpus), tmp_path) + ["--r2-mode", "changed"]
+    assert main(command) == 0
+    assert capsys.readouterr().out.startswith("retained 1/1")
+    assert [rec.files for rec in read_jsonl(tmp_path / "f.jsonl")] == [[path]]
+
+
 def _argument_case(case, tmp_path, repo):
     """argv for one bad-argument case, over a 10-record corpus and its index."""
     records = synthetic_corpus(1, 10, seed=7)
@@ -837,6 +849,26 @@ def test_provider_index_through_retrieve_and_experiment(tmp_path, capsys, fake_p
     assert fake_provider.embeds == before
     run = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert run["embedder_id"] == "e" and run["failed_count"] == 0
+
+
+def test_index_caches_embeddings_where_the_experiment_looks(tmp_path, capsys, fake_provider):
+    records = synthetic_corpus(2, 20, seed=1)
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, records)
+    providers = fake_provider.config(tmp_path / "providers.json")
+    index = ["index", "--in", str(corpus), "--out", str(tmp_path / "index.dir"),
+             "--provider-config", str(providers)]
+    assert main(index) == 0
+    assert fake_provider.embeds == len(records)
+    assert (tmp_path / "corpus.jsonl.embed_cache").is_dir()
+    assert _experiment_over(
+        tmp_path, corpus, tmp_path / "index.dir", provider_config=str(providers), k=1,
+        subset_size=10,
+    ) == 0
+    assert main(index) == 0
+    assert fake_provider.embeds == len(records)  # the experiment and the second index: none
+    run = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert (run["subset_size"], run["failed_count"]) == (10, 0)
 
 
 @pytest.mark.parametrize(

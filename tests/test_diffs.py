@@ -174,6 +174,66 @@ def test_quoted_and_spaced_paths(tmp_path):
     }
 
 
+def test_paths_git_quotes_read_back_as_git_lists_them(tmp_path):
+    from datetime import datetime, timezone
+
+    from helpers import commit_all, init_repo
+
+    repo = tmp_path / "qp"
+    init_repo(repo)
+    names = ["tab\there.py", 'quote"d.py', "back\\slash.py", "new\nline.py", "bell\a.py", "é ü.py"]
+    for name in names:
+        (repo / name).write_text("x = 1\n")
+    commit_all(repo, "add files", datetime(2021, 1, 1, tzinfo=timezone.utc))
+    for name in names:
+        (repo / name).write_text("x = 2\ny = 3\n")
+    commit_all(repo, "edit files", datetime(2021, 1, 2, tzinfo=timezone.utc))
+    diff = git(repo, "show", "HEAD", "--no-color", "--format=")
+    assert '"a/tab\\there.py"' in diff and '"a/bell\\a.py"' in diff  # git quoted them
+    listed = git(repo, "show", "HEAD", "--numstat", "-z", "--format=").strip("\0\n").split("\0")
+    assert sorted(parse_diff(diff).files) == sorted(line.split("\t", 2)[2] for line in listed)
+    assert sorted(parse_diff(diff).files) == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "quoted, literal",
+    [
+        pytest.param('"a/x\\1z"', "x\\1z", id="short-octal"),
+        pytest.param('"a/x\\400"', "x\\400", id="octal-above-377"),
+        pytest.param('"a/x\\q"', "x\\q", id="unknown-letter"),
+        pytest.param('"a/x\\"', "x\\", id="trailing-backslash"),
+    ],
+)
+def test_an_escape_git_does_not_write_is_kept_as_text(quoted, literal):
+    new = '"b/' + quoted[3:]
+    diff = f"diff --git {quoted} {new}\n--- {quoted}\n+++ {new}\n@@ -1 +1 @@\n-a\n+b\n"
+    assert parse_diff(diff).file_changes == (diffs.FileChange(literal, literal, 1, 1),)
+    if not literal.endswith("\\"):  # a quoted header path ending in a backslash has no one split
+        mode_only = f"diff --git {quoted} {new}\nold mode 100644\nnew mode 100755\n"
+        assert parse_diff(mode_only).file_changes == (diffs.FileChange(literal, literal, 0, 0),)
+
+
+def _git_quote(path: str) -> str:
+    """``path`` as git's quote_c_style writes it: named escapes, else octal for every byte
+    below a space or above ``~``."""
+    named = {7: "a", 8: "b", 9: "t", 10: "n", 11: "v", 12: "f", 13: "r", 34: '"', 92: "\\"}
+    out = []
+    for byte in path.encode("utf-8"):
+        if byte in named:
+            out.append("\\" + named[byte])
+        elif byte < 0x20 or byte >= 0x7F:
+            out.append(f"\\{byte:03o}")
+        else:
+            out.append(chr(byte))
+    return '"' + "".join(out) + '"'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1))
+def test_git_quoted_paths_unquote_to_themselves(path):
+    assert diffs._unquote_git_path(_git_quote(path)) == path
+
+
 def test_language_table():
     assert language_of("src/App.java") == "java"
     assert language_of("lib.rs") == "rust"

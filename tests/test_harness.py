@@ -23,8 +23,8 @@ from coracmg.harness import (
 from coracmg.providers import EmbeddingClient, HashingEmbedder
 from coracmg.retriever import RetrievalIndex
 from fake_provider import Reply
-from helpers import make_diff, make_record, stored_docs, synthetic_corpus, twin_corpus
-from oracles import oracle_rank, record_languages, reference_sample_subset
+from helpers import make_diff, make_record, synthetic_corpus, twin_corpus
+from oracles import oracle_docs, oracle_rank, record_languages, reference_sample_subset
 
 
 def _materialize(tmp_path, records, name="corpus"):
@@ -290,24 +290,11 @@ def test_retrieval_copy_generate_matches_bruteforce(tmp_path):
     embedder = HashingEmbedder(64)
     index = RetrievalIndex.build(records, embedder)
     repo = records[0].repo_full_name
-    part = index.partitions[repo]
-    docs = [
-        {
-            "sha": d.sha,
-            "date": d.date,
-            "diff": d.diff,
-            "message": d.message,
-            "tokens": tokenize(d.diff),
-            "vector": [float(v) for v in part.vectors[i]],
-        }
-        for i, d in enumerate(stored_docs(part))
-    ]
+    docs = oracle_docs(index, repo)
     query = records[30]
     got = index.retrieve(query.diff, 1, repo, exclude_sha=query.sha, embedder=embedder)[0].message
     qvec = [float(v) for v in embedder.embed(query.diff)]
-    from coracmg.tokenizer import tokenize as tok
-
-    ranked = oracle_rank(docs, tok(query.diff), qvec, exclude_sha=query.sha)
+    ranked = oracle_rank(docs, tokenize(query.diff), qvec, exclude_sha=query.sha)
     ranked = [d for d in ranked if d["diff"] != query.diff]
     assert got == ranked[0]["message"]
 
@@ -892,6 +879,31 @@ def test_report_manifest_mismatch(tmp_path):
         render_report([a, b])
     with pytest.raises(ManifestMismatch):
         render_report([])
+
+
+def test_report_never_compares_two_cider_scales(tmp_path):
+    corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(2, 8, seed=81))
+
+    def run(out, method, scale):
+        return run_experiment(
+            ExperimentConfig(
+                corpus=str(corpus_path), index=str(index_dir), out_dir=str(tmp_path / out),
+                method=method, k=1 if method == "rag" else None, generator="echo-mock",
+                seed=3, cider_scale=scale,
+            )
+        )
+
+    direct, rag = run("d", "direct", 100.0), run("r", "rag", 100.0)
+    rag_at_10 = run("t", "rag", 10.0)
+    mixed = "run rag-k1-echo-mock scores CIDEr on a scale of 10, run direct-echo-mock on a scale of 100"
+    report = render_report([direct, rag])
+    assert "| rag-k1-echo-mock |" in report
+    with pytest.raises(ManifestMismatch, match=f"^{mixed}$"):
+        render_report([direct, rag_at_10])
+    del direct.manifest["config"]["cider_scale"]  # a manifest written before the key existed
+    assert render_report([direct, rag]) == report
+    with pytest.raises(ManifestMismatch, match=f"^{mixed}$"):
+        render_report([direct, rag_at_10])
 
 
 def test_result_load_round_trip(tmp_path):
