@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     filt.add_argument("--in", dest="input", required=True)
     filt.add_argument("--out", required=True)
     filt.add_argument("--report", required=True)
-    filt.add_argument("--max-diff-lines", type=int, default=300)
     filt.add_argument(
         "--r2-mode",
         choices=["raw", "changed"],
@@ -52,13 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     tok = sub.add_parser("tokenize", help="print code-aware tokenizer output")
     tok.add_argument("--text", required=True)
-    tok.add_argument("--drop-symbol-tokens", action="store_true")
 
     ev = sub.add_parser("evaluate", help="score hypotheses against references")
     ev.add_argument("--hyp", required=True, help="jsonl with a 'message' or 'generated' field")
-    ev.add_argument("--ref", required=True, help="jsonl with a 'message' field")
+    ev.add_argument("--ref", required=True, help="jsonl with a 'message' or 'reference' field")
     ev.add_argument("--out", required=True)
-    ev.add_argument("--cider-scale", type=float, default=metrics.CIDER_SCALE)
 
     idx = sub.add_parser("index", help="build the hybrid retrieval index")
     idx.add_argument("--in", dest="input", required=True)
@@ -120,15 +117,11 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    if args.max_diff_lines < 0:
-        raise ConfigError(f"--max-diff-lines must be at least 0, not {args.max_diff_lines}")
     records = [
         replace(rec, message=corpus_mod.preprocess_message(rec.message))
         for rec in read_jsonl(args.input)
     ]
-    retained, report = corpus_mod.apply_filters(
-        records, max_diff_lines=args.max_diff_lines, line_mode=args.r2_mode
-    )
+    retained, report = corpus_mod.apply_filters(records, line_mode=args.r2_mode)
     write_jsonl(args.out, retained)
     Path(args.report).write_text(
         json.dumps(report.to_dict(), indent=2), encoding="utf-8"
@@ -154,14 +147,15 @@ def _read_query(path: str, k: int) -> str:
 
 
 def _cmd_tokenize(args) -> int:
-    print(" ".join(tokenize(args.text, drop_symbol_tokens=args.drop_symbol_tokens)))
+    print(" ".join(tokenize(args.text)))
     return 0
 
 
 def _read_messages(path: str, keys: tuple[str, ...]) -> list[str]:
     def message(obj) -> str:
+        """The value of the first of ``keys`` that ``obj`` holds, which must be a str."""
         for key in keys:
-            if isinstance(obj, dict) and obj.get(key) is not None:
+            if isinstance(obj, dict) and key in obj:
                 if type(obj[key]) is not str:
                     raise ValueError(f"key {key!r} holds {type(obj[key]).__name__}, not str")
                 return obj[key]
@@ -171,17 +165,13 @@ def _read_messages(path: str, keys: tuple[str, ...]) -> list[str]:
 
 
 def _cmd_evaluate(args) -> int:
-    if not 0 < args.cider_scale <= sys.float_info.max:  # NaN fails both comparisons
-        raise ConfigError(
-            f"--cider-scale must be a finite number above 0, not {args.cider_scale}"
-        )
     hyps = _read_messages(args.hyp, ("message", "generated"))
     refs = _read_messages(args.ref, ("message", "reference"))
     if len(hyps) != len(refs):
         raise InvalidInput(
             f"{args.hyp} has {len(hyps)} hypotheses but {args.ref} has {len(refs)} references"
         )
-    report = metrics.evaluate_corpus(list(zip(hyps, refs)), cider_scale=args.cider_scale)
+    report = metrics.evaluate_corpus(list(zip(hyps, refs)))
     Path(args.out).write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
     print(_summary(report.means()))
     return 0

@@ -5,8 +5,8 @@ statistics.
 Filters, evaluated in order with rejection attributed to the first failure:
 
 * R1 message length: 5..50 space-separated words
-* R2 diff length: at most 300 raw diff lines (headers included; pass
-  ``line_mode="changed"`` to count only added+deleted lines instead)
+* R2 diff length: at most ``MAX_DIFF_LINES`` (300) raw diff lines (headers
+  included; pass ``line_mode="changed"`` to count only added+deleted lines)
 * R3 file types: at least one mainstream-language source file
 * R4 bot authors: author name must not contain "[bot]"
 * R5 merge/revert: the lowercased message must not contain "merge" or
@@ -38,6 +38,8 @@ _PR_REF_PAREN = re.compile(r"\(#\d+\)")
 _PR_REF = re.compile(r"#\d+")
 
 RULES = ("R1", "R2", "R3", "R4", "R5")
+# R2's limit on a diff's lines.
+MAX_DIFF_LINES = 300
 
 
 def preprocess_message(raw: str) -> str:
@@ -71,15 +73,13 @@ class FilterReport:
         return out
 
 
-def failing_rule(
-    record: CommitRecord, max_diff_lines: int = 300, line_mode: str = "raw"
-) -> str | None:
+def failing_rule(record: CommitRecord, line_mode: str = "raw") -> str | None:
     """First rule the record violates, or None if it passes all five."""
     words = len(record.message.split())
     if words < 5 or words > 50:
         return "R1"
     counter = diff_line_count if line_mode == "raw" else changed_line_count
-    if counter(record.diff) > max_diff_lines:
+    if counter(record.diff) > MAX_DIFF_LINES:
         return "R2"
     if not any(language_of(path) != "other" for path in record.files):
         return "R3"
@@ -92,16 +92,14 @@ def failing_rule(
 
 
 def apply_filters(
-    records: Iterable[CommitRecord],
-    max_diff_lines: int = 300,
-    line_mode: str = "raw",
+    records: Iterable[CommitRecord], line_mode: str = "raw"
 ) -> tuple[list[CommitRecord], FilterReport]:
     """Retain records passing R1-R5; messages must already be preprocessed."""
     report = FilterReport()
     retained: list[CommitRecord] = []
     for record in records:
         report.input_count += 1
-        rule = failing_rule(record, max_diff_lines, line_mode)
+        rule = failing_rule(record, line_mode)
         if rule is None:
             retained.append(record)
             report.retained_count += 1

@@ -352,11 +352,12 @@ def _strip_prefix(path: str) -> str | None:
 
 
 def _git_header_paths(line: str) -> tuple[str, str]:
-    # "diff --git a/<old> b/<new>": quoted paths are split as git quoted them,
-    # others at the " b/" separator (so paths may hold spaces), else the first space.
+    # "diff --git a/<old> b/<new>": quoted paths are split as git quoted them (a
+    # quoted part ends at whitespace or the line's end), others at the " b/"
+    # separator (so paths may hold spaces), else the first space.
     body = line[len("diff --git ") :]
     if '"' in body:
-        parts = re.findall(r'"(?:[^"\\]|\\.)*"|\S+', body)
+        parts = re.findall(r'"(?:[^"\\]|\\.)*"(?=\s|$)|\S+', body)
         if len(parts) == 2:
             return _strip_prefix(parts[0]) or "", _strip_prefix(parts[1]) or ""
     marker = body.find(" b/")

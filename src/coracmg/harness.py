@@ -62,7 +62,6 @@ import hashlib
 import json
 import os
 import random
-import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -111,7 +110,6 @@ class ExperimentConfig:
     template: str | None = None
     max_prompt_chars: int = DEFAULT_MAX_PROMPT_CHARS
     provider_config: str | None = None
-    cider_scale: float = metrics.CIDER_SCALE
     # Read by nothing: accepted so older config files still load.  Concurrency
     # comes from the provider config's ``concurrency.inflight``.
     workers: int = 4
@@ -119,11 +117,6 @@ class ExperimentConfig:
     def __post_init__(self):
         for field in fields(self):  # annotations are strings: see the __future__ import
             check_type(field.name, getattr(self, field.name), field.type)
-        # NaN fails both comparisons; an int past the float range fails the second.
-        if not 0 < self.cider_scale <= sys.float_info.max:
-            raise ConfigError(
-                f"cider_scale must be a finite number above 0, not {self.cider_scale!r}"
-            )
         if self.subset_size < 0:
             raise ConfigError(f"subset_size must be at least 0, not {self.subset_size}")
         if self.max_prompt_chars < 1:  # would drop every example without a word
@@ -221,7 +214,14 @@ class ExperimentResult:
                 check_type(f"metrics.{key}", manifest["metrics"][key], "float")
             for key in ("seed", "subset_size", "failed_count"):
                 check_type(key, manifest[key], "int")
-            ExperimentConfig(**manifest["config"])
+            config = {**manifest["config"]}
+            # Manifests written while the CIDEr scale was a setting echo it.
+            scale = config.pop("cider_scale", metrics.CIDER_SCALE)
+            if scale != metrics.CIDER_SCALE:
+                raise InvalidInput(
+                    f"{path} scores CIDEr on a scale of {scale!r}, not {metrics.CIDER_SCALE:g}"
+                )
+            ExperimentConfig(**config)
             manifest["corpus_sha256"]  # compared, never formatted
         except KeyError as exc:
             raise InvalidInput(f"{path} is not an experiment manifest: no key {exc}") from None
@@ -373,10 +373,7 @@ def _write(
     ok_rows = [r for r in rows if r["status"] == "ok"]
     report = metrics.MetricReport()
     if ok_rows:
-        report = metrics.evaluate_corpus(
-            [(r["generated"], r["reference"]) for r in ok_rows],
-            cider_scale=config.cider_scale,
-        )
+        report = metrics.evaluate_corpus([(r["generated"], r["reference"]) for r in ok_rows])
         for row, scores in zip(ok_rows, report.per_sample):
             row["scores"] = scores.to_dict()
 
@@ -449,29 +446,18 @@ def _cells(means: dict, base: dict | None = None) -> str:
     )
 
 
-def _cider_scale(res: ExperimentResult) -> float:
-    return res.manifest["config"].get("cider_scale", metrics.CIDER_SCALE)
-
-
 def render_report(results: list[ExperimentResult]) -> str:
     """Mean scores of each run against the direct baseline, plus a k-sweep series.
 
     A run's ``report.md``, a k sweep's and ``coracmg report``'s table are
-    all drawn here.  All runs must share the same corpus, seed, subset size
-    and CIDEr scale (``metrics.CIDER_SCALE`` when a manifest has none);
-    mismatches raise :class:`ManifestMismatch`.  Rows of runs that
+    all drawn here.  All runs must share the same corpus, seed and subset
+    size; mismatches raise :class:`ManifestMismatch`.  Rows of runs that
     share a label (a standalone run and a sweep's run of the same k) also
     name each run's directory.
     """
     if not results:
         raise ManifestMismatch("no experiment results to report on")
-    scale = _cider_scale(results[0])
     for res in results:
-        if _cider_scale(res) != scale:
-            raise ManifestMismatch(
-                f"run {res.label} scores CIDEr on a scale of {_cider_scale(res):g}, "
-                f"run {results[0].label} on a scale of {scale:g}"
-            )
         if res.fingerprint != results[0].fingerprint:
             raise ManifestMismatch(
                 f"run {res.label} was made from a different subset than the others"

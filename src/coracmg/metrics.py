@@ -9,8 +9,7 @@ Four metrics, all implemented from scratch:
 * ``meteor``: exact-match unigram alignment (max matches, then min chunks)
   with ``ALPHA`` = 0.9, ``BETA`` = 3, ``GAMMA`` = 0.5 (Banerjee & Lavie).
 * ``cider``: TF-IDF weighted n-gram cosine consensus, averaged over orders
-  and reported on a 0-``CIDER_SCALE`` scale by default (pass ``scale=10``
-  for the canonical scaling).
+  and reported on a 0-``CIDER_SCALE`` (0-100) scale.
 
 n-grams of order ``n`` are counted in C, as ``zip`` over ``n`` shifted
 slices.  They come in first-occurrence order, as a slice-by-slice count
@@ -36,7 +35,7 @@ MAX_N = 4
 ALPHA = 0.9
 BETA = 3.0
 GAMMA = 0.5
-# Default scale of the reported CIDEr score.
+# Scale of the reported CIDEr score.
 CIDER_SCALE = 100.0
 # The reported metrics in report order: result key and report title.  Every
 # score dict, manifest, summary line and report table is drawn from this.
@@ -260,8 +259,8 @@ def build_idf(references: list[list[str]]) -> IdfTable:
     return IdfTable(weights=weights, doc_count=n_docs)
 
 
-def cider(hyp: list[str], ref: list[str], idf: IdfTable, scale: float = CIDER_SCALE) -> float:
-    """Consensus score: mean over orders of TF-IDF n-gram cosine, times ``scale``."""
+def cider(hyp: list[str], ref: list[str], idf: IdfTable) -> float:
+    """Consensus score: mean over orders of TF-IDF n-gram cosine, times ``CIDER_SCALE``."""
     weights = idf.weights
     unseen = math.log(idf.doc_count)  # a gram no reference has counts as df = 1
     total = 0.0
@@ -280,7 +279,7 @@ def cider(hyp: list[str], ref: list[str], idf: IdfTable, scale: float = CIDER_SC
             continue
         dot = sum(w * r_vec[g] for g, w in h_vec.items() if g in r_vec)
         total += dot / (h_norm * r_norm)
-    return (scale / MAX_N) * total
+    return (CIDER_SCALE / MAX_N) * total
 
 
 @dataclass(frozen=True)
@@ -312,29 +311,22 @@ class MetricReport:
         return {**self.means(), "per_sample": [s.to_dict() for s in self.per_sample]}
 
 
-def score_pair(
-    hyp_tokens: list[str],
-    ref_tokens: list[str],
-    idf: IdfTable,
-    cider_scale: float = CIDER_SCALE,
-) -> SampleScores:
+def score_pair(hyp_tokens: list[str], ref_tokens: list[str], idf: IdfTable) -> SampleScores:
     return SampleScores(
         bleu=100.0 * gleu(hyp_tokens, ref_tokens),
         rouge_l=100.0 * rouge_l(hyp_tokens, ref_tokens),
         meteor=100.0 * meteor(hyp_tokens, ref_tokens),
-        cider=cider(hyp_tokens, ref_tokens, idf, scale=cider_scale),
+        cider=cider(hyp_tokens, ref_tokens, idf),
     )
 
 
-def evaluate_corpus(
-    pairs: list[tuple[str, str]], cider_scale: float = CIDER_SCALE
-) -> MetricReport:
+def evaluate_corpus(pairs: list[tuple[str, str]]) -> MetricReport:
     """Tokenize (hypothesis, reference) text pairs and score the whole corpus."""
     if not pairs:
         raise EmptyCorpus("no (hypothesis, reference) pairs to evaluate")
     tokenized = [(tokenize(h), tokenize(r)) for h, r in pairs]
     idf = build_idf([r for _, r in tokenized])
-    samples = [score_pair(h, r, idf, cider_scale=cider_scale) for h, r in tokenized]
+    samples = [score_pair(h, r, idf) for h, r in tokenized]
     n = len(samples)
     means = {key: sum(getattr(s, key) for s in samples) / n for key, _ in METRICS}
     return MetricReport(per_sample=samples, **means)

@@ -84,7 +84,15 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .diffs import CommitRecord
-from .errors import CorruptIndex, DimensionMismatch, EmptyCorpus, EmptyScope, read_json, reading
+from .errors import (
+    CorruptIndex,
+    DimensionMismatch,
+    EmptyCorpus,
+    EmptyQuery,
+    EmptyScope,
+    read_json,
+    reading,
+)
 from .tokenizer import tokenize
 
 log = logging.getLogger(__name__)
@@ -713,11 +721,14 @@ class RetrievalIndex:
         Candidates byte-identical to the query diff are skipped, promoting
         the next-ranked pair.  Ties break by (hybrid desc, date desc,
         sha asc).  If fewer than ``k`` admissible pairs exist, the available
-        ones are returned and a warning is logged.
+        ones are returned and a warning is logged.  A query diff without a
+        token raises :class:`EmptyQuery`: it has nothing to rank by.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         counts = Counter(tokenize(query_diff))
+        if not counts:
+            raise EmptyQuery("query diff has no tokens to retrieve by")
         query_vec = _embed(embedder, query_diff, counts)
         part, keep, hybrid = self._score(counts, scope_repo, query_vec, exclude_sha)
         picked: list[ExamplePair] = []

@@ -5,7 +5,7 @@ Unicode alphanumerics or one non-whitespace symbol; whitespace separates
 tokens and is dropped.  Then:
 
 * symbol segmentation: every symbol, underscore included, is its own token
-  ("bug-fix" -> ["bug", "-", "fix"]), unless ``drop_symbol_tokens`` is set;
+  ("bug-fix" -> ["bug", "-", "fix"]);
 * camelCase decomposition: each alphanumeric run splits at case boundaries
   ("XMLParser" -> ["XML", "Parser"]);
 * case folding: every piece is lowercased.
@@ -26,7 +26,7 @@ _TOKEN = re.compile(r"([^\W_]+)|(\S)")
 _CAMEL = re.compile(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
-def tokenize(text: str, drop_symbol_tokens: bool = False) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Split ``text`` into lowercased alphanumeric pieces and symbols.
 
     >>> tokenize("Fix HttpClient bug-fix.")
@@ -39,6 +39,6 @@ def tokenize(text: str, drop_symbol_tokens: bool = False) -> list[str]:
         elif run:
             for piece in _CAMEL.split(run):
                 out.append(piece.lower())
-        elif not drop_symbol_tokens:
+        else:
             out.append(symbol)
     return out

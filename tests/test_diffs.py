@@ -208,9 +208,14 @@ def test_an_escape_git_does_not_write_is_kept_as_text(quoted, literal):
     new = '"b/' + quoted[3:]
     diff = f"diff --git {quoted} {new}\n--- {quoted}\n+++ {new}\n@@ -1 +1 @@\n-a\n+b\n"
     assert parse_diff(diff).file_changes == (diffs.FileChange(literal, literal, 1, 1),)
-    if not literal.endswith("\\"):  # a quoted header path ending in a backslash has no one split
-        mode_only = f"diff --git {quoted} {new}\nold mode 100644\nnew mode 100755\n"
-        assert parse_diff(mode_only).file_changes == (diffs.FileChange(literal, literal, 0, 0),)
+    # Sections without ---/+++ lines take their paths from the header alone.
+    mode_only = f"diff --git {quoted} {new}\nold mode 100644\nnew mode 100755\n"
+    binary = (
+        f"diff --git {quoted} {new}\nindex 1234567..89abcde\n"
+        f"Binary files {quoted} and {new} differ\n"
+    )
+    for section in (mode_only, binary):
+        assert parse_diff(section).file_changes == (diffs.FileChange(literal, literal, 0, 0),)
 
 
 def _git_quote(path: str) -> str:

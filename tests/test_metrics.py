@@ -7,6 +7,7 @@ import pytest
 
 from coracmg.errors import EmptyCorpus
 from coracmg.metrics import (
+    CIDER_SCALE,
     IdfTable,
     _lcs,
     _ngram_counts,
@@ -107,8 +108,8 @@ def test_metric_kernels_equal_exact_references():
         assert rouge_l(hyp, ref) == oracle_rouge_l(hyp, ref)
         for table in tables:
             assert cider(hyp, ref, table) == reference_cider(hyp, ref, table)
-        assert cider(hyp, ref, tables[0], scale=10.0) == reference_cider(
-            hyp, ref, tables[0], scale=10.0
+        assert cider(hyp, ref, tables[0]) == reference_cider(
+            hyp, ref, tables[0], scale=CIDER_SCALE
         )
 
 
@@ -169,8 +170,7 @@ def test_cider_examples():
     hyp = ref = refs[0]
     assert cider(hyp, ref, table) == pytest.approx(100.0, abs=1e-9)
     assert cider(["zz", "yy"], ["qq", "ww"], table) == 0.0
-    # canonical x10 scaling stays available
-    assert cider(hyp, ref, table, scale=10.0) == pytest.approx(10.0, abs=1e-9)
+    assert CIDER_SCALE == 100.0  # the one scale CIDEr is reported on
 
 
 def test_cider_matches_dense_oracle():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from coracmg import providers, retriever
-from coracmg.errors import CorruptIndex, DimensionMismatch, EmptyScope
+from coracmg.errors import CorruptIndex, DimensionMismatch, EmptyQuery, EmptyScope
 from coracmg.providers import HashingEmbedder
 from coracmg.retriever import RetrievalIndex, _fuse_arrays
 from coracmg.tokenizer import tokenize
@@ -99,6 +99,19 @@ def test_semantic_score_unit_vectors():
         index._score(Counter(), repo, np.ones(3), None)
     with pytest.raises(DimensionMismatch, match="dimension 32, index uses 64"):
         index.retrieve("x", 1, repo, embedder=HashingEmbedder(32))
+
+
+class _RefusingEmbedder:
+    def embed(self, text):
+        raise AssertionError(f"embedded {text!r}")
+
+
+@pytest.mark.parametrize("query", ["", "   ", "\n\t\n"])
+def test_a_query_without_tokens_is_empty_before_any_embedding(query):
+    records = synthetic_corpus(1, 5, seed=0)
+    index = build_index(records)
+    with pytest.raises(EmptyQuery, match="^query diff has no tokens to retrieve by$"):
+        index.retrieve(query, 3, records[0].repo_full_name, embedder=_RefusingEmbedder())
 
 
 def test_index_vectors_are_unit_norm():

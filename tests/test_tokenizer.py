@@ -35,8 +35,7 @@ def test_enhance_examples():
 
 
 def _assert_matches_oracle(text):
-    for drop in (False, True):
-        assert tokenize(text, drop) == oracle_tokenize(text, drop), (text, drop)
+    assert tokenize(text) == oracle_tokenize(text), text
 
 
 def test_tokenize_matches_two_stage_oracle():
@@ -55,12 +54,6 @@ def test_tokenize_matches_two_stage_oracle():
         _assert_matches_oracle(text)
 
     any_text()
-
-
-def test_drop_symbol_tokens_flag():
-    assert tokenize("bug-fix", drop_symbol_tokens=True) == ["bug", "fix"]
-    assert tokenize("test_case", drop_symbol_tokens=True) == ["test", "case"]
-    assert tokenize("a->b", drop_symbol_tokens=True) == ["a", "b"]
 
 
 # Printable ASCII without whitespace-only surprises; plenty of case,
