@@ -20,7 +20,7 @@ from .augmenter import DEFAULT_MAX_PROMPT_CHARS, PromptTemplate
 from .diffs import read_corpus, read_jsonl, write_jsonl
 from .errors import ConfigError, CoracmgError, EmptyCorpus, InvalidInput, read_text
 from .providers import GenerationClient, HashingEmbedder, ProviderConfig, query_embedder
-from .retriever import RetrievalIndex
+from .retriever import RetrievalIndex, query_terms
 from .tokenizer import tokenize
 
 
@@ -241,6 +241,7 @@ def _cmd_suggest(args) -> int:
     if args.max_prompt_chars < 1:
         raise ConfigError(f"--max-prompt-chars must be at least 1, not {args.max_prompt_chars}")
     query = _read_query(args.diff, args.k)
+    query_terms(query)  # a query without a token is an error before any git process
     template = PromptTemplate.from_file(args.template) if args.template else None
     raw = [
         replace(rec, message=corpus_mod.preprocess_message(rec.message))

@@ -353,10 +353,11 @@ def _run(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
             outcomes.append((row, short, dropped))
         return outcomes
 
-    # Retrieval, rendering and mocks are CPU-bound under the GIL, so threads
-    # pay only where a provider request waits on the network.  A commit runs
-    # its arms one after another.  When a row raises, map cancels the rows
-    # still queued.
+    # Threads run only where a provider request waits on the network.  Two
+    # threads would speed up offline retrieval too (its numpy passes release
+    # the GIL), but threaded retrieval once raised an unexplained SystemError,
+    # so the offline path keeps one.  A commit runs its arms one after
+    # another.  When a row raises, map cancels the rows still queued.
     with ThreadPoolExecutor(max_workers=pc.inflight if pc else 1) as pool:
         per_commit = list(pool.map(process, subset))
     return [

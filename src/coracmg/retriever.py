@@ -8,6 +8,14 @@ min-max normalization over the candidate set.  A leakage guard skips any
 candidate whose diff is byte-identical to the query, promoting the
 next-ranked pair.
 
+BM25 makes one numpy pass per query: the postings of the query's known
+terms are joined in query order, each term's weight is repeated over its
+postings, the contributions are computed element by element, and
+``np.bincount`` sums them per document in array order, so the floats are
+those of one scatter-add per term.  A top-k sorts only the candidates at or
+above the 2k-th best hybrid score (ties at the cut included), and sorts the
+rest only when the leakage guard skips past all of those.
+
 The index persists to a directory of four files (version 6) whose number
 and layout do not depend on the project count; partitions are stored in
 sorted project order and documents in partition order:
@@ -79,7 +87,7 @@ from datetime import datetime
 from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -274,6 +282,14 @@ def _embed(embedder, text: str, counts: Counter) -> np.ndarray:
     return embed_counts(counts) if embed_counts is not None else embedder.embed(text)
 
 
+def query_terms(query_diff: str) -> Counter:
+    """The token counts of a query diff; one without a token raises :class:`EmptyQuery`."""
+    counts = Counter(tokenize(query_diff))
+    if not counts:
+        raise EmptyQuery("query diff has no tokens to retrieve by")
+    return counts
+
+
 def _minmax(values: np.ndarray) -> np.ndarray:
     lo, hi = values.min(), values.max()
     if hi == lo:
@@ -289,6 +305,22 @@ def _fuse_arrays(lexical: np.ndarray, semantic: np.ndarray) -> np.ndarray:
     if len(lexical) == 0:
         raise ValueError("cannot fuse an empty candidate list")
     return 0.5 * _minmax(lexical) + 0.5 * _minmax(semantic)
+
+
+def _best_first(hybrid: np.ndarray, tiebreak: np.ndarray, head: int) -> Iterator[int]:
+    """Positions of ``hybrid`` in (hybrid desc, tiebreak asc) order, sorted lazily.
+
+    The candidates scoring at least the ``head``-th best score, every tie at
+    that cut included, are sorted first: all others score less, so these
+    start the full order, and there are at least ``head`` of them.  The rest
+    are sorted only if the caller reads past them.
+    """
+    n = len(hybrid)
+    cut = np.partition(hybrid, n - head)[n - head] if head < n else -np.inf
+    best = hybrid >= cut
+    for chosen in (best, ~best):
+        at = np.flatnonzero(chosen)
+        yield from at[np.lexsort((tiebreak[at], -hybrid[at]))].tolist()
 
 
 def _mapped(nbytes: int) -> mmap.mmap:
@@ -487,7 +519,7 @@ def _check_postings(arrays: dict[str, np.ndarray], counts: list[int], text: np.n
         or np.any(np.maximum.reduceat(ids, firsts[held]) >= np.diff(doc_starts)[held])
     ):
         raise bad("has document ids outside their project")
-    # Within a term ids ascend strictly, so _batch_lexical's scatter-add
+    # Within a term ids ascend strictly, so _batch_lexical's bincount
     # counts each (term, document) once.
     rising = ids[1:] > ids[:-1]
     starts = offsets[1:-1]
@@ -663,18 +695,27 @@ class RetrievalIndex:
         return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
     def _batch_lexical(self, part: _Partition, query_counts: Counter) -> np.ndarray:
-        scores = np.zeros(len(part), dtype=np.float64)
-        k1p1 = K1 + 1.0
+        """BM25 of every document of ``part``, in one pass over the query's postings.
+
+        The postings of the known terms are joined in query order, and the
+        per-term expression is evaluated once over them, element by element.
+        ``bincount`` adds in array order, so each document sums its terms in
+        query order from 0.0, as one ``scores[ids] +=`` per term would.
+        """
+        postings, weights = [], []
         for term, qtf in query_counts.items():
             entry = part.posting(term)
-            if entry is None:
-                continue
-            ids, tfs = entry
-            weight = self._idf(part, len(ids)) * qtf
-            # Fancy-index += is exact: each document adds one posting per term,
-            # so a term's ids are unique.
-            scores[ids] += weight * (tfs * k1p1) / (tfs + part.length_norm[ids])
-        return scores
+            if entry is not None:
+                postings.append(entry)
+                weights.append(self._idf(part, len(entry[0])) * qtf)
+        if not postings:
+            return np.zeros(len(part), dtype=np.float64)  # bincount of nothing is int64
+        term_ids, term_tfs = zip(*postings)
+        ids = np.concatenate(term_ids)
+        tfs = np.concatenate(term_tfs, dtype=np.float64)  # one exact cast per query
+        weight = np.repeat(weights, [len(t) for t in term_ids])
+        contributions = weight * (tfs * (K1 + 1.0)) / (tfs + part.length_norm[ids])
+        return np.bincount(ids, contributions, len(part))
 
     def _score(
         self,
@@ -726,13 +767,11 @@ class RetrievalIndex:
         """
         if k < 1:
             raise ValueError("k must be at least 1")
-        counts = Counter(tokenize(query_diff))
-        if not counts:
-            raise EmptyQuery("query diff has no tokens to retrieve by")
+        counts = query_terms(query_diff)
         query_vec = _embed(embedder, query_diff, counts)
         part, keep, hybrid = self._score(counts, scope_repo, query_vec, exclude_sha)
         picked: list[ExamplePair] = []
-        for pos in np.lexsort((part.tiebreak[keep], -hybrid)).tolist():
+        for pos in _best_first(hybrid, part.tiebreak[keep], 2 * k):
             i = keep[pos]
             diff = part.field(i, _DIFF)
             if diff == query_diff:

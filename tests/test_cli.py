@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from coracmg import corpus
 from coracmg.cli import _COMMANDS, build_parser, main
 from coracmg.diffs import read_jsonl, write_jsonl
 from coracmg.errors import ConfigError, CorruptIndex, InvalidInput
@@ -194,6 +195,18 @@ def test_suggest_on_an_empty_diff_is_an_error(fixture_repo, tmp_path, capsys):
     diff_file = tmp_path / "work.diff"
     diff_file.write_text(" \n\t\n")
     assert main(["suggest", "--repo", str(fixture_repo), "--diff", str(diff_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: query diff has no tokens to retrieve by\n"
+
+
+def test_suggest_rejects_an_empty_diff_before_any_git_process(tmp_path, capsys, monkeypatch):
+    def ingest_repo(*args):
+        raise AssertionError("suggest ingested a repository for a query without tokens")
+
+    monkeypatch.setattr(corpus, "ingest_repo", ingest_repo)
+    diff_file = tmp_path / "work.diff"
+    diff_file.write_text(" \n\t\n")
+    assert main(["suggest", "--repo", str(tmp_path / "no-repo"), "--diff", str(diff_file)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: query diff has no tokens to retrieve by\n"
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from datetime import datetime, timezone
+
 import pytest
 
 from coracmg.corpus import (
@@ -13,7 +15,7 @@ from coracmg.corpus import (
 from coracmg.diffs import count_loc, parse_diff
 from coracmg.errors import BranchNotFound, EmptyCorpus, RepoNotFound
 from coracmg.tokenizer import tokenize
-from helpers import make_diff, make_record
+from helpers import commit_all, git, init_repo, make_diff, make_record
 from oracles import oracle_stats
 
 
@@ -54,6 +56,20 @@ def test_ingest_errors(fixture_repo, tmp_path):
     plain.mkdir()
     with pytest.raises(RepoNotFound):
         list(ingest_repo(plain, "main", "1970-01-01"))
+
+
+def test_ingest_keeps_a_message_that_holds_the_field_separator(tmp_path):
+    # The log fields are split on \x1f; the message field comes last, so a
+    # \x1f inside it must not cut it.
+    repo = tmp_path / "sep"
+    init_repo(repo)
+    (repo / "app.py").write_text("x = 1\n")
+    when = datetime(2022, 1, 1, tzinfo=timezone.utc)
+    commit_all(repo, "fix\x1fparser\x1f\n\nbody \x1f too", when)
+    [record] = ingest_repo(repo, "main", "1970-01-01")
+    # --format=%B ends the last record with one newline more than format:%B.
+    assert record.message + "\n" == git(repo, "log", "-1", "--format=%B")
+    assert record.message.startswith("fix\x1fparser\x1f\n")
 
 
 def test_detect_repo_name(fixture_repo, tmp_path):

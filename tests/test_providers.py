@@ -362,6 +362,15 @@ def test_hashing_embedder_matches_per_occurrence_oracle():
     assert emb.embed(f"{a} {b}").tobytes() == degenerate.tobytes()
 
 
+@pytest.mark.parametrize("dimension", [300, 768])
+def test_hashing_embedder_matches_oracle_at_a_dimension_not_a_power_of_two(dimension):
+    # Modulo a power of two only the low bits of the hash choose the bucket, so
+    # a bucket read from more than its first four bytes shows only here.
+    emb = HashingEmbedder(dimension)
+    for text in [r.diff for r in synthetic_corpus(1, 30, seed=4)]:
+        assert emb.embed(text).tobytes() == oracle_hash_embed(text, dimension).tobytes()
+
+
 _SMALL_EMBEDDER = HashingEmbedder(16)  # few buckets: collisions and cancellations are common
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import shutil
 import struct
 import tracemalloc
@@ -1007,6 +1008,128 @@ def test_batch_and_single_doc_bm25_are_bit_equal():
     for i, doc in enumerate(stored_docs(part)):
         single = index_bm25_one_doc(index, query_tokens, repo, doc.sha)
         assert batch[i] == single  # exact equality
+
+
+@pytest.fixture(scope="module")
+def large_partition():
+    """A 2,500-document partition, the size of one benchmark project."""
+    records = [r for r in synthetic_corpus(4, 2500, 1) if r.repo_full_name == "acme/project0"]
+    return records, build_index(records)
+
+
+def test_one_pass_bm25_equals_the_per_document_walk_on_a_large_partition(large_partition):
+    records, index = large_partition
+    repo = records[0].repo_full_name
+    part = index.partitions[repo]
+    shas = [doc.sha for doc in stored_docs(part)]
+    repeated = tokenize(records[11].diff) * 3 + tokenize(records[12].diff)
+    unseen = ["never-indexed", *tokenize(records[900].diff), "also_unseen", "never-indexed"]
+    for query_tokens in (repeated, unseen):
+        batch = index._batch_lexical(part, Counter(query_tokens))
+        assert batch.dtype == np.float64 and len(batch) == len(part)
+        single = [index_bm25_one_doc(index, query_tokens, repo, sha) for sha in shas]
+        assert batch.tolist() == single  # exact equality
+
+
+def test_bm25_of_a_query_with_only_unseen_terms_is_float64_zeros(large_partition):
+    records, index = large_partition
+    part = index.partitions[records[0].repo_full_name]
+    scores = index._batch_lexical(part, Counter({"never-indexed": 2, "also_unseen": 1}))
+    assert scores.dtype == np.float64
+    assert scores.tobytes() == np.zeros(len(part)).tobytes()
+
+
+def full_sort_top_k(index, query_diff, k, repo, exclude_sha=None):
+    """(sha, hybrid) of the top ``k`` under one lexsort of every candidate."""
+    counts = Counter(tokenize(query_diff))
+    part, keep, hybrid = index._score(counts, repo, EMBEDDER.embed(query_diff), exclude_sha)
+    ranked = []
+    for pos in np.lexsort((part.tiebreak[keep], -hybrid)).tolist():
+        i = keep[pos]
+        if part.field(i, retriever._DIFF) != query_diff:  # the leakage guard
+            ranked.append((part.field(i, retriever._SHA), float(hybrid[pos])))
+    return ranked[:k]
+
+
+def top_k(index, query_diff, k, repo, exclude_sha=None):
+    got = index.retrieve(query_diff, k, repo, exclude_sha=exclude_sha, embedder=EMBEDDER)
+    return [(p.handle.sha, p.hybrid_score) for p in got]
+
+
+def groups_of_twins(sizes, seed):
+    """Byte-identical copies of one diff per group, then 30 varied records, in
+    a shuffled date order; the groups' diffs overlap less and less."""
+    body = [f"value_{i} = compute(input_{i})" for i in range(6)]
+    diffs = [make_diff(added=body[: len(body) - g]) for g in range(len(sizes))]
+    fillers = synthetic_corpus(1, 30, seed=seed)
+    idx = list(range(sum(sizes) + len(fillers)))
+    random.Random(seed).shuffle(idx)
+    records = [make_record(idx.pop(), diff=d) for d, n in zip(diffs, sizes) for _ in range(n)]
+    records += [make_record(idx.pop(), diff=r.diff, message=r.message) for r in fillers]
+    return records, diffs
+
+
+def test_top_k_reads_past_twins_of_the_query_that_fill_the_sorted_head():
+    # Ten copies of the query share the best score; the guard skips them all,
+    # more than the 2k sorted first, so the order goes on into the rest.
+    records, diffs = groups_of_twins([10, 3], seed=5)
+    index = build_index(records)
+    repo = records[0].repo_full_name
+    for k in (1, 3, 4):
+        expected = full_sort_top_k(index, diffs[0], k, repo)
+        assert top_k(index, diffs[0], k, repo) == expected
+        assert {sha for sha, _ in expected}.isdisjoint(r.sha for r in records[:10])
+    excluded = records[12].sha
+    assert top_k(index, diffs[0], 3, repo, excluded) == full_sort_top_k(
+        index, diffs[0], 3, repo, excluded
+    )
+
+
+def test_top_k_when_every_hybrid_score_is_equal():
+    records = [make_record(i, added=["same body"]) for i in random.Random(3).sample(range(40), 20)]
+    index = build_index(records)
+    repo = records[0].repo_full_name
+    query = make_diff(added=["query text"])
+    for k in (1, 3, 9, 10, 11, 25):
+        expected = full_sort_top_k(index, query, k, repo)
+        assert len({hybrid for _, hybrid in expected}) == 1
+        assert top_k(index, query, k, repo) == expected
+
+
+def test_top_k_on_a_partition_of_at_most_2k_documents():
+    records = synthetic_corpus(1, 7, seed=6)
+    index = build_index(records)
+    repo = records[0].repo_full_name
+    for k in (3, 4, 5, 7):  # 2k = 6 < 7, then 2k >= 7
+        for query in (records[2].diff, make_diff(added=["unrelated"])):
+            assert top_k(index, query, k, repo) == full_sort_top_k(index, query, k, repo)
+
+
+def test_top_k_when_ties_straddle_the_cut():
+    # Groups of 4 and 5 copies: the 2k-th best score often falls inside a
+    # group, whose ties must all be sorted before the cut.
+    records, diffs = groups_of_twins([4, 5, 5], seed=7)
+    index = build_index(records)
+    repo = records[0].repo_full_name
+    straddled = 0
+    for query in (*diffs, make_diff(added=["value_0 = compute(input_0)", "other"])):
+        counts = Counter(tokenize(query))
+        _, _, hybrid = index._score(counts, repo, EMBEDDER.embed(query), None)
+        best = np.sort(hybrid)[::-1]
+        for k in range(1, 7):
+            straddled += best[2 * k - 1] == best[2 * k]
+            assert top_k(index, query, k, repo) == full_sort_top_k(index, query, k, repo)
+    assert straddled >= 4
+
+
+def test_best_first_is_the_full_lexsort_order():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 5, 12, 40):
+        hybrid = rng.integers(0, 4, n) / 3  # few values: ties everywhere
+        tiebreak = rng.permutation(n)
+        full = np.lexsort((tiebreak, -hybrid)).tolist()
+        for head in range(1, n + 2):
+            assert list(retriever._best_first(hybrid, tiebreak, head)) == full
 
 
 def test_concurrent_queries_agree():
