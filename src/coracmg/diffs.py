@@ -232,9 +232,14 @@ def read_jsonl(path, parse: Callable = CommitRecord.from_dict) -> Iterator:
 
 
 class CorpusLine(NamedTuple):
-    """A checked corpus record: its paths, and where its line is in the corpus bytes."""
+    """A checked corpus record: its paths, and where its line is in the corpus bytes.
 
-    files: list[str]
+    The paths are a tuple of strings, which the garbage collector stops
+    tracking after one collection: the lines a process keeps cost later
+    collections no walk over their paths.
+    """
+
+    files: tuple[str, ...]
     start: int
     end: int
 
@@ -261,7 +266,7 @@ class CorpusFile(NamedTuple):
 
 
 def _corpus_line(value, start: int, end: int) -> CorpusLine:
-    return CorpusLine(_checked_values(value)[5], start, end)
+    return CorpusLine(tuple(_checked_values(value)[5]), start, end)
 
 
 def _nonempty(path, records: list) -> list:

@@ -27,8 +27,9 @@ import urllib.parse
 import urllib.request
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -257,6 +258,28 @@ def _extract_embedding(body, url: str) -> np.ndarray:
     raise ProviderUnavailable(f"embedding response from {url} has no vector: {reprlib.repr(body)}")
 
 
+# Bytes of float64 scratch in one ``HashingEmbedder.embed_rows`` pass: half
+# glibc's default 128 KiB mmap threshold, so the scratch stays on the heap.  A
+# larger block is mapped and unmapped on every pass, and each unmap raises
+# glibc's dynamic threshold, which then keeps larger temporaries on the heap
+# for good (256-row blocks at dimension 256: rag-k3 peak RSS +12%).
+EMBED_BLOCK_BYTES = 1 << 16
+
+
+class _Features(dict):
+    """Token -> ``2 * bucket + negative``, hashed on the first lookup of each token."""
+
+    def __init__(self, dimension: int):
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, token: str) -> int:
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:4], "little") % self.dimension
+        feature = self[token] = 2 * bucket + (not digest[4] & 1)
+        return feature
+
+
 class HashingEmbedder:
     """Deterministic offline embedder: feature-hashed bag of tokens.
 
@@ -266,42 +289,57 @@ class HashingEmbedder:
     network access.
 
     The embedding is a function of the token counts alone, so a caller that
-    has already counted a text's tokens passes the counts to
-    ``embed_counts``.  Each distinct token is hashed once per embedder and
-    remembered; the memo grows with the vocabulary, not the corpus.  Its
-    writes are idempotent, so concurrent callers need no lock.
+    has already counted its texts' tokens passes the counts to
+    ``embed_rows``, or one text's to ``embed_counts``.  Each distinct token
+    is hashed once per embedder and remembered; the memo grows with the
+    vocabulary, not the corpus.  Its writes are idempotent, so concurrent
+    callers need no lock.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
         self.dimension = dimension
-        self._features: dict[str, tuple[int, float]] = {}  # token -> (bucket, sign)
+        # The most rows whose embed_rows scratch fits in EMBED_BLOCK_BYTES.
+        self.block_rows = max(1, EMBED_BLOCK_BYTES // (8 * dimension))
+        self._features = _Features(dimension)
 
     @property
     def identifier(self) -> str:
         return f"hash-{self.dimension}"
-
-    def _feature(self, token: str) -> tuple[int, float]:
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        bucket = int.from_bytes(digest[:4], "little") % self.dimension
-        return bucket, 1.0 if digest[4] & 1 else -1.0
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_counts(Counter(tokenize(text)))
 
     def embed_counts(self, counts: Mapping[str, int]) -> np.ndarray:
         """Embed a text from its ``tokenize`` counts (token -> occurrences)."""
-        vec = [0.0] * self.dimension
-        for token, n in counts.items():
-            feature = self._features.get(token)
-            if feature is None:
-                feature = self._features[token] = self._feature(token)
-            bucket, sign = feature
-            # Every partial sum is an integer far below 2**53, so adding
-            # sign * n once equals adding sign n times, bit for bit.
-            vec[bucket] += sign * n
-        if not any(vec):
-            vec[0] = 1.0  # degenerate all-symbol-free input
-        return unit_normalize(np.array(vec, dtype=np.float64), self.dimension)
+        return self.embed_rows([counts])[0]
+
+    def embed_rows(self, counts_list: Sequence[Mapping[str, int]]) -> np.ndarray:
+        """One float32 unit row per text, from each text's ``tokenize`` counts.
+
+        One numpy pass over all the rows: ``np.bincount`` sums each row's
+        signed counts per bucket, and each sum is an integer far below
+        2**53, so it is exact in any order.  A row with no nonzero sum is
+        the degenerate unit vector on bucket 0.  Each row is scaled by its
+        float64 norm, an exact sum of integer squares; then one float32
+        refinement pass per row keeps its norm within 1e-6 of 1.  The
+        float64 scratch is ``16 * dimension`` bytes per row: pass at most
+        ``block_rows`` rows to keep it within ``EMBED_BLOCK_BYTES``.
+        """
+        dim, n = self.dimension, len(counts_list)
+        tokens = list(chain.from_iterable(counts_list))
+        features = np.fromiter(map(self._features.__getitem__, tokens), np.int64, len(tokens))
+        occurrences = np.fromiter(
+            chain.from_iterable(counts.values() for counts in counts_list), np.float64, len(tokens)
+        )
+        cells = np.repeat(np.arange(0, n * dim, dim), [len(counts) for counts in counts_list])
+        signs = 1.0 - 2.0 * (features & 1)
+        sums = np.bincount(cells + (features >> 1), signs * occurrences, n * dim).reshape(n, dim)
+        sums[~sums.any(axis=1), 0] = 1.0  # degenerate all-symbol-free input
+        rows = sums.astype(np.float32)
+        rows /= np.sqrt(np.square(rows, dtype=np.float64).sum(axis=1)).astype(np.float32)[:, None]
+        for row in rows:
+            row /= np.linalg.norm(row)
+        return rows
 
 
 def embed_cache_dir(corpus, cache_dir=None) -> str:

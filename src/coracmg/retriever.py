@@ -101,7 +101,7 @@ from .errors import (
     read_json,
     reading,
 )
-from .tokenizer import tokenize
+from .tokenizer import token_counter, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -571,25 +571,34 @@ class RetrievalIndex:
         df: list[int] = []  # postings of each term row
         lengths: list[int] = []
         ids, tfs, tiebreak, table, rows = [], [], [], [(0, 0, 0)], {}
+        count = token_counter()  # one memo of chunk tokens for the whole build
+        embed_rows = getattr(embedder, "embed_rows", None)
+        step = getattr(embedder, "block_rows", 1)
         for repo in sorted(grouped):
             recs = grouped[repo]
             vectors = np.empty((len(recs), dimension), dtype="<f4")
             postings: dict[str, tuple[list[int], list[int]]] = {}  # term -> (ids, tfs)
-            for i, rec in enumerate(recs):
-                counts = Counter(tokenize(rec.diff))
-                for term, tf in counts.items():
-                    row = postings.get(term)
-                    if row is None:
-                        row = postings[term] = ([], [])
-                    row[0].append(i)
-                    row[1].append(tf)
-                lengths.append(sum(counts.values()))
-                vec = _embed(embedder, rec.diff, counts)
-                if vec.shape[0] != dimension:
+            for lo in range(0, len(recs), step):
+                block = recs[lo : lo + step]
+                block_counts = [count(rec.diff) for rec in block]
+                for i, counts in enumerate(block_counts, lo):
+                    for term, tf in counts.items():
+                        row = postings.get(term)
+                        if row is None:
+                            row = postings[term] = ([], [])
+                        row[0].append(i)
+                        row[1].append(tf)
+                    lengths.append(sum(counts.values()))
+                if embed_rows is not None:
+                    block_vectors = embed_rows(block_counts)
+                else:
+                    block_vectors = np.array([embedder.embed(rec.diff) for rec in block])
+                if block_vectors.shape[1] != dimension:
                     raise DimensionMismatch(
-                        f"embedder returned dimension {vec.shape[0]}, index uses {dimension}"
+                        f"embedder returned dimension {block_vectors.shape[1]}, "
+                        f"index uses {dimension}"
                     )
-                vectors[i] = vec
+                vectors[lo : lo + len(block)] = block_vectors
             # One project at a time: packing every field after the loop left its
             # freed copies as holes in the malloc heap (rag-k3 peak_rss_mb +5%).
             text, ends = _packed([f for r in recs for f in (r.sha, r.date, r.message, r.diff)])

@@ -16,7 +16,8 @@ subset sampler as it was before it built per-language pools in one pass,
 ``oracle_read_jsonl`` the JSON Lines reader as it was before it read
 the file whole: one ``json.loads`` per line, decoded line by line, and
 ``oracle_render`` the prompt renderer as it was when it applied the budget
-itself, re-rendering after each eviction.
+itself, re-rendering after each eviction, and ``reference_build`` the index
+build as it was when it tokenized and embedded one whole diff at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from coracmg.diffs import CommitRecord, language_of
-from coracmg.errors import CorpusTooSmall, InvalidInput
+from coracmg.errors import CorpusTooSmall, DimensionMismatch, EmptyCorpus, InvalidInput
+from coracmg.retriever import RetrievalIndex, _embed, _packed, _tiebreak
 from coracmg.tokenizer import tokenize
 from helpers import stored_docs
 
@@ -492,3 +494,66 @@ def oracle_render(template, query_diff, examples, max_chars):
         if len(rendered) <= max_chars or not ordered:
             return rendered
         ordered = ordered[1:]  # evict the least relevant example
+
+
+def reference_build(records, embedder):
+    """``RetrievalIndex.build`` as it was: one ``tokenize`` and one embedding per diff."""
+    grouped = {}
+    for rec in records:
+        grouped.setdefault(rec.repo_full_name, []).append(rec)
+    if not grouped:
+        raise EmptyCorpus("cannot build an index from zero records")
+    dimension = getattr(embedder, "dimension")
+    texts = []  # each project's packed fields
+    bounds = [np.zeros(1, dtype=np.int64)]  # their field bounds, from 0 over all projects
+    terms = []  # each project's terms, in posting-row order
+    df = []  # postings of each term row
+    lengths = []
+    ids, tfs, tiebreak, table, rows = [], [], [], [(0, 0, 0)], {}
+    for repo in sorted(grouped):
+        recs = grouped[repo]
+        vectors = np.empty((len(recs), dimension), dtype="<f4")
+        postings = {}  # term -> (ids, tfs)
+        for i, rec in enumerate(recs):
+            counts = Counter(tokenize(rec.diff))
+            for term, tf in counts.items():
+                row = postings.get(term)
+                if row is None:
+                    row = postings[term] = ([], [])
+                row[0].append(i)
+                row[1].append(tf)
+            lengths.append(sum(counts.values()))
+            vec = _embed(embedder, rec.diff, counts)
+            if vec.shape[0] != dimension:
+                raise DimensionMismatch(
+                    f"embedder returned dimension {vec.shape[0]}, index uses {dimension}"
+                )
+            vectors[i] = vec
+        text, ends = _packed([f for r in recs for f in (r.sha, r.date, r.message, r.diff)])
+        texts.append(text)
+        bounds.append(ends[1:] + bounds[-1][-1])
+        terms += postings
+        sizes = [len(term_ids) for term_ids, _ in postings.values()]
+        df += sizes
+        nnz, lists = sum(sizes), postings.values()
+        ids.append(np.fromiter(itertools.chain.from_iterable(i for i, _ in lists), np.int32, nnz))
+        tfs.append(np.fromiter(itertools.chain.from_iterable(t for _, t in lists), np.int32, nnz))
+        tiebreak.append(_tiebreak(recs))
+        table.append((len(recs), len(postings), nnz))
+        rows[repo] = vectors
+    term_text, term_bounds = _packed(terms)
+    offsets = np.zeros(len(df) + 1, dtype=np.int64)
+    np.cumsum(df, out=offsets[1:])
+    sections = {
+        "bounds": np.concatenate(bounds),
+        "table": np.cumsum(table, axis=0, dtype=np.int64).ravel(),
+        "offsets": offsets,
+        "lengths": np.array(lengths, dtype=np.int64),
+        "tiebreak": np.concatenate(tiebreak),
+        "term_bounds": term_bounds,
+        "ids": np.concatenate(ids),
+        "tfs": np.concatenate(tfs),
+        "terms": np.frombuffer(term_text, np.uint8),
+    }
+    embedder_id = getattr(embedder, "identifier", type(embedder).__name__)
+    return RetrievalIndex(rows, sections, b"".join(texts), dimension, embedder_id)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import re
@@ -395,9 +396,21 @@ def test_corpus_lines_build_the_records_read_corpus_builds(tmp_path, case):
     corpus = read_corpus_lines(path)
     records = list(read_jsonl(path))
     assert [corpus.record(line) for line in corpus.lines] == records
-    assert [line.files for line in corpus.lines] == [rec.files for rec in records]
+    assert [list(line.files) for line in corpus.lines] == [rec.files for rec in records]
     assert corpus.data == path.read_bytes()
     assert corpus.sha256 == hashlib.sha256(corpus.data).hexdigest()
+
+
+def test_corpus_line_paths_leave_the_collector_after_one_collection(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(_LINES["extra-key"])
+    with mock.patch.object(diffs, "_checked", ("", [])):
+        lines = read_corpus_lines(path).lines
+        gc.collect()
+    assert lines and all(type(line.files) is tuple for line in lines)
+    # A line is a NamedTuple, which CPython keeps tracking; only an exact
+    # tuple of untracked items, as its paths are, is untracked.
+    assert not any(gc.is_tracked(line.files) for line in lines)
 
 
 def test_corpus_line_record_checks_its_line_again():

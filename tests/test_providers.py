@@ -9,6 +9,7 @@ import subprocess
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from coracmg.providers import (
     unit_normalize,
 )
 from coracmg.retriever import DocHandle, ExamplePair
+from coracmg.tokenizer import tokenize
 from fake_provider import Reply
 from helpers import synthetic_corpus
 from oracles import oracle_hash_embed
@@ -369,6 +371,29 @@ def test_hashing_embedder_matches_oracle_at_a_dimension_not_a_power_of_two(dimen
     emb = HashingEmbedder(dimension)
     for text in [r.diff for r in synthetic_corpus(1, 30, seed=4)]:
         assert emb.embed(text).tobytes() == oracle_hash_embed(text, dimension).tobytes()
+
+
+@pytest.mark.parametrize("dimension", [16, 64, 300])
+def test_embed_rows_equals_one_embed_counts_per_row(dimension):
+    a, b = _cancelling_words(dimension)
+    texts = [r.diff for r in synthetic_corpus(2, 40, seed=7)] + ["", f"{a} {b}", "x", "x"]
+    counts = [Counter(tokenize(text)) for text in texts]
+    rows = HashingEmbedder(dimension).embed_rows(counts)
+    assert rows.dtype == np.float32 and rows.shape == (len(texts), dimension)
+    one_at_a_time = HashingEmbedder(dimension)
+    for row, text_counts in zip(rows, counts):
+        assert row.tobytes() == one_at_a_time.embed_counts(text_counts).tobytes()
+    assert HashingEmbedder(dimension).embed_rows([]).shape == (0, dimension)
+
+
+def test_a_block_of_rows_keeps_its_scratch_under_the_mmap_threshold():
+    # glibc maps requests of 128 KiB and more by default; a pass of block_rows
+    # rows allocates two float64 arrays of block_rows * dimension each.
+    for dimension in (16, 256, 300, 768):
+        embedder = HashingEmbedder(dimension)
+        assert 8 * dimension * embedder.block_rows <= providers.EMBED_BLOCK_BYTES < 1 << 17
+    assert HashingEmbedder(256).block_rows == 32
+    assert HashingEmbedder(1 << 14).block_rows == 1
 
 
 _SMALL_EMBEDDER = HashingEmbedder(16)  # few buckets: collisions and cancellations are common

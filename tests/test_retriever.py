@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import random
 import shutil
+import string
 import struct
 import tracemalloc
 from collections import Counter
@@ -13,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coracmg import providers, retriever
+from coracmg import providers, retriever, tokenizer
 from coracmg.errors import CorruptIndex, DimensionMismatch, EmptyQuery, EmptyScope
 from coracmg.providers import HashingEmbedder
 from coracmg.retriever import RetrievalIndex, _fuse_arrays
@@ -26,6 +28,7 @@ from oracles import (
     oracle_hash_embed,
     oracle_minmax_fuse,
     oracle_rank,
+    reference_build,
 )
 
 EMBEDDER = HashingEmbedder(64)
@@ -141,20 +144,93 @@ def _count_tokenize_calls(monkeypatch):
     # Each module calls its own binding of the name.
     monkeypatch.setattr(retriever, "tokenize", counting)
     monkeypatch.setattr(providers, "tokenize", counting)
+    monkeypatch.setattr(tokenizer, "tokenize", counting)
     return calls
 
 
 def test_each_text_is_tokenized_once(monkeypatch):
     records = synthetic_corpus(2, 50)
     calls = _count_tokenize_calls(monkeypatch)
-    index = RetrievalIndex.build(records, HashingEmbedder(64))
-    assert len(calls) == len(records)
+    chunks = sorted({chunk for rec in records for chunk in rec.diff.split()})
+    for _ in range(2):  # each build tokenizes afresh: it keeps no memo of another
+        calls.clear()
+        index = RetrievalIndex.build(records, HashingEmbedder(64))
+        # Each distinct whitespace-separated chunk once, and never a whole diff.
+        assert sorted(calls) == chunks
     for query in records[:5]:
         calls.clear()
         index.retrieve(
             query.diff, 3, query.repo_full_name, exclude_sha=query.sha, embedder=EMBEDDER
         )
         assert calls == [query.diff]
+
+
+def _assert_same_index(built, reference):
+    """The same sections, text and vectors, compared section by section and row by row."""
+    assert (built.dimension, built.embedder_id) == (reference.dimension, reference.embedder_id)
+    assert list(built.sections) == list(reference.sections)
+    for name, section in reference.sections.items():
+        assert built.sections[name].dtype == section.dtype, name
+        assert built.sections[name].tobytes() == section.tobytes(), name
+    assert bytes(built.docs) == bytes(reference.docs)
+    assert list(built.partitions) == list(reference.partitions)
+    for repo, part in reference.partitions.items():
+        rows = built.partitions[repo].vectors
+        assert rows.shape == part.vectors.shape, repo
+        for i, row in enumerate(part.vectors):
+            assert rows[i].tobytes() == row.tobytes(), (repo, i)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_build_equals_the_per_document_reference(seed):
+    records = synthetic_corpus(4, 300, seed)
+    for dimension in (64, 300, 768):
+        embedder = HashingEmbedder(dimension)
+        assert embedder.block_rows < 300  # every project spans more than one block
+        _assert_same_index(
+            RetrievalIndex.build(records, embedder),
+            reference_build(records, HashingEmbedder(dimension)),
+        )
+
+
+def test_builds_at_other_dimensions_each_embed_as_the_oracle():
+    # One build after another in one process: nothing one embedder learned
+    # may serve another of another dimension.
+    records = synthetic_corpus(2, 40, seed=5)
+    for dimension in (64, 300, 768, 64):
+        index = RetrievalIndex.build(records, HashingEmbedder(dimension))
+        for part in index.partitions.values():
+            expected = [oracle_hash_embed(doc.diff, dimension) for doc in stored_docs(part)]
+            assert part.vectors.tobytes() == np.stack(expected).tobytes(), dimension
+
+
+def _cancelling_symbols(dimension):
+    """Two ASCII symbols that hash to one bucket with opposite signs."""
+    seen = {}
+    for symbol in string.punctuation:
+        digest = hashlib.sha256(symbol.encode("utf-8")).digest()
+        bucket, sign = int.from_bytes(digest[:4], "little") % dimension, digest[4] & 1
+        if (bucket, 1 - sign) in seen:
+            return seen[(bucket, 1 - sign)], symbol
+        seen[(bucket, sign)] = symbol
+    raise AssertionError(f"no two symbols cancel at dimension {dimension}")
+
+
+@pytest.mark.parametrize("dimension", [64, 300])
+def test_build_equals_the_reference_on_an_all_symbol_and_an_empty_diff(dimension):
+    a, b = _cancelling_symbols(dimension)
+    step = HashingEmbedder(dimension).block_rows
+    records = synthetic_corpus(1, 2 * step + 3, seed=6)
+    symbols, empty = step + 1, len(records) - 1  # both past the first block
+    records[symbols] = dataclasses.replace(records[symbols], diff=f"{a} {b}\n{b}{a}\n")
+    records[empty] = dataclasses.replace(records[empty], diff="")
+    index = RetrievalIndex.build(records, HashingEmbedder(dimension))
+    _assert_same_index(index, reference_build(records, HashingEmbedder(dimension)))
+    part = index.partitions[records[0].repo_full_name]
+    degenerate = np.eye(1, dimension, dtype=np.float32)[0]
+    for i in (symbols, empty):
+        assert part.vectors[i].tobytes() == degenerate.tobytes()
+    assert part.lengths[symbols] == 4 and part.lengths[empty] == 0
 
 
 def test_warm_embedder_builds_the_same_index(tmp_path):

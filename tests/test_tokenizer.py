@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coracmg.tokenizer import tokenize
+from coracmg.tokenizer import token_counter, tokenize
 from helpers import synthetic_corpus
 from oracles import oracle_tokenize
 
@@ -88,3 +89,28 @@ def test_token_shape(text):
 def test_order_preserving(text):
     tokens = tokenize(text)
     assert "".join(tokens) == "".join(text.split()).lower()
+
+
+# Pieces on both sides of the whitespace rule: the separators \x1c-\x1f, NEL,
+# NBSP, LINE SEPARATOR and the ideographic space split for str.split() and
+# for the tokenizer alike; underscore, camelCase, digits and non-ASCII
+# letters decide where a chunk's tokens start.
+_CHUNKY = st.lists(
+    st.one_of(
+        st.sampled_from(
+            [" ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+        ),
+        st.sampled_from(["_", "getX", "XMLParser", "x2Y", "42", "é", "ÄpfelÖl", "Ω", "-", "()"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(_CHUNKY, _CHUNKY)
+def test_token_counter_equals_counter_of_tokenize(first, second):
+    count = token_counter()
+    # The later texts find some or all of their chunks in the memo.
+    for text in (first, second, second + " " + first, first):
+        assert list(count(text).items()) == list(Counter(tokenize(text)).items()), text
