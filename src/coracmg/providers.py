@@ -320,9 +320,10 @@ class HashingEmbedder:
         signed counts per bucket, and each sum is an integer far below
         2**53, so it is exact in any order.  A row with no nonzero sum is
         the degenerate unit vector on bucket 0.  Each row is scaled by its
-        float64 norm, an exact sum of integer squares; then one float32
-        refinement pass per row keeps its norm within 1e-6 of 1.  The
-        float64 scratch is ``16 * dimension`` bytes per row: pass at most
+        float64 norm, the root of an exact sum of integer squares, and
+        nothing else: a float32 norm from BLAS would sum in the order of the
+        CPU's kernel, and the rows' bits would follow it.  The float64
+        scratch is ``16 * dimension`` bytes per row: pass at most
         ``block_rows`` rows to keep it within ``EMBED_BLOCK_BYTES``.
         """
         dim, n = self.dimension, len(counts_list)
@@ -337,8 +338,6 @@ class HashingEmbedder:
         sums[~sums.any(axis=1), 0] = 1.0  # degenerate all-symbol-free input
         rows = sums.astype(np.float32)
         rows /= np.sqrt(np.square(rows, dtype=np.float64).sum(axis=1)).astype(np.float32)[:, None]
-        for row in rows:
-            row /= np.linalg.norm(row)
         return rows
 
 

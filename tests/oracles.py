@@ -93,11 +93,10 @@ def oracle_hash_embed(text, dimension):
         vec[bucket] += sign
     if not np.any(vec):
         vec[0] = 1.0  # degenerate all-symbol-free input
-    # Unit norm as the providers compute it: float32 values, a float64 norm,
-    # then one refinement pass.
+    # Unit norm from float32 values and their float64 norm, exact for integer
+    # values; no float32 refinement, whose BLAS sum follows the CPU's kernel.
     vec = vec.astype(np.float32)
-    vec = vec / np.float32(float(np.linalg.norm(vec.astype(np.float64))))
-    return vec / np.linalg.norm(vec)
+    return vec / np.float32(float(np.linalg.norm(vec.astype(np.float64))))
 
 
 def ngram_list(tokens, n):

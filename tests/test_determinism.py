@@ -1,7 +1,8 @@
-"""Retrieval scores and experiment rows do not depend on the BLAS thread count.
+"""Indexes, retrieval scores and experiment rows do not depend on the BLAS.
 
 Each test does the same work in two fresh interpreters, one under
-``OPENBLAS_NUM_THREADS=1`` and one under ``=2`` (OpenBLAS reads it when numpy
+``OPENBLAS_NUM_THREADS=1`` and one under ``=2``, or one under each of two
+OpenBLAS kernels (``OPENBLAS_CORETYPE``; OpenBLAS reads both when numpy
 loads), and compares what they print byte for byte.  No digest is pinned
 here: the bits of numpy's own float64 loop may differ between numpy builds.
 """
@@ -9,9 +10,12 @@ here: the bits of numpy's own float64 loop may differ between numpy builds.
 from __future__ import annotations
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from coracmg.diffs import write_jsonl
 from coracmg.providers import HashingEmbedder
@@ -21,18 +25,23 @@ from helpers import DenseEmbedder, synthetic_corpus
 TESTS = Path(__file__).resolve().parent
 
 
-def _under_each_thread_count(code: str, *args) -> list[bytes]:
+def _under_each(name: str, values: tuple[str, ...], code: str, *args) -> list[bytes]:
+    """What ``code`` prints in a fresh interpreter under each value of ``name``."""
     paths = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")]
     path = os.pathsep.join(paths)
     outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+    for value in values:
+        env = {**os.environ, "PYTHONPATH": path, name: value}
         done = subprocess.run(
             [sys.executable, "-c", code, *map(str, args)], capture_output=True, env=env
         )
         assert done.returncode == 0, done.stderr.decode()
         outputs.append(done.stdout)
     return outputs
+
+
+def _under_each_thread_count(code: str, *args) -> list[bytes]:
+    return _under_each("OPENBLAS_NUM_THREADS", ("1", "2"), code, *args)
 
 
 _RETRIEVE = """
@@ -88,3 +97,37 @@ def test_rag_results_are_the_same_under_one_and_two_blas_threads(tmp_path):
         _EXPERIMENT, tmp_path / "corpus.jsonl", tmp_path / "idx", tmp_path / "runs"
     )
     assert one == two
+
+
+_BUILD_AND_RUN = """
+import hashlib, os, sys
+from pathlib import Path
+from coracmg.diffs import read_corpus
+from coracmg.harness import ExperimentConfig, run_experiment
+from coracmg.providers import HashingEmbedder
+from coracmg.retriever import RetrievalIndex
+
+corpus, out = sys.argv[1], Path(sys.argv[2]) / os.environ["OPENBLAS_CORETYPE"]
+RetrievalIndex.build(read_corpus(corpus), HashingEmbedder(256)).save(out / "idx")
+config = ExperimentConfig(
+    corpus=corpus, out_dir=str(out / "run"), method="rag", k=3, seed=42,
+    generator="echo-mock", index=str(out / "idx"),
+)
+run_experiment(config)
+for name in ("idx/manifest.json", "idx/docs.txt", "idx/postings.bin", "idx/vectors.bin", "run/results.jsonl"):
+    print(name, hashlib.sha256((out / name).read_bytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86 kernels"
+)
+def test_index_and_rag_results_are_the_same_under_two_openblas_kernels(tmp_path):
+    # The kernels sum a float32 dot product in different orders, so a norm
+    # computed through BLAS would change the last bit of some vector rows.
+    write_jsonl(tmp_path / "corpus.jsonl", synthetic_corpus(4, 200, seed=1))
+    prescott, haswell = _under_each(
+        "OPENBLAS_CORETYPE", ("Prescott", "Haswell"), _BUILD_AND_RUN, tmp_path / "corpus.jsonl", tmp_path
+    )
+    assert len(prescott.splitlines()) == 5
+    assert prescott == haswell
