@@ -534,9 +534,9 @@ def reference_build(records, embedder):
         terms += postings
         sizes = [len(term_ids) for term_ids, _ in postings.values()]
         df += sizes
-        nnz, lists = sum(sizes), postings.values()
-        ids.append(np.fromiter(itertools.chain.from_iterable(i for i, _ in lists), np.int32, nnz))
-        tfs.append(np.fromiter(itertools.chain.from_iterable(t for _, t in lists), np.int32, nnz))
+        nnz, lists, flat = sum(sizes), postings.values(), itertools.chain.from_iterable
+        ids.append(np.fromiter(flat(i for i, _ in lists), np.int32, nnz))
+        tfs.append(np.fromiter(flat(t for _, t in lists), np.int32, nnz))
         tiebreak.append(_tiebreak(recs))
         table.append((len(recs), len(postings), nnz))
         rows[repo] = vectors

@@ -114,7 +114,8 @@ config = ExperimentConfig(
     generator="echo-mock", index=str(out / "idx"),
 )
 run_experiment(config)
-for name in ("idx/manifest.json", "idx/docs.txt", "idx/postings.bin", "idx/vectors.bin", "run/results.jsonl"):
+names = ("manifest.json", "docs.txt", "postings.bin", "vectors.bin")
+for name in [f"idx/{name}" for name in names] + ["run/results.jsonl"]:
     print(name, hashlib.sha256((out / name).read_bytes()).hexdigest())
 """
 
@@ -126,8 +127,9 @@ def test_index_and_rag_results_are_the_same_under_two_openblas_kernels(tmp_path)
     # The kernels sum a float32 dot product in different orders, so a norm
     # computed through BLAS would change the last bit of some vector rows.
     write_jsonl(tmp_path / "corpus.jsonl", synthetic_corpus(4, 200, seed=1))
+    kernels = ("Prescott", "Haswell")
     prescott, haswell = _under_each(
-        "OPENBLAS_CORETYPE", ("Prescott", "Haswell"), _BUILD_AND_RUN, tmp_path / "corpus.jsonl", tmp_path
+        "OPENBLAS_CORETYPE", kernels, _BUILD_AND_RUN, tmp_path / "corpus.jsonl", tmp_path
     )
     assert len(prescott.splitlines()) == 5
     assert prescott == haswell

@@ -8,8 +8,8 @@ import re
 import subprocess
 import sys
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
