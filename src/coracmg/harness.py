@@ -49,10 +49,11 @@ The index, provider config, template and ``out_dir`` are checked before the
 corpus is read, so a mismatch stops the run before any row and before
 ``out_dir`` exists.
 
-Commits run one at a time unless a model provider is called: then up to the
-provider config's ``concurrency.inflight`` commits run at once, since only
-provider requests wait on I/O.  A commit makes one request at a time, its
-arms one after another, so this also bounds the requests in flight.
+Commits run one at a time, on the calling thread, unless a model provider
+is called: then up to the provider config's ``concurrency.inflight`` commits
+run at once on a thread pool, since only provider requests wait on I/O.  A
+commit makes one request at a time, its arms one after another, so this
+also bounds the requests in flight.
 """
 
 from __future__ import annotations
@@ -356,10 +357,15 @@ def _run(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     # Threads run only where a provider request waits on the network.  Two
     # threads would speed up offline retrieval too (its numpy passes release
     # the GIL), but threaded retrieval once raised an unexplained SystemError,
-    # so the offline path keeps one.  A commit runs its arms one after
-    # another.  When a row raises, map cancels the rows still queued.
-    with ThreadPoolExecutor(max_workers=pc.inflight if pc else 1) as pool:
-        per_commit = list(pool.map(process, subset))
+    # so an offline run maps its commits on the calling thread: no pool, and
+    # no worker thread's malloc arena holding a query's temporaries.  A
+    # commit runs its arms one after another.  When a row raises, the rows
+    # after it do not run.
+    if pc is None:
+        per_commit = list(map(process, subset))
+    else:
+        with ThreadPoolExecutor(max_workers=pc.inflight) as pool:
+            per_commit = list(pool.map(process, subset))
     return [
         _write(arm, [outcomes[i] for outcomes in per_commit], shared, started)
         for i, arm in enumerate(configs)

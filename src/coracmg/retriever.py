@@ -12,9 +12,17 @@ BM25 makes one numpy pass per query: the postings of the query's known
 terms are joined in query order, each term's weight is repeated over its
 postings, the contributions are computed element by element, and
 ``np.bincount`` sums them per document in array order, so the floats are
-those of one scatter-add per term.  A top-k sorts only the candidates at or
-above the 2k-th best hybrid score (ties at the cut included), and sorts the
-rest only when the leakage guard skips past all of those.
+those of one scatter-add per term.  The ids are joined as ``intp``, numpy's
+index type: the stored ids are int32, and a gather or ``bincount`` by int32
+ids casts them to a new ``intp`` array on every call.  The contributions
+are computed in place on the query's own joined arrays: each add, multiply
+and divide is the IEEE operation, in the order, of
+``weight * (tf * (K1 + 1)) / (tf + length_norm)`` (an add commutes), so the
+bits are those of that expression with no temporary per operation.  An
+excluded document is deleted from the scores (two slice copies), not left
+out by a gather of every other row.  A top-k sorts only the candidates at
+or above the 2k-th best hybrid score (ties at the cut included), and sorts
+the rest only when the leakage guard skips past all of those.
 
 The build counts each diff's tokens with ``tokenizer.token_counter``, which
 tokenizes each distinct whitespace-separated chunk once per build: code
@@ -729,11 +737,16 @@ class RetrievalIndex:
         if not postings:
             return np.zeros(len(part), dtype=np.float64)  # bincount of nothing is int64
         term_ids, term_tfs = zip(*postings)
-        ids = np.concatenate(term_ids)
+        ids = np.concatenate(term_ids, dtype=np.intp)  # gathered and counted uncast
         tfs = np.concatenate(term_tfs, dtype=np.float64)  # one exact cast per query
         weight = np.repeat(weights, [len(t) for t in term_ids])
-        contributions = weight * (tfs * (K1 + 1.0)) / (tfs + part.length_norm[ids])
-        return np.bincount(ids, contributions, len(part))
+        # weight * (tfs * (K1 + 1)) / (tfs + length_norm), in place, op for op.
+        den = part.length_norm[ids]
+        den += tfs
+        tfs *= K1 + 1.0
+        weight *= tfs
+        weight /= den
+        return np.bincount(ids, weight, len(part))
 
     def _score(
         self,
@@ -750,17 +763,17 @@ class RetrievalIndex:
         part = self.partitions.get(scope_repo)
         if part is None or len(part) == 0:
             raise EmptyScope(f"no indexed documents for project {scope_repo!r}")
-        keep = np.arange(len(part))
         excluded = part.row(exclude_sha) if exclude_sha is not None else None
-        if excluded is not None:
-            keep = np.delete(keep, excluded)
-        if len(keep) == 0:
+        if excluded is not None and len(part) == 1:
             raise EmptyScope(
                 f"project {scope_repo!r} has no candidates besides the excluded commit"
             )
-        lexical = self._batch_lexical(part, query_counts)[keep]
+        keep = np.arange(len(part))
+        lexical = self._batch_lexical(part, query_counts)
         # numpy's own float64 loop, not BLAS: the bits do not follow the BLAS build or threads.
-        semantic = np.einsum("ij,j->i", part.vectors, query_vec.astype(np.float64))[keep]
+        semantic = np.einsum("ij,j->i", part.vectors, query_vec.astype(np.float64))
+        if excluded is not None:  # two slice copies each, not a gather of every kept row
+            keep, lexical, semantic = (np.delete(a, excluded) for a in (keep, lexical, semantic))
         return part, keep, _fuse_arrays(lexical, semantic)
 
     def retrieve(

@@ -16,8 +16,12 @@ subset sampler as it was before it built per-language pools in one pass,
 ``oracle_read_jsonl`` the JSON Lines reader as it was before it read
 the file whole: one ``json.loads`` per line, decoded line by line, and
 ``oracle_render`` the prompt renderer as it was when it applied the budget
-itself, re-rendering after each eviction, and ``reference_build`` the index
-build as it was when it tokenized and embedded one whole diff at a time.
+itself, re-rendering after each eviction, ``reference_build`` the index
+build as it was when it tokenized and embedded one whole diff at a time, and
+``reference_batch_lexical`` and ``reference_score`` the query's BM25 and
+hybrid scores as they were when BM25 gathered by int32 ids and allocated a
+temporary per operation, and an excluded document was left out by a gather
+of every other row.
 """
 
 from __future__ import annotations
@@ -34,8 +38,14 @@ from functools import lru_cache
 import numpy as np
 
 from coracmg.diffs import CommitRecord, language_of
-from coracmg.errors import CorpusTooSmall, DimensionMismatch, EmptyCorpus, InvalidInput
-from coracmg.retriever import RetrievalIndex, _embed, _packed, _tiebreak
+from coracmg.errors import (
+    CorpusTooSmall,
+    DimensionMismatch,
+    EmptyCorpus,
+    EmptyScope,
+    InvalidInput,
+)
+from coracmg.retriever import K1, RetrievalIndex, _embed, _fuse_arrays, _packed, _tiebreak
 from coracmg.tokenizer import tokenize
 from helpers import stored_docs
 
@@ -556,3 +566,43 @@ def reference_build(records, embedder):
     }
     embedder_id = getattr(embedder, "identifier", type(embedder).__name__)
     return RetrievalIndex(rows, sections, b"".join(texts), dimension, embedder_id)
+
+
+def reference_batch_lexical(index, part, query_counts):
+    """``RetrievalIndex._batch_lexical`` as it was: int32 ids, one temporary per operation."""
+    postings, weights = [], []
+    for term, qtf in query_counts.items():
+        entry = part.posting(term)
+        if entry is not None:
+            postings.append(entry)
+            weights.append(index._idf(part, len(entry[0])) * qtf)
+    if not postings:
+        return np.zeros(len(part), dtype=np.float64)  # bincount of nothing is int64
+    term_ids, term_tfs = zip(*postings)
+    ids = np.concatenate(term_ids)
+    tfs = np.concatenate(term_tfs, dtype=np.float64)  # one exact cast per query
+    weight = np.repeat(weights, [len(t) for t in term_ids])
+    contributions = weight * (tfs * (K1 + 1.0)) / (tfs + part.length_norm[ids])
+    return np.bincount(ids, contributions, len(part))
+
+
+def reference_score(index, query_counts, scope_repo, query_vec, exclude_sha):
+    """``RetrievalIndex._score`` as it was: every kept row gathered by ``keep``."""
+    if query_vec.shape[0] != index.dimension:
+        raise DimensionMismatch(
+            f"query vector has dimension {query_vec.shape[0]}, index uses {index.dimension}"
+        )
+    part = index.partitions.get(scope_repo)
+    if part is None or len(part) == 0:
+        raise EmptyScope(f"no indexed documents for project {scope_repo!r}")
+    keep = np.arange(len(part))
+    excluded = part.row(exclude_sha) if exclude_sha is not None else None
+    if excluded is not None:
+        keep = np.delete(keep, excluded)
+    if len(keep) == 0:
+        raise EmptyScope(
+            f"project {scope_repo!r} has no candidates besides the excluded commit"
+        )
+    lexical = reference_batch_lexical(index, part, query_counts)[keep]
+    semantic = np.einsum("ij,j->i", part.vectors, query_vec.astype(np.float64))[keep]
+    return part, keep, _fuse_arrays(lexical, semantic)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import re
@@ -591,7 +592,78 @@ def test_offline_experiment_retrieves_on_one_thread(tmp_path, monkeypatch):
         )
     )
     assert len(threads) == len(result.rows) == 20
-    assert len(set(threads)) == 1
+    assert set(threads) == {threading.get_ident()}
+
+
+def _pooled_map(fn, items):
+    """``map`` through a one-worker thread pool, the way offline runs once mapped their commits."""
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        return list(pool.map(fn, items))
+
+
+def test_an_offline_run_starts_no_thread_and_writes_what_a_pooled_run_wrote(
+    tmp_path, monkeypatch
+):
+    corpus_path, index_dir = _materialize(tmp_path, synthetic_corpus(3, 15, seed=23))
+    arms = {
+        "rag": {"method": "rag", "k": 3, "generator": "echo-mock"},
+        "copy": {"method": "direct", "generator": "retrieval-copy"},
+    }
+
+    def run(name):
+        out = tmp_path / name
+        run_experiment(
+            ExperimentConfig(
+                corpus=str(corpus_path), out_dir=str(out), index=str(index_dir), seed=5,
+                **arms[name.split("-")[0]],
+            )
+        )
+        return (out / "results.jsonl").read_bytes()
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "map", _pooled_map, raising=False)
+        pooled = {name: run(f"{name}-pooled") for name in arms}
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an offline run built a thread pool")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    for name in arms:
+        assert run(f"{name}-calling") == pooled[name]
+    assert b'"status": "ok"' in pooled["rag"] and b'"status": "ok"' in pooled["copy"]
+
+
+def test_a_provider_run_maps_its_commits_on_a_pool_of_inflight_workers(
+    tmp_path, fake_provider, monkeypatch
+):
+    records = synthetic_corpus(2, 6, seed=101)
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus_path, records)
+    index_dir = tmp_path / "corpus.index"
+    embedder = EmbeddingClient(f"{fake_provider.url}/embed", fake_provider.dimension, model="e")
+    RetrievalIndex.build(records, embedder).save(index_dir)
+    pools = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    result = run_experiment(
+        ExperimentConfig(
+            corpus=str(corpus_path),
+            out_dir=str(tmp_path / "run"),
+            method="rag",
+            k=2,
+            generator="provider",
+            index=str(index_dir),
+            provider_config=str(fake_provider.config(tmp_path / "providers.json", inflight=3)),
+            seed=6,
+        )
+    )
+    assert all(r["status"] == "ok" for r in result.rows)
+    assert pools == [3]
 
 
 def test_provider_requests_in_flight_follow_the_provider_config(tmp_path, fake_provider):

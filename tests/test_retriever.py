@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import string
 import struct
@@ -28,7 +29,9 @@ from oracles import (
     oracle_hash_embed,
     oracle_minmax_fuse,
     oracle_rank,
+    reference_batch_lexical,
     reference_build,
+    reference_score,
 )
 
 EMBEDDER = HashingEmbedder(64)
@@ -1113,6 +1116,72 @@ def test_bm25_of_a_query_with_only_unseen_terms_is_float64_zeros(large_partition
     scores = index._batch_lexical(part, Counter({"never-indexed": 2, "also_unseen": 1}))
     assert scores.dtype == np.float64
     assert scores.tobytes() == np.zeros(len(part)).tobytes()
+
+
+def seeded_queries(records, seed, n=200):
+    """``n`` query term counts: plain, with terms repeated, with unseen terms, only unseen."""
+    rng = random.Random(seed)
+    for q in range(n):
+        tokens = tokenize(rng.choice(records).diff)
+        unseen = [f"unseen term {rng.randrange(50)}" for _ in range(rng.randint(1, 6))]
+        if q % 4 == 1:
+            tokens = tokens * rng.randint(2, 3) + tokenize(rng.choice(records).diff)
+        elif q % 4 == 2:
+            tokens = [*unseen[:1], *tokens, *unseen, *rng.sample(tokens, min(5, len(tokens)))]
+        elif q % 4 == 3:
+            tokens = unseen  # no token holds a space
+        yield Counter(tokens)
+
+
+def assert_scores_as_the_reference(index, repo, counts, exclude_sha):
+    """``_batch_lexical`` and ``_score`` give the reference's bytes, or raise as it does."""
+    part = index.partitions[repo]
+    batch = index._batch_lexical(part, counts)
+    assert batch.dtype == np.float64
+    assert batch.tobytes() == reference_batch_lexical(index, part, counts).tobytes()
+    query_vec = EMBEDDER.embed_counts(counts)
+    try:
+        expected = reference_score(index, counts, repo, query_vec, exclude_sha)
+    except EmptyScope as exc:
+        with pytest.raises(EmptyScope, match=re.escape(str(exc))):
+            index._score(counts, repo, query_vec, exclude_sha)
+        return
+    got_part, keep, hybrid = index._score(counts, repo, query_vec, exclude_sha)
+    ref_part, ref_keep, ref_hybrid = expected
+    assert got_part is ref_part
+    assert keep.dtype == ref_keep.dtype and keep.tolist() == ref_keep.tolist()
+    assert hybrid.dtype == np.float64 and hybrid.tobytes() == ref_hybrid.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bm25_and_hybrid_scores_are_the_references_bytes(large_partition, seed):
+    # The in-place BM25 over intp ids, and the excluded row deleted from the
+    # scores, must give the floats of the expression and the gathers before.
+    records, index = large_partition
+    repo = records[0].repo_full_name
+    part = index.partitions[repo]
+    last = part.field(len(part) - 1, retriever._SHA)
+    absent = "f" * 40
+    assert (part.row(records[0].sha), part.row(last), part.row(absent)) == (0, len(part) - 1, None)
+    rng = random.Random(seed)
+    for q, counts in enumerate(seeded_queries(records, seed)):
+        inside = part.field(rng.randrange(len(part)), retriever._SHA)
+        exclude = (None, records[0].sha, last, absent, inside)[q % 5]
+        assert_scores_as_the_reference(index, repo, counts, exclude)
+
+
+def test_hybrid_scores_of_two_and_one_document_partitions_are_the_references_bytes():
+    records = synthetic_corpus(2, 3, seed=19)
+    pair = [r for r in records if r.repo_full_name == "acme/project0"][:2]
+    lone = [r for r in records if r.repo_full_name == "acme/project1"][:1]
+    index = build_index(pair + lone)
+    for query in (pair[0], pair[1], lone[0]):
+        counts = Counter(tokenize(query.diff))
+        for repo, docs in (("acme/project0", pair), ("acme/project1", lone)):
+            for exclude in (None, *(r.sha for r in docs), "f" * 40):
+                assert_scores_as_the_reference(index, repo, counts, exclude)
+    with pytest.raises(EmptyScope, match="besides the excluded commit"):
+        index._score(Counter(["x"]), "acme/project1", EMBEDDER.embed("x"), lone[0].sha)
 
 
 def full_sort_top_k(index, query_diff, k, repo, exclude_sha=None):
