@@ -63,8 +63,10 @@ sorted project order and documents in partition order:
 A built and a loaded index hold the same sections and the same ``docs.txt``
 bytes, and ``RetrievalIndex.__init__`` cuts the partitions out of them for
 both; ``save`` writes the sections as held.
-Loading reads ``docs.txt`` and ``postings.bin`` into memory mapped outside
-the malloc heap and decodes no text.  It checks the version of the
+Loading maps ``docs.txt`` and ``postings.bin`` read-only, in place: no byte
+is copied, no page is zero-filled, and no text is decoded.  Every loaded
+array, ``docs`` and each partition's rows are read-only views of the
+files.  It checks the version of the
 manifest and of both headers, that the section sizes add up to the file,
 that the counts and the size of ``vectors.bin`` agree across files, that
 ``docs.txt`` and the term table are UTF-8 (``surrogatepass``) and their
@@ -75,18 +77,34 @@ least 1 and that each partition's tie-break is a permutation; these checks
 run on all projects at once, and any failure is a ``CorruptIndex``.  A
 query decodes only the fields it cuts, and finds an excluded sha in the
 ``docs.txt`` bytes, with no per-document lookup.  A partition builds its
-term lookup and its BM25 length norms, and reads its float32 rows of
-``vectors.bin`` as stored, with no float64 copy, on its first query.  The
-dense half of a score is numpy's own float64 ``einsum`` loop over those
-rows, which calls no BLAS, so its bits do not depend on the BLAS build or
-thread count.  A ``vectors.bin`` that changed after load, or reads short,
-is a ``CorruptIndex`` at that query.  Saving over a version-4 directory
-leaves its ``postings.npz`` and ``terms.json`` in place; version 6 never
-reads them.
+term lookup and its BM25 length norms on its first query, and views its
+float32 rows of ``vectors.bin`` as stored, with no float64 copy.  The first
+query of any partition maps ``vectors.bin``, once for the whole index, so a
+loaded index holds three file descriptors whatever its project count (each
+``mmap`` holds a duplicate of its file's).  The dense half of a score is
+numpy's own float64 ``einsum`` loop over those rows, which calls no BLAS, so
+its bits do not depend on the BLAS build or thread count.  A
+``vectors.bin`` that changed after load (another file, size or
+modification time), or is shorter than load found it, is a ``CorruptIndex``
+at a partition's first query; so is a ``docs.txt`` or ``postings.bin`` cut
+short while load maps it.
+
+``save`` writes each file under a temporary name in the directory and
+renames it over its own name, the manifest last, so it never cuts or
+rewrites a file that a loaded index maps: an index loaded before a rebuild
+keeps answering from the old files for the partitions it has queried, and
+its other partitions raise ``CorruptIndex`` at their first query.  A file
+rewritten in place instead, by another program, while a process has the
+index loaded can change that process's answers, or end it with ``SIGBUS``
+when it reads a page past the file's new end.  Saving over a version-4
+directory leaves its ``postings.npz`` and ``terms.json`` in place; version
+6 never reads them.
 
 After construction the index is immutable and queries may run
 concurrently: each piece of lazily built state is computed whole and then
-published by one attribute assignment, so a race at worst computes it twice.
+published by one attribute assignment, so a race at worst computes it
+twice.  The one exception is the mapping of ``vectors.bin``, made under a
+lock so that racing first queries share one mapping and one descriptor.
 """
 
 from __future__ import annotations
@@ -98,6 +116,8 @@ import math
 import mmap
 import os
 import struct
+import threading
+import uuid
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
@@ -194,7 +214,8 @@ class _Partition:
     hybrid score.  ``tfs`` are int32: BM25 promotes them to float64 exactly.
 
     ``rows`` are the (n, dim) float32 unit vectors, or for a loaded index a
-    function that reads them.  ``vectors``, ``terms`` and
+    function that views them in the index's one mapping of ``vectors.bin``.
+    ``vectors``, ``terms`` and
     ``length_norm`` are built on first use.  Each is computed whole and then
     published by one attribute assignment, so concurrent first queries see
     either nothing or the finished value.  ``row`` keeps no state: it reads
@@ -340,33 +361,68 @@ def _best_first(hybrid: np.ndarray, tiebreak: np.ndarray, head: int) -> Iterator
         yield from at[np.lexsort((tiebreak[at], -hybrid[at]))].tolist()
 
 
-def _mapped(nbytes: int) -> mmap.mmap:
-    """Private memory of ``nbytes`` outside the malloc heap, faulted in by one call.
+def _map(fh, size: int, name: str) -> mmap.mmap | bytes:
+    """The first ``size`` bytes of the open file ``fh``, mapped read-only in place.
 
-    The text, the postings and a partition's float32 rows live here: the
-    pages go back to the system as soon as they are dropped, whatever the
-    heap keeps.
+    An empty file is ``b""``: a mapping cannot be empty.  A file cut shorter
+    than ``size`` after its size was taken is a ``CorruptIndex``, not
+    ``mmap``'s ``ValueError``.
     """
-    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)  # MAP_POPULATE: Linux only
-    return mmap.mmap(-1, max(nbytes, 1), flags=flags)  # a mapping cannot be empty
+    if size == 0:
+        return b""
+    try:
+        return mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
+    except ValueError:
+        raise CorruptIndex(f"{name} changed while it was read") from None
 
 
-def _read_mapped(path: Path) -> tuple[mmap.mmap, int]:
-    """The bytes of ``path`` in ``_mapped`` memory, and how many there are."""
+def _map_file(path: Path) -> mmap.mmap | bytes:
+    """The whole of ``path``, mapped read-only by ``_map``."""
     with reading(path, CorruptIndex), open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        data = _mapped(size)
-        if fh.readinto(memoryview(data)[:size]) != size:
-            raise CorruptIndex(f"{path.name} changed while it was read")
-    return data, size
+        return _map(fh, os.fstat(fh.fileno()).st_size, path.name)
+
+
+def _identity(stat: os.stat_result) -> tuple[int, int, int, int]:
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+class _VectorFile:
+    """The ``vectors.bin`` that load checked, mapped once for every partition.
+
+    The mapping is made on the first query of any partition, and every
+    partition's rows are a view of it.  CPython's ``mmap`` holds a duplicate
+    of the file descriptor, so one mapping per partition would hold one
+    descriptor per queried project; the lock keeps racing first queries to
+    one mapping.
+    """
+
+    def __init__(self, path: Path, checked: os.stat_result):
+        self.path = path
+        self.checked = checked
+        self.data: mmap.mmap | None = None
+        self.lock = threading.Lock()
+
+    def rows(self, offset: int, shape: tuple[int, int]) -> np.ndarray:
+        """The float32 rows of ``shape`` at byte ``offset``, read-only and as stored.
+
+        Each partition's first query checks that the file at the path is
+        still the one load checked, even when another partition has mapped it.
+        """
+        with reading(self.path, CorruptIndex), open(self.path, "rb") as fh:
+            if _identity(os.fstat(fh.fileno())) != _identity(self.checked):
+                raise CorruptIndex(f"{self.path} changed after the index was loaded; load it again")
+            with self.lock:
+                if self.data is None:
+                    self.data = _map(fh, self.checked.st_size, self.path.name)
+        return np.frombuffer(self.data, "<f4", shape[0] * shape[1], offset).reshape(shape)
 
 
 def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
     """The dimension of ``vectors.bin`` and, per partition, a reader of its rows.
 
-    Load checks the header and the size and reads no row: a partition calls
-    its reader on its first query, so a reopen reads only the rows a query
-    touches.
+    Load checks the header and the size and maps no row: a partition calls
+    its reader on its first query, which maps the file if no other partition
+    has (``_VectorFile``).
     """
     with reading(path, CorruptIndex), open(path, "rb") as fh:
         header = fh.read(16)
@@ -391,31 +447,18 @@ def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
                 f"counts {sum(counts)} documents"
             )
     starts = np.cumsum([0, *counts]).tolist()
+    mapped = _VectorFile(path, checked)
     readers = [
-        partial(_read_rows, path, checked, 16 + 4 * dimension * start, (n, dimension))
+        partial(mapped.rows, 16 + 4 * dimension * start, (n, dimension))
         for start, n in zip(starts, counts)
     ]
     return dimension, readers
 
 
-def _read_rows(path: Path, checked: os.stat_result, offset: int, shape: tuple[int, int]):
-    """One partition's float32 rows, read into ``_mapped`` memory from the
-    ``vectors.bin`` that load checked."""
-    size = shape[0] * shape[1]
-    with reading(path, CorruptIndex), open(path, "rb") as fh:
-        now = os.fstat(fh.fileno())
-        if (now.st_size, now.st_mtime_ns) != (checked.st_size, checked.st_mtime_ns):
-            raise CorruptIndex(f"{path} changed after the index was loaded; load it again")
-        fh.seek(offset)
-        rows = _mapped(4 * size)
-        if fh.readinto(memoryview(rows)[: 4 * size]) != 4 * size:
-            raise CorruptIndex("vectors.bin changed while it was read")
-    return np.frombuffer(rows, "<f4", size).reshape(shape)
-
-
 def _read_postings(path: Path) -> dict[str, np.ndarray]:
-    """The sections of ``postings.bin``, as arrays over one mapped copy of the file."""
-    data, size = _read_mapped(path)
+    """The sections of ``postings.bin``, as read-only arrays over its mapping."""
+    data = _map_file(path)
+    size = len(data)
     if size < _POSTINGS_HEADER.size or data[:4] != POSTINGS_MAGIC:
         raise CorruptIndex("postings.bin has a bad magic number")
     _, version, count, *sizes = _POSTINGS_HEADER.unpack_from(data)
@@ -651,7 +694,15 @@ class RetrievalIndex:
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        # Read before any file is written: a loaded index may be saved over its own vectors.bin.
+        """Write the index's four files into the directory ``path``.
+
+        Each file is written under a temporary name in the directory and then
+        renamed over its own name, the manifest last, so a file that a loaded
+        index maps is never cut or rewritten in place.  If a write fails, the
+        temporary files are removed and the directory keeps its old files.
+        """
+        # Mapped before any file is renamed: a loaded index may be saved over
+        # its own directory, and a first query after that finds a new vectors.bin.
         rows = [part.vectors for part in self.partitions.values()]
         out = Path(path)
         out.mkdir(parents=True, exist_ok=True)
@@ -666,18 +717,28 @@ class RetrievalIndex:
             "embedder": self.embedder_id,
             "projects": {r: len(p) for r, p in self.partitions.items()},
         }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-        )
-        # A mapped empty docs.txt is one byte long: the bounds give the text's end.
-        with memoryview(self.docs) as text:
-            (out / "docs.txt").write_bytes(text[: int(self.sections["bounds"][-1])])
-        _write_postings(out / "postings.bin", self.sections)
-        with open(out / "vectors.bin", "wb") as fh:
-            fh.write(VECTORS_MAGIC)
-            fh.write(struct.pack("<III", INDEX_VERSION, doc_count, self.dimension))
-            for vectors in rows:
-                fh.write(vectors)
+        token = uuid.uuid4().hex
+        temp = {  # renamed in this order, the manifest last
+            name: out / f".{name}.{token}.tmp"
+            for name in ("docs.txt", "postings.bin", "vectors.bin", "manifest.json")
+        }
+        try:
+            temp["docs.txt"].write_bytes(self.docs)
+            _write_postings(temp["postings.bin"], self.sections)
+            with open(temp["vectors.bin"], "wb") as fh:
+                fh.write(VECTORS_MAGIC)
+                fh.write(struct.pack("<III", INDEX_VERSION, doc_count, self.dimension))
+                for vectors in rows:
+                    fh.write(vectors)
+            temp["manifest.json"].write_text(
+                json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
+            )
+            for name, staged in temp.items():
+                os.replace(staged, out / name)
+        except BaseException:
+            for staged in temp.values():
+                staged.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":
@@ -710,8 +771,8 @@ class RetrievalIndex:
         counts = [projects[r] for r in repos]
         dimension, readers = _read_vectors(root / "vectors.bin", counts)
         sections = _read_postings(root / "postings.bin")
-        docs, size = _read_mapped(root / "docs.txt")
-        _check_postings(sections, counts, np.frombuffer(docs, np.uint8, size))
+        docs = _map_file(root / "docs.txt")
+        _check_postings(sections, counts, np.frombuffer(docs, np.uint8))
         return cls(dict(zip(repos, readers)), sections, docs, dimension, embedder_id)
 
     # -- scoring ----------------------------------------------------------

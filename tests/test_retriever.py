@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -952,6 +953,125 @@ def test_a_loaded_index_saves_over_its_own_directory(tmp_path):
     for q in records:
         args = (q.diff, 3, q.repo_full_name, q.sha)
         assert again.retrieve(*args, embedder=EMBEDDER) == built.retrieve(*args, embedder=EMBEDDER)
+
+
+@pytest.mark.parametrize("name", ["docs.txt", "postings.bin"])
+def test_load_rejects_a_file_cut_short_before_it_is_mapped(tmp_path, monkeypatch, name):
+    # The size load takes is the uncut one, as if the file were cut between
+    # fstat and the mapping: mmap's ValueError must not escape, and no page
+    # past the end may be read (SIGBUS).
+    build_index(synthetic_corpus(2, 3, seed=0)).save(tmp_path / "idx")
+    path = tmp_path / "idx" / name
+    checked = path.stat()
+    path.write_bytes(path.read_bytes()[:-4])  # cut in place: the same inode
+    fstat = os.fstat
+    monkeypatch.setattr(
+        retriever.os, "fstat", lambda fd: checked if fstat(fd).st_ino == checked.st_ino else fstat(fd)
+    )
+    with pytest.raises(CorruptIndex, match=f"{name} changed while it was read"):
+        RetrievalIndex.load(tmp_path / "idx")
+
+
+def _answers(index, records):
+    return [
+        index.retrieve(q.diff, 3, q.repo_full_name, q.sha, embedder=EMBEDDER) for q in records
+    ]
+
+
+def test_a_failed_save_leaves_the_previous_index(tmp_path, monkeypatch):
+    old = synthetic_corpus(2, 6, seed=5)
+    root = tmp_path / "idx"
+    build_index(old).save(root)
+    files = {p.name: p.read_bytes() for p in root.iterdir()}
+    expected = _answers(RetrievalIndex.load(root), old)
+
+    def fail(path, arrays):
+        path.write_bytes(b"half")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(retriever, "_write_postings", fail)
+    with pytest.raises(OSError, match="No space left"):
+        build_index(synthetic_corpus(2, 8, seed=6)).save(root)
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == files  # no temporary file left
+    assert _answers(RetrievalIndex.load(root), old) == expected
+
+
+def test_a_rebuild_under_a_loaded_index(tmp_path):
+    old, new = synthetic_corpus(2, 6, seed=7), synthetic_corpus(2, 9, seed=8)
+    root = tmp_path / "idx"
+    build_index(old).save(root)
+    loaded = RetrievalIndex.load(root)
+    queried = [q for q in old if q.repo_full_name == "acme/project0"]
+    expected = _answers(loaded, queried)
+    # Everything a loaded index holds is read-only: its files are mapped, not copied.
+    assert memoryview(loaded.docs).readonly
+    assert not any(section.flags.writeable for section in loaded.sections.values())
+    assert not loaded.partitions["acme/project0"].vectors.flags.writeable
+
+    build_index(new).save(root)  # renamed over the mapped files, none cut or rewritten
+    assert _answers(loaded, queried) == expected  # from the old files, still mapped
+    with pytest.raises(CorruptIndex, match="changed after the index was loaded; load it again"):
+        loaded.retrieve("x", 1, "acme/project1", embedder=EMBEDDER)
+    assert _answers(RetrievalIndex.load(root), new) == _answers(build_index(new), new)
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd (Linux)")
+def test_a_loaded_index_holds_three_descriptors_whatever_its_project_count(tmp_path):
+    # Each mmap holds a duplicate of its file's descriptor: docs.txt,
+    # postings.bin and one vectors.bin for all 300 queried projects.
+    records = [make_record(i, repo=f"acme/p{i:03d}") for i in range(300)]
+    build_index(records).save(tmp_path / "idx")
+    gc.collect()
+    before = _open_descriptors()
+    index = RetrievalIndex.load(tmp_path / "idx")
+    for rec in records:
+        assert index.retrieve("x", 1, rec.repo_full_name, embedder=EMBEDDER)
+    assert _open_descriptors() - before <= 3
+    del index
+    gc.collect()
+    assert _open_descriptors() == before
+
+
+def _mapping(rows: np.ndarray):
+    """The object whose buffer ``rows`` view."""
+    while isinstance(rows, np.ndarray):
+        rows = rows.base
+    return rows.obj  # numpy's last base is a memoryview of the mapping
+
+
+def test_racing_first_queries_share_one_mapping_of_vectors(tmp_path):
+    # mmap releases the interpreter lock while it maps: first queries of
+    # different projects that race past an unlocked check would each map
+    # vectors.bin, and each mapping would hold a descriptor.
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    records = [make_record(i, repo=f"acme/p{i:02d}") for i in range(40)]
+    build_index(records).save(tmp_path / "idx")
+    repos = [rec.repo_full_name for rec in records]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(200):
+                index = RetrievalIndex.load(tmp_path / "idx")
+                start = threading.Barrier(8, timeout=30)
+
+                def first(some):
+                    start.wait()
+                    return [index.partitions[repo].vectors for repo in some]
+
+                futures = [pool.submit(first, repos[w::8]) for w in range(8)]
+                rows = [r for future in futures for r in future.result(timeout=60)]
+                assert len(rows) == len(repos)
+                assert len({id(_mapping(r)) for r in rows}) == 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _built_and_loaded(records, root):
