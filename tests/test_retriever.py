@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import math
+import mmap
 import os
 import random
 import re
@@ -916,35 +917,10 @@ def test_load_checks_each_project_against_its_own_size(tmp_path, corrupt, messag
         RetrievalIndex.load(root)
 
 
-def test_first_query_rejects_vectors_cut_short_while_read(tmp_path, monkeypatch):
-    records = synthetic_corpus(1, 3, seed=0)
-    build_index(records).save(tmp_path / "idx")
-    index = RetrievalIndex.load(tmp_path / "idx")  # checks the size, reads no row
-    vectors = tmp_path / "idx" / "vectors.bin"
-    checked = vectors.stat()
-    vectors.write_bytes(vectors.read_bytes()[:-4])  # as if truncated after the check
-    monkeypatch.setattr(retriever.os, "fstat", lambda fd: checked)
-    with pytest.raises(CorruptIndex, match="vectors.bin changed while it was read"):
-        index.retrieve("x", 1, records[0].repo_full_name, embedder=EMBEDDER)
-
-
-def test_first_query_rejects_vectors_changed_after_load(tmp_path):
-    records = synthetic_corpus(2, 3, seed=0)
-    build_index(records).save(tmp_path / "idx")
-    index = RetrievalIndex.load(tmp_path / "idx")
-    index.retrieve("x", 1, records[0].repo_full_name, embedder=EMBEDDER)  # reads its rows
-    vectors = tmp_path / "idx" / "vectors.bin"
-    vectors.write_bytes(vectors.read_bytes())  # same bytes, a new modification time
-    os.utime(vectors, ns=(0, vectors.stat().st_mtime_ns + 1))
-    with pytest.raises(CorruptIndex, match="changed after the index was loaded; load it again"):
-        index.retrieve("x", 1, records[-1].repo_full_name, embedder=EMBEDDER)
-    # The project queried before the change keeps answering from its rows.
-    index.retrieve("x", 1, records[0].repo_full_name, embedder=EMBEDDER)
-
-
 def test_a_loaded_index_saves_over_its_own_directory(tmp_path):
-    # No query has read a row yet, so save must read them before it
-    # truncates the vectors.bin they come from.
+    # The loaded rows are views of the mapped vectors.bin that save replaces:
+    # the new file is renamed over it, never cut, so the rows save writes
+    # stay readable while it writes them.
     records = synthetic_corpus(2, 5, seed=4)
     built = build_index(records)
     built.save(tmp_path / "idx")
@@ -955,7 +931,7 @@ def test_a_loaded_index_saves_over_its_own_directory(tmp_path):
         assert again.retrieve(*args, embedder=EMBEDDER) == built.retrieve(*args, embedder=EMBEDDER)
 
 
-@pytest.mark.parametrize("name", ["docs.txt", "postings.bin"])
+@pytest.mark.parametrize("name", ["docs.txt", "postings.bin", "vectors.bin"])
 def test_load_rejects_a_file_cut_short_before_it_is_mapped(tmp_path, monkeypatch, name):
     # The size load takes is the uncut one, as if the file were cut between
     # fstat and the mapping: mmap's ValueError must not escape, and no page
@@ -1002,16 +978,15 @@ def test_a_rebuild_under_a_loaded_index(tmp_path):
     build_index(old).save(root)
     loaded = RetrievalIndex.load(root)
     queried = [q for q in old if q.repo_full_name == "acme/project0"]
-    expected = _answers(loaded, queried)
+    assert _answers(loaded, queried)  # acme/project1 is not queried before the rebuild
     # Everything a loaded index holds is read-only: its files are mapped, not copied.
     assert memoryview(loaded.docs).readonly
     assert not any(section.flags.writeable for section in loaded.sections.values())
     assert not loaded.partitions["acme/project0"].vectors.flags.writeable
 
     build_index(new).save(root)  # renamed over the mapped files, none cut or rewritten
-    assert _answers(loaded, queried) == expected  # from the old files, still mapped
-    with pytest.raises(CorruptIndex, match="changed after the index was loaded; load it again"):
-        loaded.retrieve("x", 1, "acme/project1", embedder=EMBEDDER)
+    # Every project answers from the old files, still mapped, queried before or not.
+    assert _answers(loaded, old) == _answers(build_index(old), old)
     assert _answers(RetrievalIndex.load(root), new) == _answers(build_index(new), new)
 
 
@@ -1021,13 +996,14 @@ def _open_descriptors() -> int:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd (Linux)")
 def test_a_loaded_index_holds_three_descriptors_whatever_its_project_count(tmp_path):
-    # Each mmap holds a duplicate of its file's descriptor: docs.txt,
-    # postings.bin and one vectors.bin for all 300 queried projects.
+    # Each mmap holds a duplicate of its file's descriptor: load maps docs.txt,
+    # postings.bin and one vectors.bin for all 300 projects, and a query maps none.
     records = [make_record(i, repo=f"acme/p{i:03d}") for i in range(300)]
     build_index(records).save(tmp_path / "idx")
     gc.collect()
     before = _open_descriptors()
     index = RetrievalIndex.load(tmp_path / "idx")
+    assert _open_descriptors() - before <= 3
     for rec in records:
         assert index.retrieve("x", 1, rec.repo_full_name, embedder=EMBEDDER)
     assert _open_descriptors() - before <= 3
@@ -1044,9 +1020,9 @@ def _mapping(rows: np.ndarray):
 
 
 def test_racing_first_queries_share_one_mapping_of_vectors(tmp_path):
-    # mmap releases the interpreter lock while it maps: first queries of
-    # different projects that race past an unlocked check would each map
-    # vectors.bin, and each mapping would hold a descriptor.
+    # Load maps vectors.bin once: threads racing to read the rows of
+    # different projects must all see views of that one mapping, which
+    # holds one descriptor, not map the file again.
     import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
@@ -1132,10 +1108,9 @@ def test_loaded_rows_are_the_built_rows_in_float64(tmp_path, rows):
     path = tmp_path / "vectors.bin"
     header = retriever.VECTORS_MAGIC + struct.pack("<III", retriever.INDEX_VERSION, rows + 5, 64)
     path.write_bytes(header + b"".join(w.astype("<f4").tobytes() for w in written))
-    dimension, readers = retriever._read_vectors(path, [rows, 5])
+    dimension, views = retriever._read_vectors(path, [rows, 5])
     assert dimension == 64
-    for reader, expected in zip(readers, written):
-        loaded = reader()
+    for loaded, expected in zip(views, written):
         assert loaded.dtype == np.float32 and loaded.shape == expected.shape
         assert loaded.tobytes() == expected.tobytes()
         assert loaded.astype(np.float64).tobytes() == expected.astype(np.float64).tobytes()
@@ -1424,25 +1399,27 @@ def test_loaded_index_retrieves_what_the_built_one_does(tmp_path):
     index = build_index(records)
     index.save(tmp_path / "idx")
     loaded = RetrievalIndex.load(tmp_path / "idx")
-    # Load reads no vectors; the first query does.
+    # Every partition's rows are a read-only view of one mapping of vectors.bin.
+    assert len({id(_mapping(part.vectors)) for part in loaded.partitions.values()}) == 1
     for part in loaded.partitions.values():
-        assert callable(part._vectors)
+        assert isinstance(_mapping(part.vectors), mmap.mmap)
+        assert not part.vectors.flags.writeable
     for query in records:
         for exclude in (query.sha, None):  # the twins' leakage guard skips a pair
             args = (query.diff, 3, query.repo_full_name, exclude)
             got = loaded.retrieve(*args, embedder=EMBEDDER)
             assert got == index.retrieve(*args, embedder=EMBEDDER)  # every field, exact
     for part in loaded.partitions.values():
-        assert part._vectors.dtype == np.float32
+        assert part.vectors.dtype == np.float32
         # The excluded shas were found in the text: the only dict is the term lookup.
         assert [name for name, v in vars(part).items() if isinstance(v, dict)] == ["terms"]
 
 
 def test_concurrent_first_queries_on_a_loaded_index(tmp_path):
-    # Lazy per-partition state (vectors, term lookup, length norms)
-    # is built by whichever query comes first; racing first queries must
-    # agree with a sequential run, scores bit for bit, so rows published
-    # before they are complete show as changed scores.  The excluded shas
+    # Lazy per-partition state (term lookup, length norms) is built by
+    # whichever query comes first; racing first queries must agree with a
+    # sequential run, scores bit for bit, so state published before it is
+    # complete shows as changed scores.  The excluded shas
     # sit at the end of large partitions.
     import sys
     import threading
